@@ -281,20 +281,22 @@ def _poly_image(series: PowerSeries) -> ClosedForm:
     def fn(z):
         z = np.asarray(z, dtype=complex)
         small = np.abs(z) < _POLY_SMALL
-        safe = np.where(small, 0.5, z)
-        closed = (-total * np.log(1.0 - safe) - _horner(q, safe)) / safe
-        ser = _horner(head, z) + total * z ** (d + 1) * _horner(tail_c, z)
-        return np.where(small, ser, closed)
+        out = np.empty_like(z)
+        zs, zc = z[small], z[~small]
+        out[small] = _horner(head, zs) + total * zs ** (d + 1) * _horner(tail_c, zs)
+        out[~small] = (-total * np.log(1.0 - zc) - _horner(q, zc)) / zc
+        return out
 
     def dfn(z):
         z = np.asarray(z, dtype=complex)
         small = np.abs(z) < _POLY_SMALL
-        safe = np.where(small, 0.5, z)
-        n_val = -total * np.log(1.0 - safe) - _horner(q, safe)
-        n_der = total / (1.0 - safe) - _horner(dq, safe)
-        closed = (n_der * safe - n_val) / safe**2
-        ser = _horner(dhead, z) + total * z**d * _horner(dtail_c, z)
-        return np.where(small, ser, closed)
+        out = np.empty_like(z)
+        zs, zc = z[small], z[~small]
+        out[small] = _horner(dhead, zs) + total * zs**d * _horner(dtail_c, zs)
+        n_val = -total * np.log(1.0 - zc) - _horner(q, zc)
+        n_der = total / (1.0 - zc) - _horner(dq, zc)
+        out[~small] = (n_der * zc - n_val) / zc**2
+        return out
 
     return ClosedForm(fn, dfn, label=f"cesaro(poly deg {d})")
 

@@ -310,14 +310,14 @@ def _build_space(name: str, alpha: float):
     raise UsageError(f"unknown space {name!r}; choose from {_SPACE_NAMES}")
 
 
-def _empirical_bounds(source, target, alpha: float):
+def _empirical_bounds(source, target, alpha: float, memo: dict):
     """Theoretical (low, high) the sampled lower bound is compared against."""
     if isinstance(source, Korenblum):
         return 0.0, korenblum_norm_exact(alpha)
     if isinstance(source, KorenblumLog) and isinstance(target, Korenblum):
-        return log_to_plain_lower_bound(alpha), log_to_plain_norm(alpha).value
+        return log_to_plain_lower_bound(alpha), log_to_plain_norm(alpha, memo=memo).value
     if isinstance(source, KorenblumLog):
-        return 0.0, log_to_log_norm(alpha).value
+        return 0.0, log_to_log_norm(alpha, memo=memo).value
     if isinstance(source, BlochAlpha):
         return 1.5, bloch_upper_bound(alpha)
     low, high = hardy_to_bloch_bounds(alpha)
@@ -331,7 +331,8 @@ def _cmd_empirical(args) -> int:
     source = _build_space(args.source, args.alpha)
     target = _build_space(args.target, args.alpha)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    est = operator_norm_lower_bound(source, target, cfg)
+    memo: dict = {}  # the witness and the theoretical upper end scan one profile
+    est = operator_norm_lower_bound(source, target, cfg, memo=memo)
     slack = 1e-3
     params = {
         "source": args.source,
@@ -364,7 +365,7 @@ def _cmd_empirical(args) -> int:
             notes=f"sampled image left the target space near r = {est.argmax_radius:.6g}",
         )
     else:
-        low, high = _empirical_bounds(source, target, args.alpha)
+        low, high = _empirical_bounds(source, target, args.alpha, memo)
         sound = est.value <= high + slack
         reaches = est.value >= low - slack
         verdict = TheoremVerdict(

@@ -134,7 +134,7 @@ def _unbounded_witness(alpha: float):
     return None
 
 
-def _witness_estimate(source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int):
+def _witness_estimate(source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int, memo):
     """Norm of the transformed extremal function.
 
     For the weighted-modulus sources the image has a positive radial
@@ -154,7 +154,7 @@ def _witness_estimate(source: SpaceSpec, target: SpaceSpec, tol: float, k_max: i
     else:
         image = cesaro_transform(extremal_for(source))
         return space_norm(image, target, tol, k_max=k_max)
-    est = sup_over_radius(slice_fn, tol, k_max=k_max)
+    est = sup_over_radius(slice_fn, tol, k_max=k_max, memo=memo)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
@@ -172,12 +172,14 @@ def operator_norm_lower_bound(
     cfg: SampleConfig,
     tol: float = 1e-9,
     k_max: int = 30,
+    memo: dict | None = None,
 ):
     """Best observed norm ratio over the sample plus the extremal witness.
 
     Returns a NormEstimate whose value is a certified lower bound for
     the operator norm (up to quadrature tolerance), or a DivergenceFlag
-    for the sup-norm -> Bloch-type pair with alpha < 1.
+    for the sup-norm -> Bloch-type pair with alpha < 1.  memo (see
+    sup_over_radius) takes the witness profile of the log-weighted pairs.
     """
     _validate_pair(source, target)
     if isinstance(source, HardyInf) and isinstance(target, BlochAlpha) and target.alpha < 1.0:
@@ -196,7 +198,7 @@ def operator_norm_lower_bound(
             return est
         if best is None or est.value > best.value:
             best = est
-    witness = _witness_estimate(source, target, tol, k_max)
+    witness = _witness_estimate(source, target, tol, k_max, memo)
     if witness.diverged:
         return witness
     if best is None or witness.value > best.value:

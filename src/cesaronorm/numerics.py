@@ -345,12 +345,22 @@ def sup_over_radius(
     tol: float = 1e-9,
     k_max: int = RADIAL_K_MAX,
     guard: float = OVERFLOW_GUARD,
+    memo: Optional[dict] = None,
 ) -> SupEstimate:
     """Supremum of h over [0, 1) via grid scan, golden refinement, tail limit.
 
     Radii are scanned in increasing order; any non-finite value or value
     beyond the overflow guard short-circuits into a diverged estimate.
+    memo, a dict shared by searches of one profile, keeps h by radius.
     """
+    if memo is not None:
+        profile = h
+
+        def h(r):
+            if r not in memo:
+                memo[r] = profile(r)
+            return memo[r]
+
     radii = radius_grid(k_max)
     vals: list[float] = []
     for r in radii:

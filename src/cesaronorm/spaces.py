@@ -13,10 +13,13 @@ weight applied to |f| (or to |f'| for the Bloch-type space):
 space_norm estimates the supremum over the disk on a polar grid: the
 geometric radius grid r_k = 1 - 2^-k (k = 0..40, clamped inside the
 evaluation guard) crossed with an equispaced angular grid that starts at
-256 points and doubles until the running supremum stabilizes, followed
-by golden-section refinement of the bracketing radial triple.  Values
-beyond the overflow guard (1e12) mark the function as outside the space
-and are reported through the diverged flag instead of an exception.
+256 points and doubles until the polished supremum stabilizes.  Each
+level is polished by a batched zoom in s = -log2(1 - r): whole angle
+rows at radii around the grid maximum, then joint (radius, angle)
+patches that shrink around the best point, each patch evaluated in one
+call.  Values beyond the overflow guard (1e12) mark the function as
+outside the space and are reported through the diverged flag instead of
+an exception.
 
 radial_sup_norm is the cheap variant for functions with nonnegative
 Taylor coefficients, whose weighted modulus peaks on [0, 1); the
@@ -129,37 +132,39 @@ def _clamped_radii(k_max: int) -> np.ndarray:
     return np.unique(rs)
 
 
-def _weight_fn(space):
-    if isinstance(space, HardyInf):
-        return lambda r: np.ones_like(np.asarray(r, dtype=float))
-    alpha = space.alpha
-    if isinstance(space, (Korenblum, BlochAlpha)):
-        return lambda r: one_minus_sq(np.asarray(r, dtype=float)) ** alpha
-    c0 = log_weight_constant(alpha)
-
-    def wlog(r):
-        omsq = one_minus_sq(np.asarray(r, dtype=float))
-        return omsq**alpha * (c0 - np.log(omsq))
-
-    return wlog
+# patch nodes in units of the half-width; an interior winner leaves one
+# node spacing, a twelfth of the half-width, to search in the next patch
+_PATCH = np.linspace(-1.0, 1.0, 25)
+_SHRINK = 2.0 / (_PATCH.size - 1)
 
 
-def _disk_sup(f, wfn, tol, k_max, n_angles, max_angles, guard):
-    """sup over a polar grid of wfn(r) |f(z)|, polished by golden search.
+def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
+    """sup over a polar grid of weight_at(space, r) |f(z)|, polished by batched zoom.
 
     A bare angular grid converges only quadratically in the spacing, so
-    each resolution level is polished: a radial golden pass against the
-    whole angle row, an angular pass around the winning node, then a
-    radial pass along the refined ray.  The angular resolution doubles
-    until the polished supremum stops moving.
+    each level is polished in s = -log2(1 - r): whole angle rows first,
+    since the angle of the maximum moves with r, then joint patches,
+    square in (r, angle) so that their angular width scales with 1 - r
+    like a peak near the circle.  The angular resolution doubles until
+    the polished supremum stops moving.
     """
     radii = _clamped_radii(k_max)
-    w = wfn(radii)
+    s_grid = -np.log2(1.0 - radii)
+    s_top = float(s_grid[-1])
+
+    def patch(s, angles):
+        """Weighted modulus on the s x angles patch, and its best node."""
+        s = np.clip(s, 0.0, s_top)
+        r = 1.0 - np.exp2(-s)
+        z = r[:, None] * np.exp(1j * angles)[None, :]
+        vals = weight_at(space, r)[:, None] * np.abs(evaluate(f, z))
+        a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return vals, (a, b, float(s[a]), float(angles[b]), float(vals[a, b]))
 
     def grid_values(m):
         angles = 2.0 * np.pi * np.arange(m) / m
-        z = radii[:, None] * np.exp(1j * angles)[None, :]
-        return w[:, None] * np.abs(evaluate(f, z)), angles
+        vals, best = patch(s_grid, angles)
+        return vals, angles, best
 
     def scan(vals, angles, m):
         # increasing radius so a blow-up reports its first witness
@@ -179,70 +184,46 @@ def _disk_sup(f, wfn, tol, k_max, n_angles, max_angles, guard):
             diverged=True,
         )
 
-    def polish(vals, angles, m):
-        flat = int(np.argmax(vals))
-        i, j = divmod(flat, vals.shape[1])
-        best_r = float(radii[i])
-        best_angle = float(angles[j])
-        best_v = float(vals[i, j])
-        unit = np.exp(1j * angles)
-        step = 2.0 * np.pi / m
-        lo = float(radii[max(i - 1, 0)])
-        hi = float(radii[min(i + 1, len(radii) - 1)])
+    def polish(angles, m, grid_best):
+        i, _, best_s, best_angle, best_v = grid_best
+        lo, hi = s_grid[max(i - 1, 0)], s_grid[min(i + 1, len(s_grid) - 1)]
+        centre, h_s = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        _, (_, _, s, angle, v) = patch(centre + h_s * _PATCH, angles)
+        if v > best_v:
+            best_s, best_angle, best_v = s, angle, v
+
+        # h is the angular half-width and, as a change of r, the radial one
+        h = 2.0 * np.pi / m
         residual = 0.0
-
-        def grid_profile(r):
-            return float(wfn(r) * np.abs(evaluate(f, r * unit)).max())
-
-        if hi > lo:
-            gx, gv, residual, _ = golden_section_max(grid_profile, lo, hi, xtol=1e-8)
-            if gv > best_v:
-                best_r, best_v = gx, gv
-                best_angle = float(angles[int(np.argmax(np.abs(evaluate(f, gx * unit))))])
-
-        # coordinate ascent; one pass leaves a mixed-curvature error that
-        # would keep the level-to-level delta above tol, so iterate
-        for _ in range(6):
-            before = best_v
-
-            def angle_profile(theta):
-                return float(wfn(best_r)) * abs(evaluate(f, best_r * np.exp(1j * theta)))
-
-            gx, gv, res_a, _ = golden_section_max(
-                angle_profile, best_angle - step, best_angle + step, xtol=1e-8
-            )
-            residual = max(residual, res_a)
-            if gv > best_v:
-                best_angle, best_v = gx % (2.0 * math.pi), gv
-
-            if hi > lo:
-                ray = np.exp(1j * best_angle)
-
-                def ray_profile(r):
-                    return float(wfn(r)) * abs(evaluate(f, r * ray))
-
-                gx, gv, res_r, _ = golden_section_max(ray_profile, lo, hi, xtol=1e-8)
-                residual = max(residual, res_r)
-                if gv > best_v:
-                    best_r, best_v = gx, gv
-            if best_v - before <= max(0.25 * tol, 4e-16 * max(1.0, best_v)):
+        for _ in range(100):
+            h_s = h / (math.log(2.0) * math.exp2(-best_s))
+            if h_s <= 1e-8:
                 break
-        return best_r, best_angle, best_v, residual
+            _, (a, b, s, angle, v) = patch(best_s + h_s * _PATCH, best_angle + h * _PATCH)
+            residual = max(v - best_v, 0.0)
+            if v > best_v:
+                best_s, best_angle, best_v = s, angle, v
+                # a winner on the patch edge may sit below a higher point
+                # outside: slide the patch before shrinking it
+                if {a, b} & {0, _PATCH.size - 1}:
+                    continue
+            h *= _SHRINK
+        return 1.0 - math.exp2(-best_s), best_angle % (2.0 * math.pi), best_v, residual
 
     m = n_angles
-    vals, angles = grid_values(m)
+    vals, angles, grid_best = grid_values(m)
     flagged = scan(vals, angles, m)
     if flagged is not None:
         return flagged
-    best_r, best_angle, best_v, residual = polish(vals, angles, m)
+    best_r, best_angle, best_v, residual = polish(angles, m, grid_best)
     angular_delta = math.inf
     while m < max_angles:
         m *= 2
-        vals, angles = grid_values(m)
+        vals, angles, grid_best = grid_values(m)
         flagged = scan(vals, angles, m)
         if flagged is not None:
             return flagged
-        nr, na, nv, nres = polish(vals, angles, m)
+        nr, na, nv, nres = polish(angles, m, grid_best)
         angular_delta = abs(nv - best_v)
         if nv > best_v:
             best_r, best_angle, best_v, residual = nr, na, nv, nres
@@ -281,13 +262,11 @@ def space_norm(
     """
     if isinstance(space, BlochAlpha):
         base = abs(evaluate(f, 0j))
-        est = _disk_sup(
-            derivative(f), _weight_fn(space), tol, k_max, n_angles, max_angles, OVERFLOW_GUARD
-        )
+        est = _disk_sup(derivative(f), space, tol, k_max, n_angles, max_angles, OVERFLOW_GUARD)
         if est.diverged:
             return est
         return replace(est, value=base + est.value)
-    return _disk_sup(f, _weight_fn(space), tol, k_max, n_angles, max_angles, OVERFLOW_GUARD)
+    return _disk_sup(f, space, tol, k_max, n_angles, max_angles, OVERFLOW_GUARD)
 
 
 def radial_sup_norm(
@@ -315,12 +294,11 @@ def radial_sup_norm(
         raise PreconditionError("radial_sup_norm applies to modulus weights, not Bloch norms")
 
     radii = _clamped_radii(k_max)
-    wfn = _weight_fn(space)
 
     def profile(r):
-        return float(wfn(r) * abs(evaluate(f, complex(r, 0.0))))
+        return float(weight_at(space, r) * abs(evaluate(f, complex(r, 0.0))))
 
-    vals = wfn(radii) * np.abs(evaluate(f, radii.astype(complex)))
+    vals = weight_at(space, radii) * np.abs(evaluate(f, radii.astype(complex)))
     bad = np.flatnonzero(~np.isfinite(vals) | (vals > OVERFLOW_GUARD))
     if bad.size:
         i = int(bad[0])

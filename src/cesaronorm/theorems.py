@@ -199,16 +199,20 @@ def korenblum_sup(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> S
     return sup_over_radius(lambda r: korenblum_slice_integral(r, alpha, quad_tol), tol)
 
 
-def log_to_plain_norm(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> SupEstimate:
-    """T4.1 sup-integral; the maximizer sits at an interior radius."""
+def log_to_plain_norm(
+    alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10, memo: Optional[dict] = None
+) -> SupEstimate:
+    """T4.1 sup-integral; the maximizer sits at an interior radius.  memo: see sup_over_radius."""
     _check_alpha_01(alpha)
-    return sup_over_radius(lambda r: log_to_plain_slice(r, alpha, quad_tol), tol)
+    return sup_over_radius(lambda r: log_to_plain_slice(r, alpha, quad_tol), tol, memo=memo)
 
 
-def log_to_log_norm(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> SupEstimate:
-    """T5.1 sup-integral; extrapolated_limit estimates the boundary value."""
+def log_to_log_norm(
+    alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10, memo: Optional[dict] = None
+) -> SupEstimate:
+    """T5.1 sup-integral; extrapolated_limit estimates the boundary value.  memo as above."""
     _check_alpha_01(alpha)
-    return sup_over_radius(lambda r: log_to_log_slice(r, alpha, quad_tol), tol)
+    return sup_over_radius(lambda r: log_to_log_slice(r, alpha, quad_tol), tol, memo=memo)
 
 
 def korenblum_norm_exact(alpha: float) -> float:
@@ -472,7 +476,7 @@ def verify_theorem(
     """
     if theorem_id not in THEOREM_IDS:
         raise DomainError(f"unknown result id {theorem_id!r}; choose from {THEOREM_IDS}")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
         raise DomainError("alpha must be a finite number")
     tol = DEFAULT_TOLS[theorem_id] if tol is None else float(tol)
     if tol <= 0:

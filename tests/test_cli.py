@@ -276,6 +276,34 @@ def test_empirical_plain_pair(capsys):
     assert "soundness ok" in v["notes"]
 
 
+@pytest.mark.parametrize(
+    "source, target, alpha, samples, seed",
+    [
+        ("korenblum", "korenblum", "0.25", "2", "1549590652"),
+        ("korenblum-log", "korenblum-log", "0.5", "1", "343373188"),
+    ],
+)
+def test_empirical_seeds_with_narrow_peaks(capsys, source, target, alpha, samples, seed):
+    """Seeds whose sampled images peak close to z = 1, where the angular grid is coarse."""
+    code, out, err = run_cli(
+        capsys,
+        "empirical",
+        "--source",
+        source,
+        "--target",
+        target,
+        "--alpha",
+        alpha,
+        "--samples",
+        samples,
+        "--seed",
+        seed,
+        "--no-timestamp",
+    )
+    assert code == 0, err
+    assert json.loads(out)["verdicts"][0]["passed"]
+
+
 def test_empirical_unbounded_pair(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -20,6 +20,8 @@ from cesaronorm import (
     Poly,
     PreconditionError,
     bloch_growth_bound,
+    cesaro_transform,
+    derivative,
     evaluate,
     log_weight_constant,
     radial_sup_norm,
@@ -178,3 +180,36 @@ def test_g_monotone_on_weight_domain():
 def test_log_weight_dominates_plain_weight(alpha, r):
     # the log factor exceeds 1/alpha > 1 everywhere on [0, 1)
     assert weight_at(KorenblumLog(alpha), r) >= weight_at(Korenblum(alpha), r)
+
+
+@pytest.mark.parametrize(
+    "space", [HardyInf(), Korenblum(0.25), KorenblumLog(0.5), BlochAlpha(1.5)], ids=repr
+)
+def test_polished_norm_of_random_images(space):
+    """The polish settles at one angular level and beats a dense patch at its argmax."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        deg = int(rng.integers(1, 65))
+        raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        image = cesaro_transform(Poly(raw / (np.arange(deg + 1) + 1.0)))
+        # tol = inf accepts the polished value of a single angular level
+        at_m, at_2m = (
+            space_norm(image, space, tol=math.inf, n_angles=m, max_angles=m).value
+            for m in (256, 512)
+        )
+        assert at_m == pytest.approx(at_2m, rel=1e-12, abs=0.0)
+
+        est = space_norm(image, space)
+        assert math.isfinite(est.refinement_residual)
+        # 201 x 201 offsets from 1e-9 to 1 times 1 - r on both sides of the argmax
+        scale = np.geomspace(1e-9, 1.0, 100) * (1.0 - est.argmax_radius)
+        offsets = np.concatenate([-scale[::-1], [0.0], scale])
+        r = np.clip(est.argmax_radius + offsets, 0.0, 1.0 - 1e-12)
+        z = r[:, None] * np.exp(1j * (est.argmax_angle + offsets))[None, :]
+        if isinstance(space, BlochAlpha):
+            dense = abs(evaluate(image, 0j)) + weight_at(space, r)[:, None] * np.abs(
+                evaluate(derivative(image), z)
+            )
+        else:
+            dense = weight_at(space, r)[:, None] * np.abs(evaluate(image, z))
+        assert est.value >= float(dense.max()) - 1e-12

@@ -300,3 +300,10 @@ def test_theorem_id_registry():
         "passed",
         "notes",
     }
+
+
+def test_verify_rejects_bool_alpha():
+    # bool is an int subclass; True must not pass as alpha = 1
+    for theorem_id in ("T3.1", "T7.1"):
+        with pytest.raises(DomainError):
+            verify_theorem(theorem_id, True)
