@@ -49,11 +49,12 @@ from .functions import (
     AnalyticFunction,
     ClosedForm,
     Constant,
-    EVAL_RADIUS_LIMIT,
     KorenblumExtremal,
     LogKorenblumExtremal,
     Poly,
     PowerSeries,
+    _check_point,
+    _polyval,
     derivative,
     log_weight_constant,
 )
@@ -95,13 +96,6 @@ class SemigroupKernel:
 
     def __repr__(self):
         return f"SemigroupKernel(t={self.t})"
-
-
-def _check_point(z):
-    arr = np.asarray(z, dtype=complex)
-    if arr.size and float(np.max(np.abs(arr))) > EVAL_RADIUS_LIMIT:
-        raise DomainError("evaluation point outside |z| <= 1 - 1e-12")
-    return arr
 
 
 def _st_factored_log(u, z):
@@ -157,58 +151,54 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     return ClosedForm(fn, dfn, label=f"S_{t:g}")
 
 
-def cesaro_integral(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
-    """Finite-integral form int_0^1 f(tz)/(1 - tz) dt.
+def _unit_interval_integral(integrand, z, tol: float):
+    """int_0^1 integrand(u, z) du at every point of z, in one adaptive pass.
 
-    z may be a scalar or an ndarray; a single adaptive pass integrates
-    the whole batch with the error controlled on the worst component.
+    u arrives shaped to broadcast against the guarded points; the error
+    is controlled on the worst component, and a scalar z gives a complex.
     """
     arr = _check_point(z)
 
-    def g(tt):
-        tt = np.asarray(tt, dtype=float)
-        shaped = tt.reshape((tt.shape[0],) + (1,) * arr.ndim)
-        zz = shaped * arr
-        return f.eval_at(zz) / (1.0 - zz)
+    def g(u):
+        u = np.asarray(u, dtype=float)
+        return integrand(u.reshape((u.shape[0],) + (1,) * arr.ndim), arr)
 
     value = integrate_finite(g, 0.0, 1.0, tol).value
     if np.ndim(z) == 0:
         return complex(value)
     return value
+
+
+def cesaro_integral(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
+    """Finite-integral form int_0^1 f(tz)/(1 - tz) dt; z a scalar or an ndarray."""
+
+    def g(t, z):
+        tz = t * z
+        return f.eval_at(tz) / (1.0 - tz)
+
+    return _unit_interval_integral(g, z, tol)
 
 
 def cesaro_semigroup(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
     """Semigroup form int_0^inf (S_t f)(z) dt through the u = e^-t pullback."""
-    arr = _check_point(z)
 
-    def g(uu):
-        uu = np.asarray(uu, dtype=float)
-        shaped = uu.reshape((uu.shape[0],) + (1,) * arr.ndim)
-        d_full = 1.0 - (1.0 - shaped) * arr
-        return f.eval_at(shaped * arr / d_full) / d_full
+    def g(u, z):
+        d_full = 1.0 - (1.0 - u) * z
+        return f.eval_at(u * z / d_full) / d_full
 
-    value = integrate_finite(g, 0.0, 1.0, tol).value
-    if np.ndim(z) == 0:
-        return complex(value)
-    return value
+    return _unit_interval_integral(g, z, tol)
 
 
 def cesaro_derivative(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
     """Derivative form of the operator image, C(f)'(z), via one quadrature."""
-    arr = _check_point(z)
     df = derivative(f)
 
-    def g(uu):
-        uu = np.asarray(uu, dtype=float)
-        shaped = uu.reshape((uu.shape[0],) + (1,) * arr.ndim)
-        d_full = 1.0 - (1.0 - shaped) * arr
-        phi = shaped * arr / d_full
-        return (1.0 - shaped) / d_full**2 * f.eval_at(phi) + shaped / d_full**3 * df.eval_at(phi)
+    def g(u, z):
+        d_full = 1.0 - (1.0 - u) * z
+        phi = u * z / d_full
+        return (1.0 - u) / d_full**2 * f.eval_at(phi) + u / d_full**3 * df.eval_at(phi)
 
-    value = integrate_finite(g, 0.0, 1.0, tol).value
-    if np.ndim(z) == 0:
-        return complex(value)
-    return value
+    return _unit_interval_integral(g, z, tol)
 
 
 # C(1)(z) = -log(1 - z)/z extended by 1 at the origin; series fallbacks keep
@@ -218,19 +208,12 @@ _C1_DERIV_COEFFS = np.arange(1.0, 12.0) / np.arange(2.0, 13.0)
 _SMALL = 1e-4
 
 
-def _horner(coeffs, z):
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1]:
-        out = out * z + c
-    return out
-
-
 def _c1_fn(z):
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SMALL
     safe = np.where(small, 0.5, z)
     big = -np.log(1.0 - safe) / safe
-    return np.where(small, _horner(_C1_COEFFS, z), big)
+    return np.where(small, _polyval(_C1_COEFFS, z), big)
 
 
 def _c1_deriv(z):
@@ -238,7 +221,7 @@ def _c1_deriv(z):
     small = np.abs(z) < _SMALL
     safe = np.where(small, 0.5, z)
     big = 1.0 / (safe * (1.0 - safe)) + np.log(1.0 - safe) / safe**2
-    return np.where(small, _horner(_C1_DERIV_COEFFS, z), big)
+    return np.where(small, _polyval(_C1_DERIV_COEFFS, z), big)
 
 
 def cesaro_of_one() -> ClosedForm:
@@ -283,8 +266,8 @@ def _poly_image(series: PowerSeries) -> ClosedForm:
         small = np.abs(z) < _POLY_SMALL
         out = np.empty_like(z)
         zs, zc = z[small], z[~small]
-        out[small] = _horner(head, zs) + total * zs ** (d + 1) * _horner(tail_c, zs)
-        out[~small] = (-total * np.log(1.0 - zc) - _horner(q, zc)) / zc
+        out[small] = _polyval(head, zs) + total * zs ** (d + 1) * _polyval(tail_c, zs)
+        out[~small] = (-total * np.log(1.0 - zc) - _polyval(q, zc)) / zc
         return out
 
     def dfn(z):
@@ -292,9 +275,9 @@ def _poly_image(series: PowerSeries) -> ClosedForm:
         small = np.abs(z) < _POLY_SMALL
         out = np.empty_like(z)
         zs, zc = z[small], z[~small]
-        out[small] = _horner(dhead, zs) + total * zs**d * _horner(dtail_c, zs)
-        n_val = -total * np.log(1.0 - zc) - _horner(q, zc)
-        n_der = total / (1.0 - zc) - _horner(dq, zc)
+        out[small] = _polyval(dhead, zs) + total * zs**d * _polyval(dtail_c, zs)
+        n_val = -total * np.log(1.0 - zc) - _polyval(q, zc)
+        n_der = total / (1.0 - zc) - _polyval(dq, zc)
         out[~small] = (n_der * zc - n_val) / zc**2
         return out
 

@@ -11,8 +11,8 @@ Reports serialize to JSON ({command, parameters, verdicts, artifacts,
 wall_time}) or CSV (RFC 4180, header row).  Exit status: 0 all checks
 passed, 1 a verdict failed or a computation did not converge, 2 usage
 error.  Identical flags produce byte-identical JSON when --no-timestamp
-suppresses the wall time.  CESARO_THREADS caps the worker threads used
-for independent alphas (default 1).
+suppresses the wall time.  Every result id, alpha range and bound comes
+from theorems.RESULTS.
 """
 
 from __future__ import annotations
@@ -22,46 +22,25 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .empirical import SampleConfig, operator_norm_lower_bound
+from .empirical import SampleConfig, operator_norm_lower_bound, result_for_pair
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .numerics import DivergenceFlag
 from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog
-from .theorems import (
-    DEFAULT_TOLS,
-    THEOREM_IDS,
-    TheoremVerdict,
-    bloch_upper_bound,
-    hardy_to_bloch_bounds,
-    integrand_F,
-    korenblum_norm_exact,
-    log_denominator,
-    log_ratio,
-    log_to_log_norm,
-    log_to_plain_lower_bound,
-    log_to_plain_norm,
-    verify_theorem,
-)
+from .theorems import RESULTS, THEOREM_IDS, TheoremVerdict, profile_integrand, verify_theorem
 
-# alpha ranges accepted by `verify`; T3.1 is capped where the exact value holds
-_CLI_ALPHA_RANGE = {
-    "T3.1": (0.0, 0.5, True),
-    "T4.1": (0.0, 1.0, False),
-    "T5.1": (0.0, 1.0, False),
-    "T6.2": (1.0, math.inf, False),
-    "T6.3": (1.0, math.inf, False),
-    "T7.1": (0.0, math.inf, False),
+_SPACES = {
+    "hardy": lambda alpha: HardyInf(),
+    "korenblum": Korenblum,
+    "korenblum-log": KorenblumLog,
+    "bloch": BlochAlpha,
 }
-
-_SPACE_NAMES = ("hardy", "korenblum", "korenblum-log", "bloch")
 
 _VERDICT_COLUMNS = (
     "theorem_id",
@@ -74,18 +53,7 @@ _VERDICT_COLUMNS = (
     "notes",
 )
 
-_TABLE_COLUMNS = (
-    "alpha",
-    "t31_exact",
-    "t41_sup",
-    "t41_lower_bound",
-    "t51_sup",
-    "t51_reciprocal_alpha",
-    "t62_upper",
-    "t63_lower",
-    "t71_low",
-    "t71_high",
-)
+_TABLE_COLUMNS = ("alpha",) + tuple(c for r in RESULTS.values() for c in r.columns)
 
 
 @dataclass
@@ -100,9 +68,7 @@ class RunReport:
         return {
             "command": self.command,
             "parameters": self.parameters,
-            "verdicts": [
-                v.to_dict() if isinstance(v, TheoremVerdict) else v for v in self.verdicts
-            ],
+            "verdicts": [v.to_dict() for v in self.verdicts],
             "artifacts": self.artifacts,
             "wall_time": self.wall_time,
         }
@@ -110,23 +76,6 @@ class RunReport:
 
 class UsageError(Exception):
     pass
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CESARO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    threads = _thread_count()
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_alpha_list(text: str) -> list[float]:
@@ -163,16 +112,6 @@ def parse_grid(text: str) -> list[float]:
     return out
 
 
-def _check_verify_alpha(theorem_id: str, alpha: float):
-    lo, hi, closed_hi = _CLI_ALPHA_RANGE[theorem_id]
-    ok = alpha > lo and (alpha <= hi if closed_hi else alpha < hi)
-    if not ok:
-        upper = "<=" if closed_hi else "<"
-        raise UsageError(
-            f"{theorem_id} requires {lo:g} < alpha {upper} {hi:g}, got {alpha:g}"
-        )
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -186,24 +125,11 @@ def _format_cell(value) -> str:
 def _verdict_rows(verdicts) -> list[list[str]]:
     rows = []
     for v in verdicts:
-        d = v.to_dict() if isinstance(v, TheoremVerdict) else dict(v)
-        theoretical = d.get("theoretical")
-        if isinstance(theoretical, (list, tuple)):
-            low, high = theoretical
-        else:
-            low = high = theoretical
-        rows.append(
-            [
-                _format_cell(d.get("theorem_id")),
-                _format_cell(d.get("alpha")),
-                _format_cell(low),
-                _format_cell(high),
-                _format_cell(d.get("computed")),
-                _format_cell(d.get("tolerance")),
-                _format_cell(d.get("passed")),
-                _format_cell(d.get("notes")),
-            ]
-        )
+        d = v.to_dict()
+        theoretical = d["theoretical"]
+        low, high = theoretical if isinstance(theoretical, list) else (theoretical, theoretical)
+        d.update(theoretical_low=low, theoretical_high=high)
+        rows.append([_format_cell(d[name]) for name in _VERDICT_COLUMNS])
     return rows
 
 
@@ -215,7 +141,7 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: str, output: Optional[str], report: RunReport):
+def _emit(payload: str, output: Optional[str]):
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
@@ -223,16 +149,17 @@ def _emit(payload: str, output: Optional[str], report: RunReport):
         sys.stdout.write(payload)
 
 
-def _finish(report: RunReport, args, payload_csv: Optional[str], started: float) -> None:
+def _finish(report: RunReport, args, payload_csv: str, started: float, **extra) -> None:
+    """Emit the report; extra keys (a table, dump rows) follow the envelope in JSON."""
     # record the artifact before serializing so the payload lists itself
     if args.output:
         report.artifacts.append(args.output)
     if not args.no_timestamp:
         report.wall_time = time.monotonic() - started
     if args.format == "csv":
-        _emit(payload_csv if payload_csv is not None else "", args.output, report)
+        _emit(payload_csv, args.output)
         return
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output, report)
+    _emit(json.dumps({**report.to_dict(), **extra}, indent=2) + "\n", args.output)
 
 
 def _cmd_verify(args) -> int:
@@ -240,173 +167,87 @@ def _cmd_verify(args) -> int:
     alphas = _parse_alpha_list(args.alpha)
     if args.theorem not in THEOREM_IDS:
         raise UsageError(f"unknown result id {args.theorem!r}; choose from {THEOREM_IDS}")
+    result = RESULTS[args.theorem]
     for a in alphas:
-        _check_verify_alpha(args.theorem, a)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLS[args.theorem]
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
-    verdicts = _parallel_map(lambda a: verify_theorem(args.theorem, a, tol), alphas)
+        result.check_alpha(a, exact_only=True)
+    tol = args.tol if args.tol is not None else result.tol
+    verdicts = [verify_theorem(args.theorem, a, tol) for a in alphas]
     report = RunReport(
         command="verify",
         parameters={"theorem": args.theorem, "alpha": alphas, "tol": tol},
-        verdicts=list(verdicts),
+        verdicts=verdicts,
     )
     _finish(report, args, _csv_text(_VERDICT_COLUMNS, _verdict_rows(verdicts)), started)
     return 0 if all(v.passed for v in verdicts) else 1
 
 
 def _table_row(alpha: float) -> dict:
-    row = {name: None for name in _TABLE_COLUMNS}
-    row["alpha"] = alpha
-    if 0.0 < alpha <= 0.5:
-        row["t31_exact"] = korenblum_norm_exact(alpha)
-    if 0.0 < alpha < 1.0:
-        row["t41_sup"] = log_to_plain_norm(alpha).value
-        row["t41_lower_bound"] = log_to_plain_lower_bound(alpha)
-        row["t51_sup"] = log_to_log_norm(alpha).value
-        row["t51_reciprocal_alpha"] = 1.0 / alpha
-    if alpha > 1.0:
-        row["t62_upper"] = bloch_upper_bound(alpha)
-        row["t63_lower"] = 1.5
-    if alpha >= 1.0:
-        low, high = hardy_to_bloch_bounds(alpha)
-        row["t71_low"] = low
-        row["t71_high"] = high
+    row = {"alpha": alpha}
+    for result in RESULTS.values():
+        if result.admits(alpha, exact_only=True):
+            row.update(zip(result.columns, result.cells(alpha)))
+        else:
+            row.update(dict.fromkeys(result.columns))
     return row
 
 
 def _cmd_table(args) -> int:
     started = time.monotonic()
     alphas = parse_grid(args.alpha_grid)
-    for a in alphas:
-        if a <= 0.0:
-            raise UsageError("alpha grid must stay positive")
-    rows = _parallel_map(_table_row, alphas)
+    if min(alphas) <= 0.0:
+        raise UsageError("alpha grid must stay positive")
+    rows = [_table_row(a) for a in alphas]
     report = RunReport(command="table", parameters={"alpha_grid": args.alpha_grid})
-    if args.output:
-        report.artifacts.append(args.output)
-    payload = report.to_dict()
-    payload["table"] = rows
     csv_rows = [[_format_cell(row[name]) for name in _TABLE_COLUMNS] for row in rows]
-    if not args.no_timestamp:
-        report.wall_time = time.monotonic() - started
-        payload["wall_time"] = report.wall_time
-    if args.format == "csv":
-        _emit(_csv_text(_TABLE_COLUMNS, csv_rows), args.output, report)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.output, report)
+    _finish(report, args, _csv_text(_TABLE_COLUMNS, csv_rows), started, table=rows)
     return 0
-
-
-def _build_space(name: str, alpha: float):
-    if name == "hardy":
-        return HardyInf()
-    if name == "korenblum":
-        return Korenblum(alpha)
-    if name == "korenblum-log":
-        return KorenblumLog(alpha)
-    if name == "bloch":
-        return BlochAlpha(alpha)
-    raise UsageError(f"unknown space {name!r}; choose from {_SPACE_NAMES}")
-
-
-def _empirical_bounds(source, target, alpha: float, memo: dict):
-    """Theoretical (low, high) the sampled lower bound is compared against."""
-    if isinstance(source, Korenblum):
-        return 0.0, korenblum_norm_exact(alpha)
-    if isinstance(source, KorenblumLog) and isinstance(target, Korenblum):
-        return log_to_plain_lower_bound(alpha), log_to_plain_norm(alpha, memo=memo).value
-    if isinstance(source, KorenblumLog):
-        return 0.0, log_to_log_norm(alpha, memo=memo).value
-    if isinstance(source, BlochAlpha):
-        return 1.5, bloch_upper_bound(alpha)
-    low, high = hardy_to_bloch_bounds(alpha)
-    return low, high
 
 
 def _cmd_empirical(args) -> int:
     started = time.monotonic()
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    source = _build_space(args.source, args.alpha)
-    target = _build_space(args.target, args.alpha)
+    source = _SPACES[args.source](args.alpha)
+    target = _SPACES[args.target](args.alpha)
+    result = result_for_pair(source, target)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
     memo: dict = {}  # the witness and the theoretical upper end scan one profile
     est = operator_norm_lower_bound(source, target, cfg, memo=memo)
     slack = 1e-3
-    params = {
-        "source": args.source,
-        "target": args.target,
-        "alpha": args.alpha,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    params = {k: getattr(args, k) for k in ("source", "target", "alpha", "samples", "seed")}
+    theoretical = None
     if isinstance(est, DivergenceFlag):
-        verdict = TheoremVerdict(
-            theorem_id="T7.1",
-            alpha=args.alpha,
-            theoretical=None,
-            computed=est.value,
-            tolerance=slack,
-            passed=True,
-            notes=(
-                "unbounded, divergence confirmed: witness "
-                f"{est.value:.6g} at r = {est.at_radius:.6g}"
-            ),
+        passed = True
+        notes = (
+            f"unbounded, divergence confirmed: witness {est.value:.6g} at r = {est.at_radius:.6g}"
         )
     elif est.diverged:
-        verdict = TheoremVerdict(
-            theorem_id="T7.1",
-            alpha=args.alpha,
-            theoretical=None,
-            computed=est.value,
-            tolerance=slack,
-            passed=False,
-            notes=f"sampled image left the target space near r = {est.argmax_radius:.6g}",
-        )
+        passed = False
+        notes = f"sampled image left the target space near r = {est.argmax_radius:.6g}"
     else:
-        low, high = _empirical_bounds(source, target, args.alpha, memo)
+        low, high = theoretical = result.bounds(args.alpha, memo)
         sound = est.value <= high + slack
-        reaches = est.value >= low - slack
-        verdict = TheoremVerdict(
-            theorem_id=_pair_theorem_id(source, target),
-            alpha=args.alpha,
-            theoretical=(low, high),
-            computed=est.value,
-            tolerance=slack,
-            passed=sound and reaches,
-            notes=(
-                f"best ratio {est.value:.9g} at r = {est.argmax_radius:.6g}, "
-                f"theta = {est.argmax_angle:.6g}; soundness "
-                f"{'ok' if sound else 'VIOLATED'}"
-            ),
+        passed = sound and est.value >= low - slack
+        notes = (
+            f"best ratio {est.value:.9g} at r = {est.argmax_radius:.6g}, "
+            f"theta = {est.argmax_angle:.6g}; soundness "
+            f"{'ok' if sound else 'VIOLATED'}"
         )
+    verdict = TheoremVerdict(
+        result.theorem_id, args.alpha, theoretical, est.value, slack, passed, notes
+    )
     report = RunReport(command="empirical", parameters=params, verdicts=[verdict])
     _finish(report, args, _csv_text(_VERDICT_COLUMNS, _verdict_rows([verdict])), started)
     return 0 if verdict.passed else 1
 
 
-def _pair_theorem_id(source, target) -> str:
-    if isinstance(source, Korenblum):
-        return "T3.1"
-    if isinstance(source, KorenblumLog) and isinstance(target, Korenblum):
-        return "T4.1"
-    if isinstance(source, KorenblumLog):
-        return "T5.1"
-    if isinstance(source, BlochAlpha):
-        return "T6.2"
-    return "T7.1"
-
-
-_DUMP_IDS = ("T3.1", "T4.1", "T5.1")
-
-
 def _cmd_dump(args) -> int:
     started = time.monotonic()
-    if args.theorem not in _DUMP_IDS:
-        raise UsageError(f"dump-integrand supports {_DUMP_IDS}")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError("dump-integrand needs alpha in (0, 1)")
+    dump_ids = tuple(tid for tid, r in RESULTS.items() if r.profile is not None)
+    if args.theorem not in dump_ids:
+        raise UsageError(f"dump-integrand supports {dump_ids}")
+    result = RESULTS[args.theorem]
+    result.check_alpha(args.alpha)
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
     if args.t_max <= 0.0:
@@ -417,26 +258,12 @@ def _cmd_dump(args) -> int:
             raise UsageError(f"radius {r:g} outside [0, 1)")
     ts = np.linspace(0.0, args.t_max, args.t_points)
 
-    if args.theorem == "T3.1":
-        header = ("r", "t", "value")
-    elif args.theorem == "T4.1":
-        header = ("r", "t", "value", "log_denominator")
-    else:
-        header = ("r", "t", "value", "log_ratio")
+    header = ("r", "t", "value") + ((result.factor[0],) if result.factor else ())
     numeric_rows: list[list[float]] = []
     for r in radii:
-        f_vals = np.asarray(integrand_F(r, ts, args.alpha), dtype=float)
-        if args.theorem == "T3.1":
-            for t, v in zip(ts, f_vals):
-                numeric_rows.append([r, float(t), float(v)])
-        elif args.theorem == "T4.1":
-            denom = np.asarray(log_denominator(r, ts, args.alpha), dtype=float)
-            for t, v, d in zip(ts, f_vals / denom, denom):
-                numeric_rows.append([r, float(t), float(v), float(d)])
-        else:
-            ratios = np.asarray(log_ratio(r, ts, args.alpha), dtype=float)
-            for t, v, q in zip(ts, f_vals * ratios, ratios):
-                numeric_rows.append([r, float(t), float(v), float(q)])
+        values, column = profile_integrand(args.theorem, r, ts, args.alpha)
+        cells = (ts, values) if column is None else (ts, values, column)
+        numeric_rows += [[r] + [float(c) for c in row] for row in zip(*cells)]
     rows = [[_format_cell(c) for c in row] for row in numeric_rows]
     report = RunReport(
         command="dump-integrand",
@@ -448,18 +275,9 @@ def _cmd_dump(args) -> int:
             "t_max": args.t_max,
         },
     )
-    if args.output:
-        report.artifacts.append(args.output)
-    payload = report.to_dict()
-    payload["columns"] = list(header)
-    payload["rows"] = numeric_rows
-    if not args.no_timestamp:
-        report.wall_time = time.monotonic() - started
-        payload["wall_time"] = report.wall_time
-    if args.format == "csv":
-        _emit(_csv_text(header, rows), args.output, report)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.output, report)
+    _finish(
+        report, args, _csv_text(header, rows), started, columns=list(header), rows=numeric_rows
+    )
     return 0
 
 
@@ -492,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("empirical", help="randomized operator-norm lower bound")
-    p.add_argument("--source", required=True, choices=_SPACE_NAMES)
-    p.add_argument("--target", required=True, choices=_SPACE_NAMES)
+    p.add_argument("--source", required=True, choices=tuple(_SPACES))
+    p.add_argument("--target", required=True, choices=tuple(_SPACES))
     p.add_argument("--alpha", required=True, type=float)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -519,10 +337,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, PreconditionError) as exc:
+    except (UsageError, DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -4,13 +4,14 @@ Draws random polynomials in the unit ball of the source space, applies
 the averaging operator, measures the image in the target space, and
 keeps the best ratio.  Each run appends the known extremal function of
 the source space so the reported bound is never worse than the witness
-value.  Supported pairs and the bounds they are checked against:
+value.  The supported pairs are those of theorems.RESULTS, each checked
+against the bounds of its result, with the same alpha on both sides:
 
-    plain weighted  -> plain weighted   (same alpha <= 1/2; bound 1/alpha)
-    log weighted    -> plain weighted   (same alpha; sup-integral bound)
-    log weighted    -> log weighted     (same alpha; sup-integral bound)
-    Bloch-type      -> Bloch-type       (same alpha > 1; closed-form bound)
-    sup-norm        -> Bloch-type       (alpha >= 1 bounded; alpha < 1 flagged)
+    T3.1  plain weighted -> plain weighted  (alpha <= 1/2; bound 1/alpha)
+    T4.1  log weighted   -> plain weighted  (sup-integral bound)
+    T5.1  log weighted   -> log weighted    (sup-integral bound)
+    T6.2  Bloch-type     -> Bloch-type      (alpha > 1; closed-form bound)
+    T7.1  sup-norm       -> Bloch-type      (alpha >= 1 bounded; alpha < 1 flagged)
 
 Results are bit-identical across runs for a fixed seed: sampling uses
 numpy's default_rng and every downstream computation is deterministic.
@@ -33,23 +34,8 @@ from .functions import (
     PowerSeries,
 )
 from .numerics import DivergenceFlag, sup_over_radius
-from .spaces import (
-    BlochAlpha,
-    HardyInf,
-    Korenblum,
-    KorenblumLog,
-    NormEstimate,
-    SpaceSpec,
-    space_norm,
-)
-from .theorems import (
-    DIVERGENCE_PROBE_RADII,
-    DIVERGENCE_THRESHOLD,
-    bloch_witness_profile,
-    korenblum_slice_integral,
-    log_to_log_slice,
-    log_to_plain_slice,
-)
+from .spaces import Korenblum, KorenblumLog, NormEstimate, SpaceSpec, space_norm
+from .theorems import RESULTS, Result, divergence_witness
 
 
 @dataclass(frozen=True)
@@ -97,44 +83,23 @@ def sample_unit_ball(space: SpaceSpec, cfg: SampleConfig, tol: float = 1e-9) -> 
     return out
 
 
-_SUPPORTED_NOTE = (
-    "supported pairs: plain->plain (alpha <= 1/2), log->plain, log->log, "
-    "Bloch->Bloch (alpha > 1), sup-norm->Bloch"
-)
+def result_for_pair(source: SpaceSpec, target: SpaceSpec) -> Result:
+    """The catalogued result whose bounds the source -> target lower bound is checked against."""
+    pairs = {r.pair: r for r in RESULTS.values() if r.pair is not None}
+    result = pairs.get((type(source), type(target)))
+    if result is None:
+        supported = ", ".join(f"{s.__name__} -> {t.__name__}" for s, t in pairs)
+        raise PreconditionError(f"unsupported space pair; supported pairs: {supported}")
+    if getattr(source, "alpha", target.alpha) != target.alpha:
+        raise PreconditionError("source and target spaces need matching alpha")
+    try:
+        result.check_alpha(target.alpha, exact_only=True)
+    except DomainError as exc:
+        raise PreconditionError(str(exc)) from None
+    return result
 
 
-def _validate_pair(source: SpaceSpec, target: SpaceSpec):
-    if isinstance(source, Korenblum) and isinstance(target, Korenblum):
-        if source.alpha != target.alpha:
-            raise PreconditionError("plain->plain needs matching alpha")
-        if source.alpha > 0.5:
-            raise PreconditionError("plain->plain is only verified for alpha <= 1/2")
-        return
-    if isinstance(source, KorenblumLog) and isinstance(target, (Korenblum, KorenblumLog)):
-        if source.alpha != target.alpha:
-            raise PreconditionError("log-weighted pairs need matching alpha")
-        return
-    if isinstance(source, BlochAlpha) and isinstance(target, BlochAlpha):
-        if source.alpha != target.alpha:
-            raise PreconditionError("Bloch->Bloch needs matching alpha")
-        if source.alpha <= 1.0:
-            raise PreconditionError("Bloch->Bloch is only verified for alpha > 1")
-        return
-    if isinstance(source, HardyInf) and isinstance(target, BlochAlpha):
-        return
-    raise PreconditionError(f"unsupported space pair; {_SUPPORTED_NOTE}")
-
-
-def _unbounded_witness(alpha: float):
-    """Monotone blow-up probe for the sup-norm -> Bloch-type pair below 1."""
-    values = [bloch_witness_profile(r, alpha) for r in DIVERGENCE_PROBE_RADII]
-    monotone = all(b > a for a, b in zip(values, values[1:]))
-    if monotone and values[-1] > DIVERGENCE_THRESHOLD:
-        return DivergenceFlag(at_radius=DIVERGENCE_PROBE_RADII[-1], value=values[-1])
-    return None
-
-
-def _witness_estimate(source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int, memo):
+def _witness_estimate(profile, source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int, memo):
     """Norm of the transformed extremal function.
 
     For the weighted-modulus sources the image has a positive radial
@@ -144,17 +109,10 @@ def _witness_estimate(source: SpaceSpec, target: SpaceSpec, tol: float, k_max: i
     polar grid.  The remaining sources have cheap closed-form images and
     go through the generic norm.
     """
-    alpha = getattr(source, "alpha", None)
-    if isinstance(source, Korenblum) and isinstance(target, Korenblum):
-        slice_fn = lambda r: korenblum_slice_integral(r, alpha)
-    elif isinstance(source, KorenblumLog) and isinstance(target, Korenblum):
-        slice_fn = lambda r: log_to_plain_slice(r, alpha)
-    elif isinstance(source, KorenblumLog) and isinstance(target, KorenblumLog):
-        slice_fn = lambda r: log_to_log_slice(r, alpha)
-    else:
+    if profile is None:
         image = cesaro_transform(extremal_for(source))
         return space_norm(image, target, tol, k_max=k_max)
-    est = sup_over_radius(slice_fn, tol, k_max=k_max, memo=memo)
+    est = sup_over_radius(lambda r: profile(r, source.alpha), tol, k_max=k_max, memo=memo)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
@@ -181,11 +139,11 @@ def operator_norm_lower_bound(
     for the sup-norm -> Bloch-type pair with alpha < 1.  memo (see
     sup_over_radius) takes the witness profile of the log-weighted pairs.
     """
-    _validate_pair(source, target)
-    if isinstance(source, HardyInf) and isinstance(target, BlochAlpha) and target.alpha < 1.0:
-        flag = _unbounded_witness(target.alpha)
-        if flag is not None:
-            return flag
+    result = result_for_pair(source, target)
+    if result.theorem_id == "T7.1" and target.alpha < 1.0:
+        probe, confirmed = divergence_witness(target.alpha)
+        if confirmed:
+            return DivergenceFlag(*probe[-1])
         raise PreconditionError(
             "pair is unbounded but the witness probe stayed below threshold; "
             "use alpha further below 1"
@@ -198,7 +156,7 @@ def operator_norm_lower_bound(
             return est
         if best is None or est.value > best.value:
             best = est
-    witness = _witness_estimate(source, target, tol, k_max, memo)
+    witness = _witness_estimate(result.profile, source, target, tol, k_max, memo)
     if witness.diverged:
         return witness
     if best is None or witness.value > best.value:

@@ -52,6 +52,23 @@ def one_minus_sq(z):
     return (1.0 - z) * (1.0 + z)
 
 
+def _polyval(coeffs, z):
+    """sum_n coeffs[n] z^n on the ndarray z, by Horner's rule."""
+    out = np.full(z.shape, coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        out = out * z + c
+    return out
+
+
+def _check_point(z):
+    """z as a complex ndarray, rejecting points beyond |z| <= 1 - 1e-12."""
+    arr = np.asarray(z, dtype=complex)
+    # the 1e-15 relative slack absorbs the ulp noise of r * e^(i theta)
+    if arr.size and float(np.max(np.abs(arr))) > EVAL_RADIUS_LIMIT * (1.0 + 1e-15):
+        raise DomainError("evaluation point outside |z| <= 1 - 1e-12")
+    return arr
+
+
 class PowerSeries:
     """Immutable finite Taylor coefficient vector; coeffs[n] multiplies z**n."""
 
@@ -72,11 +89,7 @@ class PowerSeries:
 
     def eval_at(self, z):
         """Horner evaluation; z may be a scalar or an ndarray."""
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            out = out * z + c
-        return out
+        return _polyval(self.coeffs, np.asarray(z, dtype=complex))
 
     def differentiate(self) -> "PowerSeries":
         if self.degree == 0:
@@ -267,11 +280,7 @@ def evaluate(f: AnalyticFunction, z):
 
     Returns a python complex for scalar input, an ndarray otherwise.
     """
-    arr = np.asarray(z, dtype=complex)
-    # the 1e-15 relative slack absorbs the ulp noise of r * e^(i theta)
-    if arr.size and float(np.max(np.abs(arr))) > EVAL_RADIUS_LIMIT * (1.0 + 1e-15):
-        raise DomainError("evaluation point outside |z| <= 1 - 1e-12")
-    out = f.eval_at(arr)
+    out = f.eval_at(_check_point(z))
     if np.ndim(z) == 0:
         return complex(out)
     return out

@@ -139,16 +139,10 @@ class DivergenceFlag:
 
 
 def _eval_nodes(g, x):
-    """Evaluate g on the abscissa vector, tolerating scalar-only callables."""
-    try:
-        v = np.asarray(g(x))
-    except Exception:
-        v = np.asarray([g(float(xi)) for xi in x])
-        return v
+    """Evaluate g on the abscissa vector; a constant g may return one scalar."""
+    v = np.asarray(g(x))
     if v.ndim == 0:
         return np.full(x.shape, complex(v) if np.iscomplexobj(v) else float(v))
-    if v.shape[0] != x.shape[0]:
-        return np.asarray([g(float(xi)) for xi in x])
     return v
 
 
@@ -245,9 +239,7 @@ def integrate_halfline_exp(
 
     def transformed(u):
         u = np.asarray(u, dtype=float)
-        vals = np.asarray(g(-np.log(u)))
-        if vals.ndim == 0:
-            vals = np.full(u.shape, complex(vals) if np.iscomplexobj(vals) else float(vals))
+        vals = _eval_nodes(g, -np.log(u))
         shape = (u.shape[0],) + (1,) * (vals.ndim - 1)
         return vals / u.reshape(shape)
 
@@ -273,13 +265,21 @@ def golden_section_max(
 
     Returns (x_best, f_best, residual, converged); residual is the last
     change of the running maximum, and the best value seen at any probe
-    (including the endpoints) is returned.
+    (including the endpoints) is returned.  A non-finite probe raises
+    ConvergenceError, since it would lose every comparison unseen.
     """
     if not a < b:
         raise DomainError("golden section needs a < b")
+
+    def probe(x):
+        v = f(x)
+        if not math.isfinite(v):
+            raise ConvergenceError(f"golden-section probe not finite at x = {x!r}")
+        return v
+
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = probe(x1), probe(x2)
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
     lo, hi = a, b
     residual = math.inf
@@ -288,11 +288,11 @@ def golden_section_max(
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
+            f1 = probe(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
+            f2 = probe(x2)
         cand_x, cand_f = (x1, f1) if f1 >= f2 else (x2, f2)
         residual = abs(cand_f - best_f)
         if cand_f > best_f:

@@ -29,47 +29,29 @@ Result identifiers
           [3/2, 4] for alpha > 1, unbounded for 0 < alpha < 1
 
 The identifiers are the package's stable vocabulary; the CLI accepts
-them verbatim.
+them verbatim.  RESULTS, at the end of this module, is the one table of
+what verify, table, empirical and dump-integrand need about each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .cesaro import cesaro_of_one
 from .errors import DomainError
-from .functions import derivative, evaluate, log_weight_constant
+from .functions import _polyval, derivative, evaluate, log_weight_constant
 from .numerics import (
     DivergenceFlag,
     SupEstimate,
     integrate_halfline_exp,
     sup_over_radius,
 )
-from .spaces import BlochAlpha, space_norm
-
-THEOREM_IDS = ("T3.1", "T4.1", "T5.1", "T6.2", "T6.3", "T7.1")
-
-LABELS = {
-    "T3.1": "exact norm 1/alpha on the plain weighted space (alpha <= 1/2)",
-    "T4.1": "log-weighted to plain-weighted norm via the sup-integral",
-    "T5.1": "log-weighted norm via the sup-integral, boundary limit 1/alpha",
-    "T6.2": "Bloch-type norm upper bound (alpha > 1)",
-    "T6.3": "Bloch-type norm lower bound 3/2 (alpha > 1)",
-    "T7.1": "sup-norm to Bloch-type bounds; unbounded below alpha = 1",
-}
-
-DEFAULT_TOLS = {
-    "T3.1": 1e-2,
-    "T4.1": 1e-6,
-    "T5.1": 1e-2,
-    "T6.2": 1e-3,
-    "T6.3": 1e-3,
-    "T7.1": 1e-3,
-}
+from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog, space_norm
 
 Interval = tuple[float, Optional[float]]
 
@@ -142,6 +124,10 @@ def _log_factor_at_image(r: float, u, alpha: float):
     return log_weight_constant(alpha) - np.log(one_minus_phi_sq)
 
 
+def _log_ratio(r: float, u, alpha: float):
+    return _log_factor_at_radius(r, alpha) / _log_factor_at_image(r, u, alpha)
+
+
 def log_ratio(r: float, t, alpha: float):
     """Ratio of the log factor at r to the log factor at phi_t(r).
 
@@ -151,46 +137,42 @@ def log_ratio(r: float, t, alpha: float):
     _check_alpha_01(alpha)
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
-    u = np.exp(-np.asarray(t, dtype=float))
-    return _log_factor_at_radius(r, alpha) / _log_factor_at_image(r, u, alpha)
+    return _log_ratio(r, np.exp(-np.asarray(t, dtype=float)), alpha)
 
 
-def log_denominator(r: float, t, alpha: float):
-    """log(2 e^(1/alpha) / (1 - phi_t(r)^2)), the divisor in the T4.1 profile."""
-    _check_alpha_01(alpha)
-    if not 0.0 <= r < 1.0:
-        raise DomainError("radius must lie in [0, 1)")
-    u = np.exp(-np.asarray(t, dtype=float))
-    return _log_factor_at_image(r, u, alpha)
+def profile_integrand(theorem_id: str, r: float, t, alpha: float):
+    """Integrand of the T3.1, T4.1 or T5.1 radial profile, and its log-factor column.
+
+    F(r, t) itself for T3.1 (column None); F divided by the log factor at
+    phi_t(r) for T4.1; F times the ratio of log factors for T5.1.
+    """
+    f = integrand_F(r, t, alpha)
+    factor = RESULTS[theorem_id].factor
+    if factor is None:
+        return f, None
+    _, column_fn, combine = factor
+    column = column_fn(r, np.exp(-np.asarray(t, dtype=float)), alpha)
+    return combine(f, column), column
+
+
+def _slice(theorem_id: str, r: float, alpha: float, tol: float) -> float:
+    res = integrate_halfline_exp(lambda t: profile_integrand(theorem_id, r, t, alpha)[0], tol)
+    return float(np.real(res.value))
 
 
 def korenblum_slice_integral(r: float, alpha: float, tol: float = 1e-10) -> float:
     """int_0^inf F(r, t) dt, the radial profile behind the T3.1 supremum."""
-    res = integrate_halfline_exp(lambda t: integrand_F(r, t, alpha), tol)
-    return float(np.real(res.value))
+    return _slice("T3.1", r, alpha, tol)
 
 
 def log_to_plain_slice(r: float, alpha: float, tol: float = 1e-10) -> float:
     """Radial profile for T4.1: F divided by the log factor at phi_t(r)."""
-    _check_alpha_01(alpha)
-
-    def g(t):
-        u = np.exp(-np.asarray(t, dtype=float))
-        return integrand_F(r, t, alpha) / _log_factor_at_image(r, u, alpha)
-
-    return float(np.real(integrate_halfline_exp(g, tol).value))
+    return _slice("T4.1", r, alpha, tol)
 
 
 def log_to_log_slice(r: float, alpha: float, tol: float = 1e-10) -> float:
     """Radial profile for T5.1: F times the ratio of log factors."""
-    _check_alpha_01(alpha)
-    num = _log_factor_at_radius(r, alpha)
-
-    def g(t):
-        u = np.exp(-np.asarray(t, dtype=float))
-        return integrand_F(r, t, alpha) * (num / _log_factor_at_image(r, u, alpha))
-
-    return float(np.real(integrate_halfline_exp(g, tol).value))
+    return _slice("T5.1", r, alpha, tol)
 
 
 def korenblum_sup(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> SupEstimate:
@@ -217,8 +199,7 @@ def log_to_log_norm(
 
 def korenblum_norm_exact(alpha: float) -> float:
     """Exact operator norm 1/alpha on the plain weighted space, alpha <= 1/2."""
-    if not 0.0 < alpha <= 0.5:
-        raise DomainError("exact norm holds only for alpha in (0, 1/2]")
+    RESULTS["T3.1"].check_alpha(alpha, exact_only=True)
     return 1.0 / alpha
 
 
@@ -268,8 +249,8 @@ def hardy_to_bloch_bounds(alpha: float):
     if not alpha > 0.0:
         raise DomainError("alpha must be positive")
     if alpha < 1.0:
-        probe = divergence_probe(alpha)
-        return DivergenceFlag(at_radius=probe[-1][0], value=probe[-1][1])
+        probe, _ = divergence_witness(alpha)
+        return DivergenceFlag(*probe[-1])
     if alpha == 1.0:
         return (3.0, 4.0)
     return (1.5, 4.0)
@@ -306,6 +287,14 @@ def divergence_probe(alpha: float) -> list[tuple[float, float]]:
     return [(r, bloch_witness_profile(r, alpha)) for r in DIVERGENCE_PROBE_RADII]
 
 
+def divergence_witness(alpha: float) -> tuple[list[tuple[float, float]], bool]:
+    """The probe, and whether it confirms the blow-up: monotone and past the threshold."""
+    probe = divergence_probe(alpha)
+    values = [v for _, v in probe]
+    monotone = all(b > a for a, b in zip(values, values[1:]))
+    return probe, monotone and values[-1] > DIVERGENCE_THRESHOLD
+
+
 def constant_one_bloch_norm(alpha: float, tol: float = 1e-9) -> float:
     """Bloch-type norm of C(1), the standard witness for the lower bounds."""
     if not alpha > 0.0:
@@ -337,10 +326,7 @@ def h_closed_form(r: float) -> float:
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     if r < _H_SMALL:
-        acc = 0.0
-        for c in _H_SERIES_PREFIX[::-1]:
-            acc = acc * r + c
-        return float(acc)
+        return float(_polyval(_H_SERIES_PREFIX, np.asarray(r)).real)
     bracket = 1.5 * r / (1.0 - r) - 0.25 * (math.log1p(r) - 5.0 * math.log1p(-r))
     return (1.0 - r * r) / (r * r) * bracket
 
@@ -352,10 +338,7 @@ def h_analytic(z):
     safe = np.where(small, 0.5, z)
     bracket = 1.5 * safe / (1.0 - safe) - 0.25 * (np.log(1.0 + safe) - 5.0 * np.log(1.0 - safe))
     big = one_minus_sq_over_sq(safe) * bracket
-    series = np.zeros_like(z)
-    for c in _H_SERIES_PREFIX[::-1]:
-        series = series * z + c
-    return np.where(small, series, big)
+    return np.where(small, _polyval(_H_SERIES_PREFIX, z), big)
 
 
 def one_minus_sq_over_sq(z):
@@ -363,12 +346,10 @@ def one_minus_sq_over_sq(z):
 
 
 def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("T3.1 verdict needs alpha in (0, 1)")
     est = korenblum_sup(alpha)
     computed = est.extrapolated_limit if est.extrapolated_limit is not None else est.value
     target = 1.0 / alpha
-    if alpha <= 0.5:
+    if RESULTS["T3.1"].admits(alpha, exact_only=True):
         passed = abs(computed - target) <= tol * target and not est.diverged
         notes = (
             f"sup {est.value:.9g} at r = {est.argmax_radius:.12g}; "
@@ -399,20 +380,13 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
     target = 1.0 / alpha
     computed = est.extrapolated_limit
     if computed is None or est.diverged:
-        return TheoremVerdict(
-            "T5.1",
-            alpha,
-            (target, None),
-            None,
-            tol,
-            False,
-            "boundary extrapolation unavailable",
+        computed, passed, notes = None, False, "boundary extrapolation unavailable"
+    else:
+        passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
+        notes = (
+            f"sup {est.value:.9g} at r = {est.argmax_radius:.6g}; "
+            f"boundary limit extrapolates to {computed:.9g}, theory >= {target:.9g}"
         )
-    passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
-    notes = (
-        f"sup {est.value:.9g} at r = {est.argmax_radius:.6g}; "
-        f"boundary limit extrapolates to {computed:.9g}, theory >= {target:.9g}"
-    )
     return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
 
 
@@ -441,14 +415,12 @@ def _verdict_t71(alpha: float, tol: float) -> TheoremVerdict:
         passed = lo - tol <= witness <= hi + tol
         notes = f"constant-witness norm {witness:.9g} inside [{lo:g}, {hi:g}]"
         return TheoremVerdict("T7.1", alpha, (lo, hi), witness, tol, passed, notes)
-    probe = divergence_probe(alpha)
-    values = [v for _, v in probe]
-    monotone = all(b > a for a, b in zip(values, values[1:]))
-    confirmed = monotone and values[-1] > DIVERGENCE_THRESHOLD
+    probe, confirmed = divergence_witness(alpha)
+    at_radius, value = probe[-1]
     if confirmed:
         notes = (
             "unbounded, divergence confirmed: witness "
-            f"{values[-1]:.6g} at r = {probe[-1][0]:.6g} "
+            f"{value:.6g} at r = {at_radius:.6g} "
             "(blow-up at the boundary radius, monotone along the probe)"
         )
     else:
@@ -458,7 +430,137 @@ def _verdict_t71(alpha: float, tol: float) -> TheoremVerdict:
             f"exceed {DIVERGENCE_THRESHOLD:g} at the probe radii for alpha "
             "this close to 1"
         )
-    return TheoremVerdict("T7.1", alpha, None, values[-1], tol, confirmed, notes)
+    return TheoremVerdict("T7.1", alpha, None, value, tol, confirmed, notes)
+
+
+@dataclass(frozen=True)
+class Result:
+    """One catalogued result, as verify, table, empirical and dump-integrand read it.
+
+    domain is the open alpha interval of the result; exact_max, when set,
+    caps the alpha range where the value is exact rather than a bound.
+    verdict(alpha, tol, empirical_value) checks the result; cells(alpha)
+    gives its columns of the norm table.  factor is (column name, log
+    factor at (r, u = e^-t, alpha), how it combines with F) for the
+    log-weighted profiles.  pair is the (source, target) space types of
+    its empirical bound, which is checked against bounds(alpha, memo) =
+    (low, high); profile(r, alpha) is that pair's radial witness.
+    """
+
+    theorem_id: str
+    label: str
+    tol: float
+    domain: tuple[float, float]
+    verdict: Callable[[float, float, Optional[float]], TheoremVerdict]
+    columns: tuple[str, ...]
+    cells: Callable[[float], tuple]
+    exact_max: Optional[float] = None
+    factor: Optional[tuple[str, Callable, Callable]] = None
+    pair: Optional[tuple[type, type]] = None
+    bounds: Optional[Callable[[float, Optional[dict]], Interval]] = None
+    profile: Optional[Callable[[float, float], float]] = None
+
+    def admits(self, alpha: float, exact_only: bool = False) -> bool:
+        """alpha lies in the domain, or with exact_only where the value is exact."""
+        lo, hi = self.domain
+        if exact_only and self.exact_max is not None:
+            return lo < alpha <= self.exact_max
+        return lo < alpha < hi
+
+    def check_alpha(self, alpha: float, exact_only: bool = False) -> None:
+        if not self.admits(alpha, exact_only):
+            lo, hi = self.domain
+            exact = exact_only and self.exact_max is not None
+            upper = f"<= {self.exact_max:g}" if exact else f"< {hi:g}"
+            raise DomainError(f"{self.theorem_id} requires {lo:g} < alpha {upper}, got {alpha:g}")
+
+
+# Entries reach the package's functions through this module's globals, so
+# that rebinding one of them (a tracer, a test double) is seen here too.
+RESULTS = MappingProxyType(
+    {
+        r.theorem_id: r
+        for r in (
+            Result(
+                "T3.1",
+                "exact norm 1/alpha on the plain weighted space (alpha <= 1/2)",
+                1e-2,
+                (0.0, 1.0),
+                verdict=lambda a, tol, _: _verdict_t31(a, tol),
+                columns=("t31_exact",),
+                cells=lambda a: (korenblum_norm_exact(a),),
+                exact_max=0.5,
+                pair=(Korenblum, Korenblum),
+                bounds=lambda a, memo: (0.0, korenblum_norm_exact(a)),
+                profile=lambda r, a: korenblum_slice_integral(r, a),
+            ),
+            Result(
+                "T4.1",
+                "log-weighted to plain-weighted norm via the sup-integral",
+                1e-6,
+                (0.0, 1.0),
+                verdict=lambda a, tol, _: _verdict_t41(a, tol),
+                columns=("t41_sup", "t41_lower_bound"),
+                cells=lambda a: (log_to_plain_norm(a).value, log_to_plain_lower_bound(a)),
+                factor=("log_denominator", _log_factor_at_image, np.divide),
+                pair=(KorenblumLog, Korenblum),
+                bounds=lambda a, memo: (
+                    log_to_plain_lower_bound(a),
+                    log_to_plain_norm(a, memo=memo).value,
+                ),
+                profile=lambda r, a: log_to_plain_slice(r, a),
+            ),
+            Result(
+                "T5.1",
+                "log-weighted norm via the sup-integral, boundary limit 1/alpha",
+                1e-2,
+                (0.0, 1.0),
+                verdict=lambda a, tol, _: _verdict_t51(a, tol),
+                columns=("t51_sup", "t51_reciprocal_alpha"),
+                cells=lambda a: (log_to_log_norm(a).value, 1.0 / a),
+                factor=("log_ratio", _log_ratio, np.multiply),
+                pair=(KorenblumLog, KorenblumLog),
+                bounds=lambda a, memo: (0.0, log_to_log_norm(a, memo=memo).value),
+                profile=lambda r, a: log_to_log_slice(r, a),
+            ),
+            Result(
+                "T6.2",
+                "Bloch-type norm upper bound (alpha > 1)",
+                1e-3,
+                (1.0, math.inf),
+                verdict=_verdict_t62,
+                columns=("t62_upper",),
+                cells=lambda a: (bloch_upper_bound(a),),
+                pair=(BlochAlpha, BlochAlpha),
+                bounds=lambda a, memo: (1.5, bloch_upper_bound(a)),
+            ),
+            Result(
+                "T6.3",
+                "Bloch-type norm lower bound 3/2 (alpha > 1)",
+                1e-3,
+                (1.0, math.inf),
+                verdict=_verdict_t63,
+                columns=("t63_lower",),
+                cells=lambda a: (bloch_lower_bound(a),),
+            ),
+            Result(
+                "T7.1",
+                "sup-norm to Bloch-type bounds; unbounded below alpha = 1",
+                1e-3,
+                (0.0, math.inf),
+                verdict=lambda a, tol, _: _verdict_t71(a, tol),
+                columns=("t71_low", "t71_high"),
+                cells=lambda a: hardy_to_bloch_bounds(a) if a >= 1.0 else (None, None),
+                pair=(HardyInf, BlochAlpha),
+                bounds=lambda a, memo: hardy_to_bloch_bounds(a),
+            ),
+        )
+    }
+)
+
+THEOREM_IDS = tuple(RESULTS)
+LABELS = {tid: r.label for tid, r in RESULTS.items()}
+DEFAULT_TOLS = {tid: r.tol for tid, r in RESULTS.items()}
 
 
 def verify_theorem(
@@ -478,26 +580,10 @@ def verify_theorem(
         raise DomainError(f"unknown result id {theorem_id!r}; choose from {THEOREM_IDS}")
     if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
         raise DomainError("alpha must be a finite number")
-    tol = DEFAULT_TOLS[theorem_id] if tol is None else float(tol)
+    result = RESULTS[theorem_id]
+    tol = result.tol if tol is None else float(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     alpha = float(alpha)
-    if theorem_id == "T3.1":
-        return _verdict_t31(alpha, tol)
-    if theorem_id == "T4.1":
-        _check_alpha_01(alpha)
-        return _verdict_t41(alpha, tol)
-    if theorem_id == "T5.1":
-        _check_alpha_01(alpha)
-        return _verdict_t51(alpha, tol)
-    if theorem_id == "T6.2":
-        if not alpha > 1.0:
-            raise DomainError("T6.2 needs alpha > 1")
-        return _verdict_t62(alpha, tol, empirical_value)
-    if theorem_id == "T6.3":
-        if not alpha > 1.0:
-            raise DomainError("T6.3 needs alpha > 1")
-        return _verdict_t63(alpha, tol, empirical_value)
-    if not alpha > 0.0:
-        raise DomainError("T7.1 needs alpha > 0")
-    return _verdict_t71(alpha, tol)
+    result.check_alpha(alpha)
+    return result.verdict(alpha, tol, empirical_value)

@@ -4,11 +4,11 @@ import csv
 import io
 import json
 import math
-import os
 
 import pytest
 from jsonschema import validate
 
+from cesaronorm import DomainError, verify_theorem
 from cesaronorm.cli import UsageError, main, parse_grid
 
 REPORT_SCHEMA = {
@@ -126,6 +126,36 @@ def test_verify_out_of_range_alpha_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--theorem", "T3.1", "--alpha", "0.75")
     assert code == 2
     assert "T3.1" in err
+
+
+# alpha just outside each result's domain; the CLI verifies T3.1 only where
+# its value is exact (alpha <= 1/2), the library also above as a lower bound
+@pytest.mark.parametrize(
+    "theorem, library_outside, cli_outside",
+    [
+        ("T3.1", ("0", "1"), ("0", "0.5000001", "1")),
+        ("T4.1", ("0", "1"), ("0", "1")),
+        ("T5.1", ("0", "1"), ("0", "1")),
+        ("T6.2", ("1",), ("1",)),
+        ("T6.3", ("1",), ("1",)),
+        ("T7.1", ("0", "-1"), ("0", "-1")),
+    ],
+)
+def test_verify_alpha_domain_edges(capsys, theorem, library_outside, cli_outside):
+    for alpha in library_outside:
+        with pytest.raises(DomainError):
+            verify_theorem(theorem, float(alpha))
+    for alpha in cli_outside:
+        code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert theorem in err
+
+
+def test_verify_checks_every_alpha_before_computing(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "T3.1", "--alpha", "0.25,0.75")
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_rejects_unknown_theorem_and_bad_lists(capsys):
@@ -326,6 +356,35 @@ def test_empirical_unbounded_pair(capsys):
     assert "divergence confirmed" in v["notes"]
 
 
+@pytest.mark.parametrize(
+    "source, target, alpha, theorem",
+    [
+        ("korenblum", "korenblum", "0.5", "T3.1"),
+        ("korenblum-log", "korenblum", "0.5", "T4.1"),
+        ("korenblum-log", "korenblum-log", "0.5", "T5.1"),
+        ("bloch", "bloch", "1.5", "T6.2"),
+        ("hardy", "bloch", "1", "T7.1"),
+        ("hardy", "bloch", "0.5", "T7.1"),
+    ],
+)
+def test_empirical_reports_the_pair_result(capsys, source, target, alpha, theorem):
+    code, out, err = run_cli(
+        capsys,
+        "empirical",
+        "--source",
+        source,
+        "--target",
+        target,
+        "--alpha",
+        alpha,
+        "--samples",
+        "1",
+        "--no-timestamp",
+    )
+    assert code == 0, err
+    assert json.loads(out)["verdicts"][0]["theorem_id"] == theorem
+
+
 def test_empirical_rejects_unsupported_pairs(capsys):
     base = ["empirical", "--source", "hardy", "--target", "korenblum", "--alpha", "0.3"]
     assert run_cli(capsys, *base)[0] == 2
@@ -490,12 +549,3 @@ def test_dump_integrand_rejects_bad_parameters(capsys):
         )[0]
         == 2
     )
-
-
-def test_thread_env_does_not_change_values(capsys, monkeypatch):
-    args = ("table", "--alpha-grid", "0.2:0.4:0.1", "--no-timestamp")
-    monkeypatch.delenv("CESARO_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("CESARO_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert serial == threaded

@@ -53,6 +53,12 @@ def test_integrate_finite_error_budget():
     assert res.subdivisions >= 1
 
 
+def test_integrate_finite_needs_vectorized_integrand():
+    # a scalar-only integrand is an error, not a slow node-by-node fallback
+    with pytest.raises(TypeError):
+        integrate_finite(lambda u: math.exp(u), 0.0, 1.0)
+
+
 def test_integrate_finite_cap():
     with pytest.raises(ConvergenceError):
         integrate_finite(lambda u: np.sin(1.0 / u) / u, 1e-12, 1.0, 1e-13, max_panels=16)
@@ -81,6 +87,13 @@ def test_golden_section_max_on_sine():
     assert ok
     assert x == pytest.approx(math.pi / 2.0, abs=1e-8)
     assert fx == pytest.approx(1.0, abs=1e-12)
+
+
+def test_golden_section_rejects_non_finite_probes():
+    # NaN beyond 0.5 would lose every comparison and go unnoticed
+    f = lambda x: math.nan if x > 0.5 else x
+    with pytest.raises(ConvergenceError, match="not finite at x = 0.618"):
+        golden_section_max(f, 0.0, 1.0)
 
 
 def test_golden_section_needs_ordered_interval():
