@@ -33,9 +33,9 @@ from .functions import (
     Poly,
     PowerSeries,
 )
-from .numerics import DivergenceFlag, sup_over_radius
+from .numerics import DivergenceFlag
 from .spaces import Korenblum, KorenblumLog, NormEstimate, SpaceSpec, space_norm
-from .theorems import RESULTS, Result, divergence_witness
+from .theorems import RESULTS, Result, divergence_witness, profile_sup
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def result_for_pair(source: SpaceSpec, target: SpaceSpec) -> Result:
     return result
 
 
-def _witness_estimate(profile, source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int, memo):
+def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int, memo):
     """Norm of the transformed extremal function.
 
     For the weighted-modulus sources the image has a positive radial
@@ -109,10 +109,10 @@ def _witness_estimate(profile, source: SpaceSpec, target: SpaceSpec, tol: float,
     polar grid.  The remaining sources have cheap closed-form images and
     go through the generic norm.
     """
-    if profile is None:
+    if result.profile is None:
         image = cesaro_transform(extremal_for(source))
         return space_norm(image, target, tol, k_max=k_max)
-    est = sup_over_radius(lambda r: profile(r, source.alpha), tol, k_max=k_max, memo=memo)
+    est = profile_sup(result.theorem_id, source.alpha, tol, k_max=k_max, memo=memo)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
@@ -137,7 +137,7 @@ def operator_norm_lower_bound(
     Returns a NormEstimate whose value is a certified lower bound for
     the operator norm (up to quadrature tolerance), or a DivergenceFlag
     for the sup-norm -> Bloch-type pair with alpha < 1.  memo (see
-    sup_over_radius) takes the witness profile of the log-weighted pairs.
+    theorems.profile_sup) takes the witness profile of the log-weighted pairs.
     """
     result = result_for_pair(source, target)
     if result.theorem_id == "T7.1" and target.alpha < 1.0:
@@ -156,7 +156,7 @@ def operator_norm_lower_bound(
             return est
         if best is None or est.value > best.value:
             best = est
-    witness = _witness_estimate(result.profile, source, target, tol, k_max, memo)
+    witness = _witness_estimate(result, source, target, tol, k_max, memo)
     if witness.diverged:
         return witness
     if best is None or witness.value > best.value:

@@ -39,9 +39,6 @@ from .errors import ConvergenceError, DomainError
 # Hard guard against boundary blow-up: evaluation rejects |z| above this.
 EVAL_RADIUS_LIMIT = 1.0 - 1e-12
 
-# Default truncation degree for series-based pipelines.
-DEFAULT_TRUNCATION = 256
-
 DEFAULT_COEFF_TOL = 1e-10
 DEFAULT_EXTRACTION_RADIUS = 0.5
 _MAX_EXTRACTION_POINTS = 1 << 17

@@ -1,99 +1,55 @@
 """Quadrature and supremum-search primitives.
 
-integrate_finite is an adaptive bisection scheme built on the embedded
-Gauss(7)/Kronrod(15) pair: each panel is evaluated once at the 15
+One lockstep core runs every adaptive integral.  It advances a batch of
+independent integrals, each on its own partition into panels of the
+embedded Gauss(7)/Kronrod(15) pair: a panel is evaluated once at the 15
 Kronrod abscissae, the 7-point Gauss value reuses a subset of those
-samples, and |K15 - G7| serves as the panel error estimate.  The worst
-panel is split until the summed estimate drops below the requested
-absolute tolerance or the panel budget (10^4) is exhausted, which raises
-ConvergenceError.  Integrands may be complex and may return an array per
-abscissa (one adaptive pass then integrates a whole batch of points,
-with the error taken as the worst component).
+samples, and |K15 - G7| (the worst component, for array-valued
+integrands) is the panel error.  In each round every unfinished integral
+splits its own worst panel, and all new panels of the round go through
+one integrand call.  An integral stops once its summed error is within
+tol (a running total, re-summed exactly near tol), when its worst panel
+is narrower than the width floor, or at 10^4 panels, where it ends in
+ConvergenceError.  integrate_finite is the batch of one.
 
 Half-line integrals of exponentially decaying integrands are pulled back
 to (0, 1] through u = exp(-t):
 
     int_0^inf g(t) dt = int_0^1 g(-log u) / u du,
 
-which turns the e^{-t} kernel decay into a bounded transformed integrand
-and lets the adaptive scheme spend its panels on genuine structure.  The
-left endpoint is truncated at u = 1e-16; the one-panel probe value at
-the cut is reported as tail_bound rather than silently dropped.
+which turns the e^{-t} kernel decay into a bounded transformed integrand.
+The left endpoint is cut at u = 1e-16, and the probe value there is
+reported as tail_bound.  integrate_halfline_batch integrates many such
+integrands, such as a radial profile at every grid radius, in one pass.
 
-sup_over_radius scans h over the geometric radius grid r_k = 1 - 2^-k,
-k = 0..40, golden-sections the bracketing triple around the grid
-maximum, and extrapolates the tail of the last five grid values with
-iterated Aitken steps.  For a sequence approaching its limit like
-c * q^k the first Aitken sweep is exact; the second sweep removes the
-next geometric component.  The extrapolated limit is reported whenever
-the tail differences behave consistently, since several quantities of
-interest attain their supremum only in the r -> 1 limit while others
-peak at an interior radius.
+sup_over_radius scans h over the radius grid r_k = 1 - 2^-k, k = 0..40
+(fill_grid supplies the grid from one batched call), golden-sections the
+bracketing triple around the grid maximum, and extrapolates the last five
+grid values with iterated Aitken steps, exact for tails like c * q^k.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# 15-point Kronrod abscissae on [-1, 1]; odd entries form the 7-point Gauss rule.
-_XGK = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WG = np.array(
-    [
-        0.129484966168870,
-        0.279705391489277,
-        0.381830050505119,
-        0.417959183673469,
-        0.381830050505119,
-        0.279705391489277,
-        0.129484966168870,
-    ]
-)
+# 15-point Kronrod rule on [-1, 1], mirrored from its nonnegative half; the
+# odd entries, with the weights _WG, form the embedded 7-point Gauss rule.
+_X_HALF = np.array([0.0, 0.207784955007898, 0.405845151377397, 0.586087235467691,
+                    0.741531185599394, 0.864864423359769, 0.949107912342759, 0.991455371120813])
+_W_HALF = np.array([0.209482141084728, 0.204432940075298, 0.190350578064785, 0.169004726639267,
+                    0.140653259715525, 0.104790010322250, 0.063092092629979, 0.022935322010529])
+_G_HALF = np.array([0.417959183673469, 0.381830050505119, 0.279705391489277, 0.129484966168870])
+_XGK = np.concatenate([-_X_HALF[:0:-1], _X_HALF])
+_WGK = np.concatenate([_W_HALF[:0:-1], _W_HALF])
+_WG = np.concatenate([_G_HALF[:0:-1], _G_HALF])
+_GAUSS_IDX = np.arange(1, 15, 2)
 
 DEFAULT_QUAD_TOL = 1e-10
 MAX_PANELS = 10_000
@@ -146,14 +102,88 @@ def _eval_nodes(g, x):
     return v
 
 
-def _panel(g, a, b):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    vals = _eval_nodes(g, c + h * _XGK)
-    k15 = h * np.tensordot(_WGK, vals, axes=(0, 0))
-    g7 = h * np.tensordot(_WG, vals[_GAUSS_IDX], axes=(0, 0))
-    err = float(np.max(np.abs(k15 - g7)))
-    return k15, err
+def _panels(g, lo, hi, rows):
+    """K15 values and |K15 - G7| errors of the panels [lo_p, hi_p] from one call g(x, rows).
+
+    The node axis of C-ordered values is reduced with einsum, never a BLAS
+    product, so a panel does not depend on the other panels of the call.
+    """
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
+    vals = np.ascontiguousarray(g(x.ravel(), np.repeat(rows, _XGK.size)))
+    vals = vals.reshape(x.shape + vals.shape[1:])
+    h = h.reshape((-1,) + (1,) * (vals.ndim - 2))
+    k15 = h * np.einsum("j,pj...->p...", _WGK, vals)
+    err = np.abs(k15 - h * np.einsum("j,pj...->p...", _WG, vals.take(_GAUSS_IDX, axis=1)))
+    return k15, err.max(axis=tuple(range(1, err.ndim)))
+
+
+def _lockstep(g, a, b, tol: float, max_panels: int = MAX_PANELS) -> list:
+    """Adaptive G7/K15 integrals over [a_i, b_i], advanced together.
+
+    Each integral keeps its own partition and stops as integrate_finite
+    describes.  In each round every unfinished one splits its worst panel,
+    and all new panels go through one call g(x, rows), rows giving the
+    integral of each node.  Returns per integral a QuadratureResult or the
+    ConvergenceError it ended with.
+    """
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    n = len(a)
+    vals, err = _panels(g, np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.arange(n))
+    lo, hi, values, errs = list(a), list(b), list(vals), err.tolist()  # by panel id
+    floors = [(bi - ai) * 1e-15 for ai, bi in zip(a, b)]
+    alive = [{i: errs[i]} for i in range(n)]  # panel id -> error, in creation order
+    heaps = [[(-errs[i], i)] for i in range(n)]
+    count = [1] * n
+    # Running error totals, with a bound on their rounding drift; the exact
+    # sum decides every stop, and is taken only once a total nears tol.
+    running, drift = errs[:], [0.0] * n
+    active = list(range(n))
+    while active:
+        split, gone, rows, cuts = [], [], [], []
+        for i in active:
+            if count[i] < max_panels and not running[i] > 2.0 * tol + drift[i]:
+                running[i], drift[i] = sum(alive[i].values()), 0.0
+            pid = heaps[i][0][1]
+            if count[i] >= max_panels or running[i] <= tol or hi[pid] - lo[pid] <= floors[i]:
+                continue
+            heapq.heappop(heaps[i])
+            gone.append(alive[i].pop(pid))
+            values[pid] = None
+            split.append(i)
+            rows += (i, i)
+            cuts += (lo[pid], 0.5 * (lo[pid] + hi[pid]), hi[pid])
+        if not split:
+            break
+        cuts = np.array(cuts).reshape(-1, 3)
+        new_lo, new_hi = cuts[:, :2].ravel(), cuts[:, 1:].ravel()
+        vals, err = _panels(g, new_lo, new_hi, np.array(rows))
+        base, e = len(lo), err.tolist()
+        lo += new_lo.tolist()
+        hi += new_hi.tolist()
+        values += list(vals)
+        for k, i in enumerate(rows):
+            alive[i][base + k] = e[k]
+            heapq.heappush(heaps[i], (-e[k], base + k))
+        for j, i in enumerate(split):
+            change = (e[2 * j], e[2 * j + 1], -gone[j])
+            drift[i] += 1e-15 * (abs(running[i]) + sum(map(abs, change)))  # > 4 roundings
+            running[i] += sum(change)
+            count[i] += 2
+        active = split
+
+    out = []
+    for i in range(n):
+        total, ordered = sum(alive[i].values()), sorted(alive[i], key=lo.__getitem__)
+        value = values[ordered[0]]
+        for pid in ordered[1:]:  # deterministic left-to-right summation
+            value = value + values[pid]
+        out.append(QuadratureResult(value, total, count[i]))
+        if total > tol:
+            message = f"quadrature error {total:.3e} above tolerance {tol:.3e}"
+            out[-1] = ConvergenceError(f"{message} after {count[i]} panels")
+    return out
 
 
 def integrate_finite(
@@ -165,63 +195,46 @@ def integrate_finite(
 ) -> QuadratureResult:
     """Adaptive integral of g over [a, b] to absolute tolerance tol.
 
-    g is called with an ndarray of abscissae and may return one value per
+    g is called with one ndarray of abscissae and may return one value per
     abscissa or an array per abscissa (leading axis = abscissae).  Raises
     ConvergenceError when the panel budget is exhausted above tolerance.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integration interval must be finite with a < b")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    # g sees one panel per call: its values often carry a batch of points per
+    # node already, and two panels per call cost the operator forms page faults
+    per_panel = lambda x, rows: np.concatenate([_eval_nodes(g, p) for p in x.reshape(-1, 15)])
+    (res,) = _lockstep(per_panel, [a], [b], tol, max_panels)
+    if isinstance(res, ConvergenceError):
+        raise res
+    return res
 
-    counter = itertools.count()
-    value, err = _panel(g, a, b)
-    panels = {next(counter): (a, b, value, err)}
-    heap = [(-err, 0)]
-    evaluations = 1
-    width_floor = (b - a) * 1e-15
-    stuck: set[int] = set()
 
-    while evaluations < max_panels:
-        total_err = sum(p[3] for p in panels.values())
-        if total_err <= tol:
-            break
-        while heap and heap[0][1] not in panels:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        _, worst_id = heapq.heappop(heap)
-        if worst_id in stuck:
-            break
-        pa, pb, _, perr = panels[worst_id]
-        if pb - pa <= width_floor:
-            stuck.add(worst_id)
-            heapq.heappush(heap, (-perr, worst_id))
-            # every remaining reducible panel is narrower than the floor
-            if all(pb2 - pa2 <= width_floor for pa2, pb2, _, _ in panels.values()):
-                break
-            continue
-        del panels[worst_id]
-        mid = 0.5 * (pa + pb)
-        for qa, qb in ((pa, mid), (mid, pb)):
-            val, perr = _panel(g, qa, qb)
-            pid = next(counter)
-            panels[pid] = (qa, qb, val, perr)
-            heapq.heappush(heap, (-perr, pid))
-            evaluations += 1
+def integrate_halfline_batch(
+    g: Callable,
+    n: int,
+    tol: float = DEFAULT_QUAD_TOL,
+    cut: float = HALFLINE_CUT,
+) -> list:
+    """integrate_halfline_exp for n integrands in one lockstep pass.
 
-    total_err = sum(p[3] for p in panels.values())
-    if total_err > tol:
-        raise ConvergenceError(
-            f"quadrature error {total_err:.3e} above tolerance {tol:.3e} "
-            f"after {evaluations} panels"
-        )
-    # deterministic left-to-right summation
-    ordered = sorted(panels.values(), key=lambda p: p[0])
-    value = ordered[0][2]
-    for p in ordered[1:]:
-        value = value + p[2]
-    return QuadratureResult(value, total_err, evaluations)
+    g(t, rows) evaluates integrand rows[k] at t[k].  Returns per integrand
+    a QuadratureResult, or the ConvergenceError of a non-finite probe at
+    the cut or of an exhausted panel budget.
+    """
+
+    def transformed(u, rows):
+        vals = _eval_nodes(lambda t: g(t, rows), -np.log(u))
+        return vals / u.reshape((u.shape[0],) + (1,) * (vals.ndim - 1))
+
+    probe = np.abs(transformed(np.full(n, cut), np.arange(n))).reshape(n, -1)
+    ok = np.flatnonzero(np.isfinite(probe).all(axis=1))
+    done = _lockstep(lambda u, k: transformed(u, ok[k]), [cut] * ok.size, [1.0] * ok.size, tol)
+    out = [ConvergenceError("transformed integrand not finite at the endpoint cut") for _ in range(n)]
+    for i, res in zip(ok, done):
+        tail = float(probe[i].max()) * cut
+        out[i] = res if isinstance(res, ConvergenceError) else replace(res, tail_bound=tail)
+    return out
 
 
 def integrate_halfline_exp(
@@ -236,19 +249,10 @@ def integrate_halfline_exp(
     the cut is not integrated, and cut * |h(cut)| is reported as
     tail_bound so callers can see the truncation scale.
     """
-
-    def transformed(u):
-        u = np.asarray(u, dtype=float)
-        vals = _eval_nodes(g, -np.log(u))
-        shape = (u.shape[0],) + (1,) * (vals.ndim - 1)
-        return vals / u.reshape(shape)
-
-    probe = _eval_nodes(transformed, np.array([cut]))
-    if not np.all(np.isfinite(probe)):
-        raise ConvergenceError("transformed integrand not finite at the endpoint cut")
-    tail = float(np.max(np.abs(probe))) * cut
-    res = integrate_finite(transformed, cut, 1.0, tol)
-    return QuadratureResult(res.value, res.error_estimate, res.subdivisions, tail)
+    (res,) = integrate_halfline_batch(lambda t, rows: g(t), 1, tol, cut)
+    if isinstance(res, ConvergenceError):
+        raise res
+    return res
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -264,9 +268,11 @@ def golden_section_max(
     """Golden-section maximization on [a, b].
 
     Returns (x_best, f_best, residual, converged); residual is the last
-    change of the running maximum, and the best value seen at any probe
-    (including the endpoints) is returned.  A non-finite probe raises
-    ConvergenceError, since it would lose every comparison unseen.
+    change of the running maximum, and the best value seen at any interior
+    probe is returned.  The bracket ends a and b are never probed:
+    sup_over_radius and radial_sup_norm cover them with their grid values.
+    A non-finite probe raises ConvergenceError, since it would lose every
+    comparison unseen.
     """
     if not a < b:
         raise DomainError("golden section needs a < b")
@@ -340,6 +346,22 @@ def extrapolate_tail(values) -> Optional[float]:
     return level1[-1]
 
 
+def fill_grid(memo: dict, batch: Callable, k_max: int = RADIAL_K_MAX, guard: float = OVERFLOW_GUARD):
+    """Fill memo, for sup_over_radius, from one call batch(radii) on the grid radii it lacks.
+
+    batch returns a value or an exception per radius.  Filling runs in
+    increasing radius and ends at the first exception, which is kept so
+    that sup_over_radius raises it there, or after the first value that is
+    not finite or beyond guard, where its scan stops: no error of a larger
+    radius in the same batch can escape.
+    """
+    radii = [float(r) for r in radius_grid(k_max) if float(r) not in memo]
+    for r, v in zip(radii, batch(np.array(radii)) if radii else ()):
+        memo[r] = v
+        if isinstance(v, Exception) or not (math.isfinite(v) and v <= guard):
+            return
+
+
 def sup_over_radius(
     h: Callable[[float], float],
     tol: float = 1e-9,
@@ -351,7 +373,8 @@ def sup_over_radius(
 
     Radii are scanned in increasing order; any non-finite value or value
     beyond the overflow guard short-circuits into a diverged estimate.
-    memo, a dict shared by searches of one profile, keeps h by radius.
+    memo, a dict shared by searches of one profile, keeps h by radius; an
+    exception kept there (see fill_grid) is raised where the scan meets it.
     """
     if memo is not None:
         profile = h
@@ -359,6 +382,8 @@ def sup_over_radius(
         def h(r):
             if r not in memo:
                 memo[r] = profile(r)
+            if isinstance(memo[r], Exception):
+                raise memo[r]
             return memo[r]
 
     radii = radius_grid(k_max)
@@ -366,13 +391,7 @@ def sup_over_radius(
     for r in radii:
         v = float(h(float(r)))
         if not math.isfinite(v) or v > guard:
-            return SupEstimate(
-                value=v,
-                argmax_radius=float(r),
-                converged=False,
-                extrapolated_limit=None,
-                diverged=True,
-            )
+            return SupEstimate(v, float(r), converged=False, diverged=True)
         vals.append(v)
 
     arr = np.asarray(vals)
@@ -380,22 +399,11 @@ def sup_over_radius(
     best_r = float(radii[i])
     best_v = float(arr[i])
 
-    if i == 0:
-        lo, hi = float(radii[0]), float(radii[1])
-    elif i == len(radii) - 1:
-        lo, hi = float(radii[i - 1]), float(radii[i])
-    else:
-        lo, hi = float(radii[i - 1]), float(radii[i + 1])
+    lo, hi = float(radii[max(i - 1, 0)]), float(radii[min(i + 1, len(radii) - 1)])
     gx, gv, residual, g_ok = golden_section_max(h, lo, hi, xtol=1e-8)
     if gv > best_v:
         best_r, best_v = gx, gv
 
     limit = extrapolate_tail(vals[-5:]) if len(vals) >= 5 else None
     converged = g_ok and residual <= max(tol, 1e-13 * max(1.0, abs(best_v)))
-    return SupEstimate(
-        value=best_v,
-        argmax_radius=best_r,
-        converged=converged,
-        extrapolated_limit=limit,
-        diverged=False,
-    )
+    return SupEstimate(best_v, best_r, converged, extrapolated_limit=limit)

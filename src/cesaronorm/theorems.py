@@ -43,11 +43,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .cesaro import cesaro_of_one
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .functions import _polyval, derivative, evaluate, log_weight_constant
 from .numerics import (
+    RADIAL_K_MAX,
     DivergenceFlag,
     SupEstimate,
+    fill_grid,
+    integrate_halfline_batch,
     integrate_halfline_exp,
     sup_over_radius,
 )
@@ -89,14 +92,15 @@ def _check_alpha_01(alpha: float):
         raise DomainError("alpha must lie in (0, 1)")
 
 
-def integrand_F(r: float, t, alpha: float):
+def integrand_F(r, t, alpha: float):
     """Weighted modulus of the extremal image under S_t, on the radius.
 
-    Vectorized over t.  F(0, t) = e^-t and F(r, 0) = 1; for fixed t the
-    boundary limit is e^(-alpha t), which integrates to 1/alpha.
+    Vectorized over t, and over r when r is an array broadcasting against
+    t.  F(0, t) = e^-t and F(r, 0) = 1; for fixed t the boundary limit is
+    e^(-alpha t), which integrates to 1/alpha.
     """
     _check_alpha_01(alpha)
-    if not 0.0 <= r < 1.0:
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise DomainError("radius must lie in [0, 1)")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
@@ -111,12 +115,6 @@ def integrand_F(r: float, t, alpha: float):
     )
 
 
-def _log_factor_at_radius(r: float, alpha: float) -> float:
-    """log(2 e^(1/alpha) / (1 - r^2)) for a real radius."""
-    delta = 1.0 - r
-    return log_weight_constant(alpha) - math.log(delta * (2.0 - delta))
-
-
 def _log_factor_at_image(r: float, u, alpha: float):
     """Same log factor at phi_t(r), computed from 1 - phi^2 in factored form."""
     delta = 1.0 - r
@@ -124,8 +122,11 @@ def _log_factor_at_image(r: float, u, alpha: float):
     return log_weight_constant(alpha) - np.log(one_minus_phi_sq)
 
 
-def _log_ratio(r: float, u, alpha: float):
-    return _log_factor_at_radius(r, alpha) / _log_factor_at_image(r, u, alpha)
+def _log_ratio(r, u, alpha: float):
+    """log(2 e^(1/alpha) / (1 - r^2)) over the same log factor at phi_t(r)."""
+    delta = 1.0 - r
+    at_radius = log_weight_constant(alpha) - np.log(delta * (2.0 - delta))
+    return at_radius / _log_factor_at_image(r, u, alpha)
 
 
 def log_ratio(r: float, t, alpha: float):
@@ -155,9 +156,26 @@ def profile_integrand(theorem_id: str, r: float, t, alpha: float):
     return combine(f, column), column
 
 
+def slice_values(theorem_id: str, radii, alpha: float, tol: float = 1e-10) -> list:
+    """The T3.1, T4.1 or T5.1 radial profile at every radius, in one lockstep half-line pass.
+
+    Each entry is a float, or the ConvergenceError of that radius.  A
+    radius's value is bitwise the same whichever radii share the call.
+    The cut probe of integrate_halfline_batch meets every radius, so
+    integrand_F checks alpha and each radius before any integration.
+    """
+    radii = np.asarray(radii, dtype=float)
+    results = integrate_halfline_batch(
+        lambda t, rows: profile_integrand(theorem_id, radii[rows], t, alpha)[0], radii.size, tol
+    )
+    return [res if isinstance(res, ConvergenceError) else float(np.real(res.value)) for res in results]
+
+
 def _slice(theorem_id: str, r: float, alpha: float, tol: float) -> float:
-    res = integrate_halfline_exp(lambda t: profile_integrand(theorem_id, r, t, alpha)[0], tol)
-    return float(np.real(res.value))
+    (value,) = slice_values(theorem_id, [r], alpha, tol)
+    if isinstance(value, ConvergenceError):
+        raise value
+    return value
 
 
 def korenblum_slice_integral(r: float, alpha: float, tol: float = 1e-10) -> float:
@@ -175,26 +193,43 @@ def log_to_log_slice(r: float, alpha: float, tol: float = 1e-10) -> float:
     return _slice("T5.1", r, alpha, tol)
 
 
+def profile_sup(
+    theorem_id: str,
+    alpha: float,
+    tol: float = 1e-9,
+    quad_tol: float = 1e-10,
+    k_max: int = RADIAL_K_MAX,
+    memo: Optional[dict] = None,
+) -> SupEstimate:
+    """sup_over_radius of the T3.1, T4.1 or T5.1 profile.
+
+    The grid radii that memo lacks come from one slice_values call; the
+    golden probes go one by one through the result's slice function.
+    memo: see sup_over_radius.
+    """
+    memo = {} if memo is None else memo
+    fill_grid(memo, lambda radii: slice_values(theorem_id, radii, alpha, quad_tol), k_max)
+    profile = RESULTS[theorem_id].profile
+    return sup_over_radius(lambda r: profile(r, alpha, quad_tol), tol, k_max, memo=memo)
+
+
 def korenblum_sup(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> SupEstimate:
     """Supremum over the radius of the T3.1 profile (boundary limit 1/alpha)."""
-    _check_alpha_01(alpha)
-    return sup_over_radius(lambda r: korenblum_slice_integral(r, alpha, quad_tol), tol)
+    return profile_sup("T3.1", alpha, tol, quad_tol)
 
 
 def log_to_plain_norm(
     alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10, memo: Optional[dict] = None
 ) -> SupEstimate:
     """T4.1 sup-integral; the maximizer sits at an interior radius.  memo: see sup_over_radius."""
-    _check_alpha_01(alpha)
-    return sup_over_radius(lambda r: log_to_plain_slice(r, alpha, quad_tol), tol, memo=memo)
+    return profile_sup("T4.1", alpha, tol, quad_tol, memo=memo)
 
 
 def log_to_log_norm(
     alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10, memo: Optional[dict] = None
 ) -> SupEstimate:
     """T5.1 sup-integral; extrapolated_limit estimates the boundary value.  memo as above."""
-    _check_alpha_01(alpha)
-    return sup_over_radius(lambda r: log_to_log_slice(r, alpha, quad_tol), tol, memo=memo)
+    return profile_sup("T5.1", alpha, tol, quad_tol, memo=memo)
 
 
 def korenblum_norm_exact(alpha: float) -> float:
@@ -444,7 +479,7 @@ class Result:
     factor at (r, u = e^-t, alpha), how it combines with F) for the
     log-weighted profiles.  pair is the (source, target) space types of
     its empirical bound, which is checked against bounds(alpha, memo) =
-    (low, high); profile(r, alpha) is that pair's radial witness.
+    (low, high); profile(r, alpha, quad_tol) is that pair's radial witness.
     """
 
     theorem_id: str
@@ -458,7 +493,7 @@ class Result:
     factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
     bounds: Optional[Callable[[float, Optional[dict]], Interval]] = None
-    profile: Optional[Callable[[float, float], float]] = None
+    profile: Optional[Callable[[float, float, float], float]] = None
 
     def admits(self, alpha: float, exact_only: bool = False) -> bool:
         """alpha lies in the domain, or with exact_only where the value is exact."""
@@ -492,7 +527,7 @@ RESULTS = MappingProxyType(
                 exact_max=0.5,
                 pair=(Korenblum, Korenblum),
                 bounds=lambda a, memo: (0.0, korenblum_norm_exact(a)),
-                profile=lambda r, a: korenblum_slice_integral(r, a),
+                profile=lambda r, a, tol: korenblum_slice_integral(r, a, tol),
             ),
             Result(
                 "T4.1",
@@ -508,7 +543,7 @@ RESULTS = MappingProxyType(
                     log_to_plain_lower_bound(a),
                     log_to_plain_norm(a, memo=memo).value,
                 ),
-                profile=lambda r, a: log_to_plain_slice(r, a),
+                profile=lambda r, a, tol: log_to_plain_slice(r, a, tol),
             ),
             Result(
                 "T5.1",
@@ -521,7 +556,7 @@ RESULTS = MappingProxyType(
                 factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
                 bounds=lambda a, memo: (0.0, log_to_log_norm(a, memo=memo).value),
-                profile=lambda r, a: log_to_log_slice(r, a),
+                profile=lambda r, a, tol: log_to_log_slice(r, a, tol),
             ),
             Result(
                 "T6.2",

@@ -1,0 +1,179 @@
+"""The lockstep Gauss-Kronrod core: batch invariance, stopping rules, grid filling."""
+
+import heapq
+import math
+
+import numpy as np
+import pytest
+
+from cesaronorm import ConvergenceError, DomainError, integrate_finite, sup_over_radius, theorems, verify_theorem
+from cesaronorm.numerics import _panels, fill_grid, integrate_halfline_batch, radius_grid
+from cesaronorm.theorems import profile_sup, slice_values
+
+
+def _one_panel(g, a, b):
+    k15, err = _panels(lambda x, rows: g(x), np.array([a]), np.array([b]), np.arange(1))
+    return k15[0], float(err[0])
+
+
+def _reference(g, a, b, tol, max_panels=10_000):
+    """One integral at a time, re-summing every panel error on each split."""
+    value, err = _one_panel(g, a, b)
+    panels = {0: (a, b, value, err)}
+    heap, count, next_id = [(-err, 0)], 1, 1
+    while count < max_panels and sum(p[3] for p in panels.values()) > tol:
+        pa, pb, _, _ = panels[heap[0][1]]
+        if pb - pa <= (b - a) * 1e-15:
+            break
+        del panels[heapq.heappop(heap)[1]]
+        mid = 0.5 * (pa + pb)
+        for qa, qb in ((pa, mid), (mid, pb)):
+            val, perr = _one_panel(g, qa, qb)
+            panels[next_id] = (qa, qb, val, perr)
+            heapq.heappush(heap, (-perr, next_id))
+            next_id, count = next_id + 1, count + 1
+    total = sum(p[3] for p in panels.values())
+    if total > tol:
+        return None, total, count
+    ordered = sorted(panels.values(), key=lambda p: p[0])
+    value = ordered[0][2]
+    for p in ordered[1:]:
+        value = value + p[2]
+    return value, total, count
+
+
+@pytest.mark.parametrize(
+    "g, a, b, tol, max_panels",
+    [
+        (lambda u: np.sin(10.0 * u), 0.0, 3.0, 1e-10, 10_000),
+        (lambda u: u**-0.5, 0.0, 1.0, 1e-8, 10_000),  # stops on the width floor
+        (lambda u: 1e8 * np.exp(-1e4 * u), 0.0, 1.0, 1e-10, 10_000),  # large early errors
+        (lambda u: np.sin(1.0 / u) / u, 1e-12, 1.0, 1e-13, 16),  # budget exhausted
+        (lambda u: np.exp(1j * 40.0 * u), 0.0, 1.0, 1e-12, 10_000),
+    ],
+)
+def test_running_total_stops_where_the_exact_sum_does(g, a, b, tol, max_panels):
+    value, total, count = _reference(g, a, b, tol, max_panels)
+    if value is None:
+        with pytest.raises(ConvergenceError, match=f"after {count} panels"):
+            integrate_finite(g, a, b, tol, max_panels)
+        return
+    res = integrate_finite(g, a, b, tol, max_panels)
+    assert (res.subdivisions, res.error_estimate) == (count, total)
+    assert res.value == value
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95])
+def test_grid_batch_matches_batch_of_one_bitwise(theorem_id, alpha):
+    radii = radius_grid(40)
+    batch = slice_values(theorem_id, radii, alpha)
+    single = [slice_values(theorem_id, [r], alpha)[0] for r in radii]
+    assert [v.hex() for v in batch] == [v.hex() for v in single]
+
+
+def test_slice_values_keep_the_scalar_checks():
+    with pytest.raises(DomainError, match="alpha"):
+        slice_values("T3.1", [0.5], 1.5)
+    with pytest.raises(DomainError, match="radius"):
+        slice_values("T4.1", [0.0, 0.5, 1.0], 0.5)
+
+
+def test_halfline_batch_reports_each_failure_in_its_row():
+    def g(t, rows):
+        scale = np.where(rows == 1, np.inf, 1.0)  # integrand 1 is not finite at the cut
+        return scale * np.exp(-(rows + 1.0) * t)
+
+    first, second, third = integrate_halfline_batch(g, 3, 1e-10)
+    assert first.value == pytest.approx(1.0, abs=1e-9)
+    assert isinstance(second, ConvergenceError)
+    assert third.value == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert first.tail_bound > 0.0
+
+
+def _batch_of(values_by_index):
+    """A batched grid profile returning the given outcome at each grid index."""
+    index = {float(r): k for k, r in enumerate(radius_grid(40))}
+    asked = []
+
+    def batch(radii):
+        asked.append([index[float(r)] for r in radii])
+        return [values_by_index(index[float(r)]) for r in radii]
+
+    return batch, asked
+
+
+def _h_never_called(r):
+    raise AssertionError(f"profile called at {r!r}")
+
+
+def test_diverged_grid_reports_the_first_radius_and_hides_later_errors():
+    batch, _ = _batch_of(lambda k: 1.0 if k < 5 else math.inf if k == 5 else ConvergenceError("x"))
+    memo: dict = {}
+    fill_grid(memo, batch)
+    est = sup_over_radius(_h_never_called, 1e-9, memo=memo)
+    assert est.diverged
+    assert est.argmax_radius == float(radius_grid(40)[5])
+
+
+def test_grid_error_before_divergence_is_raised_in_order():
+    batch, _ = _batch_of(lambda k: math.inf if k == 7 else ConvergenceError(f"at {k}") if k >= 3 else 1.0)
+    memo: dict = {}
+    fill_grid(memo, batch)
+    with pytest.raises(ConvergenceError, match="at 3"):
+        sup_over_radius(_h_never_called, 1e-9, memo=memo)
+
+
+def test_fill_grid_reads_memo_first():
+    batch, asked = _batch_of(lambda k: float(k))
+    memo = {float(r): 0.0 for r in radius_grid(30)}
+    fill_grid(memo, batch)
+    assert asked == [list(range(31, 41))]
+    fill_grid(memo, batch)
+    assert len(asked) == 1
+
+
+def test_profile_sup_batches_only_the_radii_memo_lacks(monkeypatch):
+    sizes = []
+    batch = theorems.slice_values
+
+    def recorded(theorem_id, radii, *args):
+        sizes.append(len(radii))
+        return batch(theorem_id, radii, *args)
+
+    monkeypatch.setattr(theorems, "slice_values", recorded)
+    memo: dict = {}
+    witness = profile_sup("T4.1", 0.5, k_max=30, memo=memo)  # the CLI's witness scan
+    upper = profile_sup("T4.1", 0.5, memo=memo)  # and its upper end
+    assert [n for n in sizes if n > 1] == [31, 10]  # golden probes go one radius at a time
+    assert upper.value >= witness.value
+
+
+def test_integrate_finite_calls_integrand_with_one_ndarray():
+    calls = []
+
+    def g(*args, **kwargs):
+        calls.append((args, kwargs))
+        return np.sin(args[0])
+
+    integrate_finite(g, 0.0, 3.0, 1e-12)
+    assert calls
+    for args, kwargs in calls:
+        assert len(args) == 1 and not kwargs
+        assert isinstance(args[0], np.ndarray) and args[0].ndim == 1
+
+
+def test_integrate_finite_keeps_array_valued_integrands():
+    z = np.array([0.5, 2.0, 3.0])
+    res = integrate_finite(lambda u: np.exp(np.outer(u, z)), 0.0, 1.0, 1e-12)
+    np.testing.assert_allclose(res.value, np.expm1(z) / z, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [round(0.05 * k, 2) for k in range(1, 11)])
+def test_t31_passes_on_dense_alpha_grid(alpha):
+    assert verify_theorem("T3.1", alpha).passed
+
+
+@pytest.mark.parametrize("alpha", [round(0.05 * k, 2) for k in range(1, 20)])
+def test_t41_passes_on_dense_alpha_grid(alpha):
+    assert verify_theorem("T4.1", alpha).passed
