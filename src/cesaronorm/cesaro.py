@@ -30,6 +30,10 @@ Differentiating under the integral gives the derivative representation
 
 used for Bloch-type norms of operator images.
 
+The quadrature forms integrate each point on its own adaptive partition,
+to its own absolute tolerance, all points in one lockstep pass; a value
+is bitwise the same whatever batch its point arrives in.
+
 For the closed-form extremal families, S_t is evaluated through the
 factorization 1 - phi_t(z)^2 = (1 - z)(1 - (1 - 2 e^-t) z) / D^2: each
 factor stays in the right half-plane on the disk, so principal powers of
@@ -44,7 +48,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .functions import (
     AnalyticFunction,
     ClosedForm,
@@ -58,7 +62,7 @@ from .functions import (
     derivative,
     log_weight_constant,
 )
-from .numerics import DEFAULT_QUAD_TOL, integrate_finite
+from .numerics import DEFAULT_QUAD_TOL, _lockstep
 
 
 def cesaro_coeff(series: PowerSeries) -> PowerSeries:
@@ -152,21 +156,20 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
 
 
 def _unit_interval_integral(integrand, z, tol: float):
-    """int_0^1 integrand(u, z) du at every point of z, in one adaptive pass.
+    """int_0^1 integrand(u, z) du at every point of z, in one lockstep pass.
 
-    u arrives shaped to broadcast against the guarded points; the error
-    is controlled on the worst component, and a scalar z gives a complex.
+    Each point is one integral on its own partition, to absolute tol;
+    integrand(u, w) sees equal-length vectors of nodes and points.  A
+    scalar z gives a complex, an array z an array of its shape.
     """
     arr = _check_point(z)
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        return integrand(u.reshape((u.shape[0],) + (1,) * arr.ndim), arr)
-
-    value = integrate_finite(g, 0.0, 1.0, tol).value
-    if np.ndim(z) == 0:
-        return complex(value)
-    return value
+    flat, n = arr.ravel(), arr.size
+    results = _lockstep(lambda u, rows: integrand(u, flat[rows]), [0.0] * n, [1.0] * n, tol)
+    for res in results:
+        if isinstance(res, ConvergenceError):
+            raise res
+    value = np.array([res.value for res in results], dtype=complex).reshape(arr.shape)
+    return complex(value) if np.ndim(z) == 0 else value
 
 
 def cesaro_integral(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):

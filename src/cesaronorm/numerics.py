@@ -10,7 +10,8 @@ splits its own worst panel, and all new panels of the round go through
 one integrand call.  An integral stops once its summed error is within
 tol (a running total, re-summed exactly near tol), when its worst panel
 is narrower than the width floor, or at 10^4 panels, where it ends in
-ConvergenceError.  integrate_finite is the batch of one.
+ConvergenceError.  integrate_finite is the batch of one; the operator
+forms of cesaro run one integral per point.
 
 Half-line integrals of exponentially decaying integrands are pulled back
 to (0, 1] through u = exp(-t):
@@ -201,10 +202,7 @@ def integrate_finite(
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integration interval must be finite with a < b")
-    # g sees one panel per call: its values often carry a batch of points per
-    # node already, and two panels per call cost the operator forms page faults
-    per_panel = lambda x, rows: np.concatenate([_eval_nodes(g, p) for p in x.reshape(-1, 15)])
-    (res,) = _lockstep(per_panel, [a], [b], tol, max_panels)
+    (res,) = _lockstep(lambda x, rows: _eval_nodes(g, x), [a], [b], tol, max_panels)
     if isinstance(res, ConvergenceError):
         raise res
     return res

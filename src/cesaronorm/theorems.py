@@ -594,8 +594,6 @@ RESULTS = MappingProxyType(
 )
 
 THEOREM_IDS = tuple(RESULTS)
-LABELS = {tid: r.label for tid, r in RESULTS.items()}
-DEFAULT_TOLS = {tid: r.tol for tid, r in RESULTS.items()}
 
 
 def verify_theorem(
