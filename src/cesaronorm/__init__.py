@@ -6,10 +6,15 @@ semigroup), measures functions in four weighted sup-norm spaces, and
 verifies the closed-form norm values and bounds catalogued in
 theorems.THEOREM_IDS.  The cesaronorm console script exposes the same
 checks from the command line.
+
+The package root exports the paper's vocabulary: the spaces, the function
+families, the operator forms, verify_theorem with the quantities the
+acceptance suite checks, and the estimate, flag and error types these
+return or raise.  Quadrature, search and slice helpers stay importable
+from their own modules.
 """
 
 from .cesaro import (
-    SemigroupKernel,
     cesaro_coeff,
     cesaro_derivative,
     cesaro_integral,
@@ -17,17 +22,10 @@ from .cesaro import (
     cesaro_semigroup,
     cesaro_transform,
     semigroup_transform,
-    st_apply,
 )
-from .empirical import (
-    SampleConfig,
-    extremal_for,
-    operator_norm_lower_bound,
-    sample_unit_ball,
-)
+from .empirical import SampleConfig, operator_norm_lower_bound
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .functions import (
-    EVAL_RADIUS_LIMIT,
     AnalyticFunction,
     ClosedForm,
     Constant,
@@ -35,59 +33,24 @@ from .functions import (
     LogKorenblumExtremal,
     Poly,
     PowerSeries,
-    derivative,
-    evaluate,
     log_weight_constant,
-    one_minus_sq,
     taylor_truncate,
 )
-from .numerics import (
-    DivergenceFlag,
-    QuadratureResult,
-    SupEstimate,
-    extrapolate_tail,
-    golden_section_max,
-    integrate_finite,
-    integrate_halfline_exp,
-    radius_grid,
-    sup_over_radius,
-)
-from .spaces import (
-    BlochAlpha,
-    HardyInf,
-    Korenblum,
-    KorenblumLog,
-    NormEstimate,
-    SpaceSpec,
-    bloch_growth_bound,
-    radial_sup_norm,
-    space_norm,
-    weight_at,
-)
+from .numerics import DivergenceFlag, SupEstimate, sup_over_radius
+from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog, NormEstimate, space_norm
 from .theorems import (
     THEOREM_IDS,
     TheoremVerdict,
-    bloch_lower_bound,
-    bloch_lower_bound_integral,
     bloch_upper_bound,
     bloch_witness_profile,
     boundary_envelope,
     constant_one_bloch_norm,
-    divergence_probe,
     h_analytic,
     h_closed_form,
     h_series_coeff,
-    hardy_to_bloch_bounds,
-    integrand_F,
-    korenblum_norm_exact,
-    korenblum_slice_integral,
     korenblum_sup,
-    log_ratio,
     log_to_log_norm,
-    log_to_log_slice,
-    log_to_plain_lower_bound,
     log_to_plain_norm,
-    log_to_plain_slice,
     verify_theorem,
 )
 
@@ -101,7 +64,6 @@ __all__ = [
     "ConvergenceError",
     "DivergenceFlag",
     "DomainError",
-    "EVAL_RADIUS_LIMIT",
     "HardyInf",
     "Korenblum",
     "KorenblumExtremal",
@@ -111,16 +73,10 @@ __all__ = [
     "Poly",
     "PowerSeries",
     "PreconditionError",
-    "QuadratureResult",
     "SampleConfig",
-    "SemigroupKernel",
-    "SpaceSpec",
     "SupEstimate",
     "THEOREM_IDS",
     "TheoremVerdict",
-    "bloch_growth_bound",
-    "bloch_lower_bound",
-    "bloch_lower_bound_integral",
     "bloch_upper_bound",
     "bloch_witness_profile",
     "boundary_envelope",
@@ -131,39 +87,17 @@ __all__ = [
     "cesaro_semigroup",
     "cesaro_transform",
     "constant_one_bloch_norm",
-    "derivative",
-    "divergence_probe",
-    "evaluate",
-    "extrapolate_tail",
-    "extremal_for",
-    "golden_section_max",
     "h_analytic",
     "h_closed_form",
     "h_series_coeff",
-    "hardy_to_bloch_bounds",
-    "integrand_F",
-    "integrate_finite",
-    "integrate_halfline_exp",
-    "korenblum_norm_exact",
-    "korenblum_slice_integral",
     "korenblum_sup",
-    "log_ratio",
     "log_to_log_norm",
-    "log_to_log_slice",
-    "log_to_plain_lower_bound",
     "log_to_plain_norm",
-    "log_to_plain_slice",
     "log_weight_constant",
-    "one_minus_sq",
     "operator_norm_lower_bound",
-    "radial_sup_norm",
-    "radius_grid",
-    "sample_unit_ball",
     "semigroup_transform",
     "space_norm",
-    "st_apply",
     "sup_over_radius",
     "taylor_truncate",
     "verify_theorem",
-    "weight_at",
 ]

@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"unknown result id {args.theorem!r}; choose from {THEOREM_IDS}")
     result = RESULTS[args.theorem]
     for a in alphas:
-        result.check_alpha(a, exact_only=True)
+        result.check_alpha(a)
     tol = args.tol if args.tol is not None else result.tol
     verdicts = [verify_theorem(args.theorem, a, tol) for a in alphas]
     report = RunReport(

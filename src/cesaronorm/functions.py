@@ -49,6 +49,23 @@ def one_minus_sq(z):
     return (1.0 - z) * (1.0 + z)
 
 
+# concrete types: an isinstance test against the numbers.Real ABC is several
+# times slower, and integrand_F checks alpha in every quadrature round
+_REAL = (float, int, np.floating, np.integer)
+
+
+def check_alpha(who: str, alpha, lo: float = 0.0, hi: float = math.inf) -> float:
+    """alpha as a float; DomainError naming who for a bool, a non-number or alpha outside (lo, hi).
+
+    The one alpha check of the package.  Every lo is finite, so the open
+    interval also rejects nan and both infinities.
+    """
+    if isinstance(alpha, _REAL) and not isinstance(alpha, bool) and lo < alpha < hi:
+        return float(alpha)
+    shown = f"{alpha:g}" if isinstance(alpha, float) else repr(alpha)
+    raise DomainError(f"{who} requires {lo:g} < alpha < {hi:g}, got {shown}")
+
+
 def _polyval(coeffs, z):
     """sum_n coeffs[n] z^n on the ndarray z, by Horner's rule."""
     out = np.full(z.shape, coeffs[-1], dtype=complex)
@@ -191,9 +208,7 @@ class KorenblumExtremal(AnalyticFunction):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha < 1.0:
-            raise DomainError("alpha must lie in (0, 1)")
-        self.alpha = float(alpha)
+        self.alpha = check_alpha(type(self).__name__, alpha, 0.0, 1.0)
 
     def eval_at(self, z):
         z = np.asarray(z, dtype=complex)
@@ -223,9 +238,7 @@ class LogKorenblumExtremal(AnalyticFunction):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha < 1.0:
-            raise DomainError("alpha must lie in (0, 1)")
-        self.alpha = float(alpha)
+        self.alpha = check_alpha(type(self).__name__, alpha, 0.0, 1.0)
 
     def _log_term(self, z):
         return log_weight_constant(self.alpha) - np.log(one_minus_sq(z))

@@ -268,7 +268,7 @@ def golden_section_max(
     Returns (x_best, f_best, residual, converged); residual is the last
     change of the running maximum, and the best value seen at any interior
     probe is returned.  The bracket ends a and b are never probed:
-    sup_over_radius and radial_sup_norm cover them with their grid values.
+    sup_over_radius covers them with its grid values.
     A non-finite probe raises ConvergenceError, since it would lose every
     comparison unseen.
     """

@@ -20,32 +20,26 @@ patches that shrink around the best point, each patch evaluated in one
 call.  Values beyond the overflow guard (1e12) mark the function as
 outside the space and are reported through the diverged flag instead of
 an exception.
-
-radial_sup_norm is the cheap variant for functions with nonnegative
-Taylor coefficients, whose weighted modulus peaks on [0, 1); the
-coefficient sign condition is checked (to extraction tolerance) before
-the angular dimension is dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError
 from .functions import (
     EVAL_RADIUS_LIMIT,
     AnalyticFunction,
+    check_alpha,
     derivative,
     evaluate,
     log_weight_constant,
     one_minus_sq,
-    taylor_truncate,
 )
-from .numerics import OVERFLOW_GUARD, RADIAL_K_MAX, golden_section_max, radius_grid
+from .numerics import OVERFLOW_GUARD, RADIAL_K_MAX, radius_grid
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,7 @@ class Korenblum:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("Korenblum weight needs alpha in (0, 1)")
+        check_alpha("Korenblum", self.alpha, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,7 @@ class KorenblumLog:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("log-weighted space needs alpha in (0, 1)")
+        check_alpha("KorenblumLog", self.alpha, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -82,8 +74,7 @@ class BlochAlpha:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError("Bloch-type space needs alpha > 0")
+        check_alpha("BlochAlpha", self.alpha)
 
 
 SpaceSpec = HardyInf | Korenblum | KorenblumLog | BlochAlpha
@@ -100,7 +91,6 @@ class NormEstimate:
     angular_points: int
     refinement_residual: float
     diverged: bool = False
-    truncation_degree: Optional[int] = None
 
 
 def _validate_radius(r):
@@ -269,69 +259,6 @@ def space_norm(
     return _disk_sup(f, space, tol, k_max, n_angles, max_angles, OVERFLOW_GUARD)
 
 
-def radial_sup_norm(
-    f: AnalyticFunction,
-    space: SpaceSpec,
-    tol: float = 1e-9,
-    k_max: int = RADIAL_K_MAX,
-    check_degree: int = 24,
-) -> NormEstimate:
-    """Norm via the radial slice, valid for nonnegative Taylor coefficients.
-
-    The coefficient sign condition is verified through taylor_truncate up
-    to check_degree (tolerance 1e-7 against extraction noise); functions
-    failing it raise PreconditionError, because for them the radial sup
-    can undershoot the disk supremum.
-    """
-    series = taylor_truncate(f, check_degree)
-    scale = max(1.0, float(np.max(np.abs(series.coeffs))))
-    tol_c = 1e-7 * scale
-    if float(np.min(series.coeffs.real)) < -tol_c or float(np.max(np.abs(series.coeffs.imag))) > tol_c:
-        raise PreconditionError(
-            "radial_sup_norm requires nonnegative Taylor coefficients"
-        )
-    if isinstance(space, BlochAlpha):
-        raise PreconditionError("radial_sup_norm applies to modulus weights, not Bloch norms")
-
-    radii = _clamped_radii(k_max)
-
-    def profile(r):
-        return float(weight_at(space, r) * abs(evaluate(f, complex(r, 0.0))))
-
-    vals = weight_at(space, radii) * np.abs(evaluate(f, radii.astype(complex)))
-    bad = np.flatnonzero(~np.isfinite(vals) | (vals > OVERFLOW_GUARD))
-    if bad.size:
-        i = int(bad[0])
-        return NormEstimate(
-            value=float(vals[i]),
-            argmax_radius=float(radii[i]),
-            argmax_angle=0.0,
-            radial_points=i + 1,
-            angular_points=1,
-            refinement_residual=math.inf,
-            diverged=True,
-            truncation_degree=check_degree,
-        )
-    i = int(np.argmax(vals))
-    best_r, best_v = float(radii[i]), float(vals[i])
-    lo = float(radii[max(i - 1, 0)])
-    hi = float(radii[min(i + 1, len(radii) - 1)])
-    residual = 0.0
-    if hi > lo:
-        gx, gv, residual, _ = golden_section_max(profile, lo, hi, xtol=1e-8)
-        if gv > best_v:
-            best_r, best_v = gx, gv
-    return NormEstimate(
-        value=best_v,
-        argmax_radius=best_r,
-        argmax_angle=0.0,
-        radial_points=len(radii),
-        angular_points=1,
-        refinement_residual=residual,
-        truncation_degree=check_degree,
-    )
-
-
 def bloch_growth_bound(seminorm: float, value_at_zero: float, r: float, alpha: float) -> float:
     """Pointwise growth bound |f(r)| <= f0 + s * G_alpha(r) in the Bloch scale.
 
@@ -342,8 +269,7 @@ def bloch_growth_bound(seminorm: float, value_at_zero: float, r: float, alpha: f
         raise DomainError("seminorm and origin value must be nonnegative")
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    check_alpha("bloch_growth_bound", alpha)
     if alpha == 1.0:
         growth = math.log(1.0 / (1.0 - r))
     else:

@@ -44,7 +44,14 @@ import numpy as np
 
 from .cesaro import cesaro_of_one
 from .errors import ConvergenceError, DomainError
-from .functions import _polyval, derivative, evaluate, log_weight_constant
+from .functions import (
+    _polyval,
+    check_alpha,
+    derivative,
+    evaluate,
+    log_weight_constant,
+    one_minus_sq,
+)
 from .numerics import (
     RADIAL_K_MAX,
     DivergenceFlag,
@@ -87,11 +94,6 @@ class TheoremVerdict:
         }
 
 
-def _check_alpha_01(alpha: float):
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
-
-
 def integrand_F(r, t, alpha: float):
     """Weighted modulus of the extremal image under S_t, on the radius.
 
@@ -99,7 +101,7 @@ def integrand_F(r, t, alpha: float):
     t.  F(0, t) = e^-t and F(r, 0) = 1; for fixed t the boundary limit is
     e^(-alpha t), which integrates to 1/alpha.
     """
-    _check_alpha_01(alpha)
+    check_alpha("integrand_F", alpha, 0.0, 1.0)
     if not np.all((0.0 <= r) & (r < 1.0)):
         raise DomainError("radius must lie in [0, 1)")
     t = np.asarray(t, dtype=float)
@@ -135,7 +137,7 @@ def log_ratio(r: float, t, alpha: float):
     Equals 1 at t = 0 and tends to 1 as r -> 1 for each fixed t; the
     deviation scales like t / log(1/(1-r)), so the approach is slow.
     """
-    _check_alpha_01(alpha)
+    check_alpha("log_ratio", alpha, 0.0, 1.0)
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     return _log_ratio(r, np.exp(-np.asarray(t, dtype=float)), alpha)
@@ -240,8 +242,7 @@ def korenblum_norm_exact(alpha: float) -> float:
 
 def log_to_plain_lower_bound(alpha: float) -> float:
     """Closed-form lower bound 1/(1/alpha + log 2) for the T4.1 norm."""
-    _check_alpha_01(alpha)
-    return 1.0 / log_weight_constant(alpha)
+    return 1.0 / log_weight_constant(check_alpha("log_to_plain_lower_bound", alpha, 0.0, 1.0))
 
 
 def bloch_upper_bound(alpha: float) -> float:
@@ -251,9 +252,7 @@ def bloch_upper_bound(alpha: float) -> float:
     max(A, 2^alpha (2^alpha - alpha - 1)/(alpha-1)^2) beyond, with
     A = 1 + (2/(2 alpha - 1))^(2 alpha - 1) alpha^alpha (alpha-1)^(alpha-1).
     """
-    if not alpha > 1.0:
-        raise DomainError("Bloch-type upper bound needs alpha > 1")
-    a = float(alpha)
+    a = check_alpha("bloch_upper_bound", alpha, 1.0)
     big_a = 1.0 + (2.0 / (2.0 * a - 1.0)) ** (2.0 * a - 1.0) * a**a * (a - 1.0) ** (a - 1.0)
     if a <= 2.0:
         other = 2.0**a / (a - 1.0)
@@ -264,8 +263,7 @@ def bloch_upper_bound(alpha: float) -> float:
 
 def bloch_lower_bound(alpha: float) -> float:
     """Lower bound 3/2 for the Bloch-type operator norm, alpha > 1."""
-    if not alpha > 1.0:
-        raise DomainError("Bloch-type lower bound needs alpha > 1")
+    check_alpha("bloch_lower_bound", alpha, 1.0)
     return 1.5
 
 
@@ -281,8 +279,7 @@ def bloch_lower_bound_integral(tol: float = 1e-10) -> float:
 
 def hardy_to_bloch_bounds(alpha: float):
     """Norm interval for sup-norm -> Bloch-type, or a DivergenceFlag below 1."""
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    alpha = check_alpha("hardy_to_bloch_bounds", alpha)
     if alpha < 1.0:
         probe, _ = divergence_witness(alpha)
         return DivergenceFlag(*probe[-1])
@@ -293,8 +290,7 @@ def hardy_to_bloch_bounds(alpha: float):
 
 def boundary_envelope(r, alpha: float):
     """(1 + r)^alpha (1 - r)^(alpha - 1); peaks at r = 1/(2 alpha - 1) for alpha > 1."""
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    check_alpha("boundary_envelope", alpha)
     r = np.asarray(r, dtype=float)
     return (1.0 + r) ** alpha * (1.0 - r) ** (alpha - 1.0)
 
@@ -305,8 +301,7 @@ def bloch_witness_profile(r: float, alpha: float) -> float:
     C(1)'(r) = 1/(r(1-r)) - log(1/(1-r))/r^2; for alpha < 1 the profile
     grows like 2^alpha (1-r)^(alpha-1) near the boundary.
     """
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    check_alpha("bloch_witness_profile", alpha)
     if not 0.0 <= r < 1.0:
         raise DomainError("radius must lie in [0, 1)")
     d = derivative(cesaro_of_one())
@@ -331,9 +326,10 @@ def divergence_witness(alpha: float) -> tuple[list[tuple[float, float]], bool]:
 
 
 def constant_one_bloch_norm(alpha: float, tol: float = 1e-9) -> float:
-    """Bloch-type norm of C(1), the standard witness for the lower bounds."""
-    if not alpha > 0.0:
-        raise DomainError("alpha must be positive")
+    """Bloch-type norm of C(1), the standard witness for the lower bounds.
+
+    BlochAlpha(alpha) checks alpha.
+    """
     return space_norm(cesaro_of_one(), BlochAlpha(alpha), tol).value
 
 
@@ -372,12 +368,8 @@ def h_analytic(z):
     small = np.abs(z) < _H_SMALL
     safe = np.where(small, 0.5, z)
     bracket = 1.5 * safe / (1.0 - safe) - 0.25 * (np.log(1.0 + safe) - 5.0 * np.log(1.0 - safe))
-    big = one_minus_sq_over_sq(safe) * bracket
+    big = one_minus_sq(safe) / (safe * safe) * bracket
     return np.where(small, _polyval(_H_SERIES_PREFIX, z), big)
-
-
-def one_minus_sq_over_sq(z):
-    return (1.0 - z) * (1.0 + z) / (z * z)
 
 
 def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
@@ -502,12 +494,15 @@ class Result:
             return lo < alpha <= self.exact_max
         return lo < alpha < hi
 
-    def check_alpha(self, alpha: float, exact_only: bool = False) -> None:
+    def check_alpha(self, alpha: float, exact_only: bool = False) -> float:
+        """alpha as a float, or DomainError outside admits(alpha, exact_only)."""
+        lo, hi = self.domain
+        alpha = check_alpha(self.theorem_id, alpha, lo, hi)
         if not self.admits(alpha, exact_only):
-            lo, hi = self.domain
-            exact = exact_only and self.exact_max is not None
-            upper = f"<= {self.exact_max:g}" if exact else f"< {hi:g}"
-            raise DomainError(f"{self.theorem_id} requires {lo:g} < alpha {upper}, got {alpha:g}")
+            raise DomainError(
+                f"{self.theorem_id} requires {lo:g} < alpha <= {self.exact_max:g}, got {alpha:g}"
+            )
+        return alpha
 
 
 # Entries reach the package's functions through this module's globals, so
@@ -611,12 +606,9 @@ def verify_theorem(
     """
     if theorem_id not in THEOREM_IDS:
         raise DomainError(f"unknown result id {theorem_id!r}; choose from {THEOREM_IDS}")
-    if isinstance(alpha, bool) or not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-        raise DomainError("alpha must be a finite number")
     result = RESULTS[theorem_id]
+    alpha = result.check_alpha(alpha)
     tol = result.tol if tol is None else float(tol)
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    alpha = float(alpha)
-    result.check_alpha(alpha)
     return result.verdict(alpha, tol, empirical_value)

@@ -15,19 +15,17 @@ from cesaronorm import (
     LogKorenblumExtremal,
     Poly,
     PowerSeries,
-    SemigroupKernel,
     cesaro_coeff,
     cesaro_derivative,
     cesaro_integral,
     cesaro_of_one,
     cesaro_semigroup,
     cesaro_transform,
-    derivative,
-    evaluate,
     semigroup_transform,
     space_norm,
-    st_apply,
 )
+from cesaronorm.cesaro import SemigroupKernel, st_apply
+from cesaronorm.functions import derivative, evaluate
 from cesaronorm import numerics
 
 

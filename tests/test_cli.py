@@ -123,17 +123,27 @@ def test_verify_csv_format(capsys):
 
 
 def test_verify_out_of_range_alpha_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--theorem", "T3.1", "--alpha", "0.75")
+    code, _, err = run_cli(capsys, "verify", "--theorem", "T3.1", "--alpha", "1.5")
     assert code == 2
     assert "T3.1" in err
 
 
-# alpha just outside each result's domain; the CLI verifies T3.1 only where
-# its value is exact (alpha <= 1/2), the library also above as a lower bound
+def test_verify_t31_above_half_is_a_lower_bound(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--theorem", "T3.1", "--alpha", "0.6", "--no-timestamp"
+    )
+    assert code == 0
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["passed"]
+    assert verdict["notes"].startswith("lower bound only")
+    assert verdict == verify_theorem("T3.1", 0.6).to_dict()
+
+
+# alpha just outside each result's domain, which the CLI and the library share
 @pytest.mark.parametrize(
     "theorem, library_outside, cli_outside",
     [
-        ("T3.1", ("0", "1"), ("0", "0.5000001", "1")),
+        ("T3.1", ("0", "1"), ("0", "1", "1.5")),
         ("T4.1", ("0", "1"), ("0", "1")),
         ("T5.1", ("0", "1"), ("0", "1")),
         ("T6.2", ("1",), ("1",)),
@@ -153,7 +163,7 @@ def test_verify_alpha_domain_edges(capsys, theorem, library_outside, cli_outside
 
 
 def test_verify_checks_every_alpha_before_computing(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "T3.1", "--alpha", "0.25,0.75")
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "T3.1", "--alpha", "0.25,1.5")
     assert code == 2
     assert out == ""
 

@@ -18,11 +18,10 @@ from cesaronorm import (
     PreconditionError,
     SampleConfig,
     bloch_upper_bound,
-    extremal_for,
     operator_norm_lower_bound,
-    sample_unit_ball,
     space_norm,
 )
+from cesaronorm.empirical import extremal_for, sample_unit_ball
 
 
 def test_sample_config_validation():

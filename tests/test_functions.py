@@ -15,12 +15,10 @@ from cesaronorm import (
     LogKorenblumExtremal,
     Poly,
     PowerSeries,
-    derivative,
-    evaluate,
     log_weight_constant,
-    one_minus_sq,
     taylor_truncate,
 )
+from cesaronorm.functions import derivative, evaluate, one_minus_sq
 
 
 def test_power_series_rejects_bad_coeffs():

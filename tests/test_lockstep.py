@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cesaronorm import ConvergenceError, DomainError, integrate_finite, sup_over_radius, theorems, verify_theorem
-from cesaronorm.numerics import _panels, fill_grid, integrate_halfline_batch, radius_grid
+from cesaronorm import ConvergenceError, DomainError, sup_over_radius, theorems, verify_theorem
+from cesaronorm.numerics import _panels, fill_grid, integrate_finite, integrate_halfline_batch, radius_grid
 from cesaronorm.theorems import profile_sup, slice_values
 
 

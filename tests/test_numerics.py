@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaronorm import (
-    ConvergenceError,
-    DomainError,
+from cesaronorm import ConvergenceError, DomainError, sup_over_radius
+from cesaronorm.numerics import (
     extrapolate_tail,
     golden_section_max,
     integrate_finite,
     integrate_halfline_exp,
     radius_grid,
-    sup_over_radius,
 )
 
 

@@ -7,35 +7,44 @@ import numpy as np
 import pytest
 
 from cesaronorm import (
+    BlochAlpha,
     ClosedForm,
     DivergenceFlag,
     DomainError,
+    Korenblum,
+    KorenblumExtremal,
+    KorenblumLog,
+    LogKorenblumExtremal,
     THEOREM_IDS,
     TheoremVerdict,
-    bloch_lower_bound,
-    bloch_lower_bound_integral,
     bloch_upper_bound,
     bloch_witness_profile,
     boundary_envelope,
-    divergence_probe,
+    constant_one_bloch_norm,
     h_analytic,
     h_closed_form,
     h_series_coeff,
-    hardy_to_bloch_bounds,
-    integrand_F,
-    korenblum_norm_exact,
-    korenblum_slice_integral,
     korenblum_sup,
-    log_ratio,
     log_to_log_norm,
-    log_to_log_slice,
-    log_to_plain_lower_bound,
     log_to_plain_norm,
-    log_to_plain_slice,
     log_weight_constant,
     sup_over_radius,
     taylor_truncate,
     verify_theorem,
+)
+from cesaronorm.spaces import bloch_growth_bound
+from cesaronorm.theorems import (
+    bloch_lower_bound,
+    bloch_lower_bound_integral,
+    divergence_probe,
+    hardy_to_bloch_bounds,
+    integrand_F,
+    korenblum_norm_exact,
+    korenblum_slice_integral,
+    log_ratio,
+    log_to_log_slice,
+    log_to_plain_lower_bound,
+    log_to_plain_slice,
 )
 
 
@@ -307,3 +316,32 @@ def test_verify_rejects_bool_alpha():
     for theorem_id in ("T3.1", "T7.1"):
         with pytest.raises(DomainError):
             verify_theorem(theorem_id, True)
+
+
+# every entry point that takes alpha, called with an otherwise valid input
+ALPHA_ENTRY_POINTS = {
+    "integrand_F": lambda a: integrand_F(0.5, 1.0, a),
+    "log_ratio": lambda a: log_ratio(0.5, 1.0, a),
+    "log_to_plain_lower_bound": log_to_plain_lower_bound,
+    "korenblum_norm_exact": korenblum_norm_exact,
+    "bloch_upper_bound": bloch_upper_bound,
+    "bloch_lower_bound": bloch_lower_bound,
+    "hardy_to_bloch_bounds": hardy_to_bloch_bounds,
+    "boundary_envelope": lambda a: boundary_envelope(0.5, a),
+    "bloch_witness_profile": lambda a: bloch_witness_profile(0.5, a),
+    "constant_one_bloch_norm": constant_one_bloch_norm,
+    "bloch_growth_bound": lambda a: bloch_growth_bound(1.0, 0.0, 0.5, a),
+    "Korenblum": Korenblum,
+    "KorenblumLog": KorenblumLog,
+    "BlochAlpha": BlochAlpha,
+    "KorenblumExtremal": KorenblumExtremal,
+    "LogKorenblumExtremal": LogKorenblumExtremal,
+    **{f"verify_theorem-{tid}": (lambda a, tid=tid: verify_theorem(tid, a)) for tid in THEOREM_IDS},
+}
+
+
+@pytest.mark.parametrize("alpha", [True, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+def test_alpha_rejects_bool_and_non_finite(entry, alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        ALPHA_ENTRY_POINTS[entry](alpha)
