@@ -57,8 +57,10 @@ from .functions import (
     LogKorenblumExtremal,
     Poly,
     PowerSeries,
+    _angular_powers,
     _check_point,
     _polyval,
+    _polyval_polar,
     derivative,
     log_weight_constant,
 )
@@ -235,10 +237,10 @@ def cesaro_of_one() -> ClosedForm:
 # switchover radius and tail length for the polynomial-image series branch;
 # 0.35^48 ~ 1e-22 keeps the truncated tail far below quadrature tolerances
 _POLY_SMALL = 0.35
-_POLY_TAIL_TERMS = 48
+_POLY_TAIL_J = np.arange(48, dtype=float)
 
 
-def _poly_image(series: PowerSeries) -> ClosedForm:
+class PolyImage(AnalyticFunction):
     """Exact C(poly): the image of z^k is (-log(1-z) - sum_{m<=k} z^m/m)/z.
 
     Summing against the coefficients gives
@@ -248,43 +250,87 @@ def _poly_image(series: PowerSeries) -> ClosedForm:
 
     an entire-on-the-disk closed form; a series branch (exact leading
     coefficients plus the geometric log tail) covers small |z| where the
-    closed form cancels.
+    closed form cancels.  On a polar grid the branch is chosen per radius
+    and every polynomial part is a separable product sharing one matrix
+    of angular powers.
     """
-    c = series.coeffs
-    d = series.degree
-    total = complex(c.sum())
-    suffix = np.cumsum(c[::-1])[::-1]
-    q = np.zeros(d + 1, dtype=complex)
-    if d >= 1:
-        q[1:] = suffix[1:] / np.arange(1, d + 1)
-    dq = suffix[1:] if d >= 1 else np.zeros(1, dtype=complex)
-    head = np.cumsum(c) / np.arange(1, d + 2)
-    dhead = head[1:] * np.arange(1, d + 1) if d >= 1 else np.zeros(1, dtype=complex)
-    j = np.arange(_POLY_TAIL_TERMS, dtype=float)
-    tail_c = 1.0 / (d + 2.0 + j)
-    dtail_c = (d + 1.0 + j) / (d + 2.0 + j)
 
-    def fn(z):
+    __slots__ = ("degree", "total", "q", "dq", "head", "dhead")
+
+    def __init__(self, series: PowerSeries):
+        c = series.coeffs
+        d = self.degree = series.degree
+        self.total = complex(c.sum())
+        suffix = np.cumsum(c[::-1])[::-1]
+        self.q = np.zeros(d + 1, dtype=complex)
+        if d >= 1:
+            self.q[1:] = suffix[1:] / np.arange(1, d + 1)
+        self.dq = suffix[1:] if d >= 1 else np.zeros(1, dtype=complex)
+        self.head = np.cumsum(c) / np.arange(1, d + 2)
+        self.dhead = self.head[1:] * np.arange(1, d + 1) if d >= 1 else np.zeros(1, dtype=complex)
+
+    def _series(self):
+        """(head, shift, tail) of the series branch head(z) + S z^shift tail(z)."""
+        d = self.degree
+        return self.head, d + 1, 1.0 / (d + 2.0 + _POLY_TAIL_J)
+
+    def _closed(self, z, polyval):
+        """The closed form at z, given polyval(p) = p at the same points."""
+        return (-self.total * np.log(1.0 - z) - polyval(self.q)) / z
+
+    def eval_at(self, z):
         z = np.asarray(z, dtype=complex)
         small = np.abs(z) < _POLY_SMALL
         out = np.empty_like(z)
         zs, zc = z[small], z[~small]
-        out[small] = _polyval(head, zs) + total * zs ** (d + 1) * _polyval(tail_c, zs)
-        out[~small] = (-total * np.log(1.0 - zc) - _polyval(q, zc)) / zc
+        head, shift, tail = self._series()
+        out[small] = _polyval(head, zs) + self.total * zs**shift * _polyval(tail, zs)
+        out[~small] = self._closed(zc, lambda p: _polyval(p, zc))
         return out
 
-    def dfn(z):
-        z = np.asarray(z, dtype=complex)
-        small = np.abs(z) < _POLY_SMALL
-        out = np.empty_like(z)
-        zs, zc = z[small], z[~small]
-        out[small] = _polyval(dhead, zs) + total * zs**d * _polyval(dtail_c, zs)
-        n_val = -total * np.log(1.0 - zc) - _polyval(q, zc)
-        n_der = total / (1.0 - zc) - _polyval(dq, zc)
-        out[~small] = (n_der * zc - n_val) / zc**2
+    def eval_polar(self, r, angles):
+        small = r < _POLY_SMALL
+        rs, rc = r[small], r[~small]
+        head, shift, tail = self._series()
+        unit = np.exp(1j * angles)
+        w = _angular_powers(unit, max(self.q.size, shift + 1, tail.size) if rs.size else self.q.size)
+        out = np.empty((r.size, angles.size), dtype=complex)
+        if rs.size:
+            zs_shift = rs[:, None] ** shift * w[shift]
+            out[small] = _polyval_polar(head, rs, w) + self.total * zs_shift * _polyval_polar(tail, rs, w)
+        out[~small] = self._closed(rc[:, None] * unit, lambda p: _polyval_polar(p, rc, w))
         return out
 
-    return ClosedForm(fn, dfn, label=f"cesaro(poly deg {d})")
+    def derivative(self) -> "PolyImage":
+        return _PolyImageDerivative(self)
+
+    def __repr__(self):
+        return f"PolyImage(degree={self.degree})"
+
+
+class _PolyImageDerivative(PolyImage):
+    """C(poly)', sharing the coefficient vectors of the image."""
+
+    __slots__ = ()
+
+    def __init__(self, image: PolyImage):
+        for name in PolyImage.__slots__:
+            setattr(self, name, getattr(image, name))
+
+    def _series(self):
+        d = self.degree
+        return self.dhead, d, (d + 1.0 + _POLY_TAIL_J) / (d + 2.0 + _POLY_TAIL_J)
+
+    def _closed(self, z, polyval):
+        n_val = -self.total * np.log(1.0 - z) - polyval(self.q)
+        n_der = self.total / (1.0 - z) - polyval(self.dq)
+        return (n_der * z - n_val) / z**2
+
+    def derivative(self) -> ClosedForm:
+        return ClosedForm(self.eval_at, label=f"{self!r}'").derivative()
+
+    def __repr__(self):
+        return f"PolyImage(degree={self.degree})'"
 
 
 def cesaro_transform(f: AnalyticFunction, tol: float = DEFAULT_QUAD_TOL) -> AnalyticFunction:
@@ -297,7 +343,7 @@ def cesaro_transform(f: AnalyticFunction, tol: float = DEFAULT_QUAD_TOL) -> Anal
     tolerance.
     """
     if isinstance(f, Poly):
-        return _poly_image(f.series)
+        return PolyImage(f.series)
     if isinstance(f, Constant):
         c = f.value
 

@@ -250,8 +250,8 @@ def _cmd_dump(args) -> int:
     result.check_alpha(args.alpha)
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
-    if args.t_max <= 0.0:
-        raise UsageError("--t-max must be positive")
+    if not (math.isfinite(args.t_max) and args.t_max > 0.0):
+        raise UsageError("--t-max must be positive and finite")
     radii = _parse_alpha_list(args.radii)
     for r in radii:
         if not 0.0 <= r < 1.0:

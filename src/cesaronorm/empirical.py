@@ -46,6 +46,12 @@ class SampleConfig:
     decay_exponent: float = 1.0
 
     def __post_init__(self):
+        for name in ("seed", "count", "max_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.count < 1:
             raise DomainError("sample count must be at least 1")
         if self.max_degree < 0:

@@ -19,6 +19,13 @@ Evaluators accept scalars or numpy arrays of points.  Evaluation is
 guarded at |z| <= 1 - 1e-12; the families above blow up at the boundary
 and every caller in this package stays inside that radius.
 
+evaluate_polar takes a tensor grid r x angles instead.  Polynomial-backed
+functions evaluate there as a separable product: the rows
+coeffs[n] r^n times the angular powers W[n, j] = exp(1j n angles[j]),
+one matrix product where Horner's rule would make one pass over every
+grid point per degree.  Every other function forms the grid and goes
+through eval_at.
+
 Taylor coefficients of a closed form are recovered through the discrete
 Cauchy integral: sample on a circle |z| = rho, take an FFT, and divide
 by rho^n.  The point count starts at the smallest power of two with at
@@ -50,7 +57,7 @@ def one_minus_sq(z):
 
 
 # concrete types: an isinstance test against the numbers.Real ABC is several
-# times slower, and integrand_F checks alpha in every quadrature round
+# times slower, and every golden probe of a radial search checks alpha
 _REAL = (float, int, np.floating, np.integer)
 
 
@@ -74,12 +81,30 @@ def _polyval(coeffs, z):
     return out
 
 
+def _angular_powers(unit, n):
+    """W[k, j] = unit[j]^k for k < n, by cumulative products down the rows."""
+    w = np.empty((n, unit.size), dtype=complex)
+    w[0] = 1.0
+    w[1:] = unit
+    return np.cumprod(w, axis=0, out=w)
+
+
+def _polyval_polar(coeffs, r, w):
+    """sum_n coeffs[n] (r e^(i angle))^n on the r x angle grid whose angular powers are w."""
+    return (coeffs * r[:, None] ** np.arange(coeffs.size)) @ w[: coeffs.size]
+
+
+def _check_radius(moduli) -> None:
+    """DomainError when some modulus lies beyond |z| <= 1 - 1e-12."""
+    # the 1e-15 relative slack absorbs the ulp noise of r * e^(i theta)
+    if moduli.size and float(np.max(moduli)) > EVAL_RADIUS_LIMIT * (1.0 + 1e-15):
+        raise DomainError("evaluation point outside |z| <= 1 - 1e-12")
+
+
 def _check_point(z):
     """z as a complex ndarray, rejecting points beyond |z| <= 1 - 1e-12."""
     arr = np.asarray(z, dtype=complex)
-    # the 1e-15 relative slack absorbs the ulp noise of r * e^(i theta)
-    if arr.size and float(np.max(np.abs(arr))) > EVAL_RADIUS_LIMIT * (1.0 + 1e-15):
-        raise DomainError("evaluation point outside |z| <= 1 - 1e-12")
+    _check_radius(np.abs(arr))
     return arr
 
 
@@ -129,6 +154,10 @@ class AnalyticFunction:
     def eval_at(self, z):
         raise NotImplementedError
 
+    def eval_polar(self, r, angles):
+        """Values on the grid r[:, None] * exp(1j * angles)[None, :]; r and angles 1-D."""
+        return self.eval_at(r[:, None] * np.exp(1j * angles)[None, :])
+
     def derivative(self) -> "AnalyticFunction":
         raise NotImplementedError
 
@@ -145,6 +174,10 @@ class Poly(AnalyticFunction):
 
     def eval_at(self, z):
         return self.series.eval_at(z)
+
+    def eval_polar(self, r, angles):
+        c = self.series.coeffs
+        return _polyval_polar(c, r, _angular_powers(np.exp(1j * angles), c.size))
 
     def derivative(self) -> "Poly":
         return Poly(self.series.differentiate())
@@ -294,6 +327,16 @@ def evaluate(f: AnalyticFunction, z):
     if np.ndim(z) == 0:
         return complex(out)
     return out
+
+
+def evaluate_polar(f: AnalyticFunction, r, angles) -> np.ndarray:
+    """f on the tensor grid r[:, None] * exp(1j * angles)[None, :], guarding |r| <= 1 - 1e-12.
+
+    r and angles are 1-D; the result has shape (r.size, angles.size).
+    """
+    r = np.asarray(r, dtype=float)
+    _check_radius(np.abs(r))
+    return f.eval_polar(r, np.asarray(angles, dtype=float))
 
 
 def derivative(f: AnalyticFunction) -> AnalyticFunction:

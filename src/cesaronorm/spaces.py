@@ -16,10 +16,14 @@ evaluation guard) crossed with an equispaced angular grid that starts at
 256 points and doubles until the polished supremum stabilizes.  Each
 level is polished by a batched zoom in s = -log2(1 - r): whole angle
 rows at radii around the grid maximum, then joint (radius, angle)
-patches that shrink around the best point, each patch evaluated in one
-call.  Values beyond the overflow guard (1e12) mark the function as
-outside the space and are reported through the diverged flag instead of
-an exception.
+patches that shrink around the best point.  Every grid, row and patch
+is a tensor grid radii x angles, evaluated in one functions.evaluate_polar
+call: polynomials and their Cesaro images as a separable product of
+radial rows and angular powers, every other function pointwise.  A
+maximum that is flat in the angle to within rounding at angle 0 is
+reported at angle 0.  Values beyond the overflow guard (1e12) mark the
+function as outside the space and are reported through the diverged flag
+instead of an exception.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .functions import (
     check_alpha,
     derivative,
     evaluate,
+    evaluate_polar,
     log_weight_constant,
     one_minus_sq,
 )
@@ -146,8 +151,7 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
         """Weighted modulus on the s x angles patch, and its best node."""
         s = np.clip(s, 0.0, s_top)
         r = 1.0 - np.exp2(-s)
-        z = r[:, None] * np.exp(1j * angles)[None, :]
-        vals = weight_at(space, r)[:, None] * np.abs(evaluate(f, z))
+        vals = weight_at(space, r)[:, None] * np.abs(evaluate_polar(f, r, angles))
         a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return vals, (a, b, float(s[a]), float(angles[b]), float(vals[a, b]))
 
@@ -198,14 +202,14 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
                 if {a, b} & {0, _PATCH.size - 1}:
                     continue
             h *= _SHRINK
-        return 1.0 - math.exp2(-best_s), best_angle % (2.0 * math.pi), best_v, residual
+        return best_s, best_angle % (2.0 * math.pi), best_v, residual
 
     m = n_angles
     vals, angles, grid_best = grid_values(m)
     flagged = scan(vals, angles, m)
     if flagged is not None:
         return flagged
-    best_r, best_angle, best_v, residual = polish(angles, m, grid_best)
+    best_s, best_angle, best_v, residual = polish(angles, m, grid_best)
     angular_delta = math.inf
     while m < max_angles:
         m *= 2
@@ -213,10 +217,10 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
         flagged = scan(vals, angles, m)
         if flagged is not None:
             return flagged
-        nr, na, nv, nres = polish(angles, m, grid_best)
+        ns, na, nv, nres = polish(angles, m, grid_best)
         angular_delta = abs(nv - best_v)
         if nv > best_v:
-            best_r, best_angle, best_v, residual = nr, na, nv, nres
+            best_s, best_angle, best_v, residual = ns, na, nv, nres
         if angular_delta <= max(0.5 * tol, 4e-16 * max(1.0, best_v)):
             break
     else:
@@ -225,9 +229,16 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
                 f"angular refinement stalled at delta {angular_delta:.3e} with {m} angles"
             )
 
+    # a maximum flat in the angle to within rounding is reported at angle 0,
+    # not at a few ulps either side of it
+    on_axis, _ = patch(np.array([best_s]), np.zeros(1))
+    v_real = float(on_axis[0, 0])
+    if v_real >= best_v - 4e-16 * max(1.0, best_v):
+        best_angle, best_v = 0.0, max(best_v, v_real)
+
     return NormEstimate(
         value=best_v,
-        argmax_radius=best_r,
+        argmax_radius=1.0 - math.exp2(-best_s),
         argmax_angle=best_angle,
         radial_points=len(radii),
         angular_points=m,

@@ -94,6 +94,21 @@ class TheoremVerdict:
         }
 
 
+def _check_alpha_and_radii(r, alpha: float) -> None:
+    check_alpha("integrand_F", alpha, 0.0, 1.0)
+    if not np.all((0.0 <= r) & (r < 1.0)):
+        raise DomainError("radius must lie in [0, 1)")
+
+
+def _checked_t(r, t, alpha: float) -> np.ndarray:
+    """t as a float array, after DomainError for a bad alpha, radius or t."""
+    _check_alpha_and_radii(r, alpha)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise DomainError("t must be nonnegative")
+    return t
+
+
 def integrand_F(r, t, alpha: float):
     """Weighted modulus of the extremal image under S_t, on the radius.
 
@@ -101,12 +116,11 @@ def integrand_F(r, t, alpha: float):
     t.  F(0, t) = e^-t and F(r, 0) = 1; for fixed t the boundary limit is
     e^(-alpha t), which integrates to 1/alpha.
     """
-    check_alpha("integrand_F", alpha, 0.0, 1.0)
-    if not np.all((0.0 <= r) & (r < 1.0)):
-        raise DomainError("radius must lie in [0, 1)")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError("t must be nonnegative")
+    return _integrand_F(r, _checked_t(r, t, alpha), alpha)
+
+
+def _integrand_F(r, t: np.ndarray, alpha: float):
+    """integrand_F without its checks."""
     u = np.exp(-t)
     delta = 1.0 - r
     return (
@@ -149,12 +163,17 @@ def profile_integrand(theorem_id: str, r: float, t, alpha: float):
     F(r, t) itself for T3.1 (column None); F divided by the log factor at
     phi_t(r) for T4.1; F times the ratio of log factors for T5.1.
     """
-    f = integrand_F(r, t, alpha)
+    return _profile_integrand(theorem_id, r, _checked_t(r, t, alpha), alpha)
+
+
+def _profile_integrand(theorem_id: str, r, t: np.ndarray, alpha: float):
+    """profile_integrand without its checks."""
+    f = _integrand_F(r, t, alpha)
     factor = RESULTS[theorem_id].factor
     if factor is None:
         return f, None
     _, column_fn, combine = factor
-    column = column_fn(r, np.exp(-np.asarray(t, dtype=float)), alpha)
+    column = column_fn(r, np.exp(-t), alpha)
     return combine(f, column), column
 
 
@@ -163,12 +182,13 @@ def slice_values(theorem_id: str, radii, alpha: float, tol: float = 1e-10) -> li
 
     Each entry is a float, or the ConvergenceError of that radius.  A
     radius's value is bitwise the same whichever radii share the call.
-    The cut probe of integrate_halfline_batch meets every radius, so
-    integrand_F checks alpha and each radius before any integration.
+    alpha and the radii are checked once, before any integration; the
+    quadrature rounds run the unchecked integrand on its nonnegative nodes.
     """
     radii = np.asarray(radii, dtype=float)
+    _check_alpha_and_radii(radii, alpha)
     results = integrate_halfline_batch(
-        lambda t, rows: profile_integrand(theorem_id, radii[rows], t, alpha)[0], radii.size, tol
+        lambda t, rows: _profile_integrand(theorem_id, radii[rows], t, alpha)[0], radii.size, tol
     )
     return [res if isinstance(res, ConvergenceError) else float(np.real(res.value)) for res in results]
 

@@ -25,7 +25,7 @@ from cesaronorm import (
     space_norm,
 )
 from cesaronorm.cesaro import SemigroupKernel, st_apply
-from cesaronorm.functions import derivative, evaluate
+from cesaronorm.functions import EVAL_RADIUS_LIMIT, derivative, evaluate, evaluate_polar
 from cesaronorm import numerics
 
 
@@ -287,3 +287,29 @@ def test_log_extremal_derivative_is_within_tol_at_each_point(alpha):
     got = cesaro_derivative(LogKorenblumExtremal(alpha), z, tol)
     for value, w in zip(got, z):
         assert abs(value - _log_extremal_derivative_image(alpha, w)) <= tol
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 64])
+def test_poly_image_polar_matches_pointwise(degree):
+    """Value and derivative rows on both sides of the r = 0.35 series switch agree with eval_at."""
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    image = cesaro_transform(Poly(coeffs / (np.arange(degree + 1) + 1.0)))
+    r = np.array([0.0, 1e-5, 0.2, 0.34999999, 0.35, 0.35000001, 0.5, 0.9, 0.999999, EVAL_RADIUS_LIMIT])
+    angles = 2.0 * np.pi * np.arange(64) / 64 + 0.01
+    z = r[:, None] * np.exp(1j * angles)[None, :]
+    for f in (image, derivative(image)):
+        got = evaluate_polar(f, r, angles)
+        ref = evaluate(f, z)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+    with pytest.raises(DomainError):
+        evaluate_polar(image, np.array([0.5, 1.0 - 1e-13]), angles)
+
+
+def test_poly_image_second_derivative_falls_back_to_contour():
+    image = cesaro_transform(Poly([1.0, 2.0, -1.0]))
+    z = np.array([0.1, 0.5 + 0.2j])
+    h = 1e-5
+    d1 = derivative(image)
+    quotient = (evaluate(d1, z + h) - evaluate(d1, z - h)) / (2 * h)
+    np.testing.assert_allclose(evaluate(derivative(d1), z), quotient, rtol=1e-7)

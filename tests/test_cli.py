@@ -344,6 +344,53 @@ def test_empirical_seeds_with_narrow_peaks(capsys, source, target, alpha, sample
     assert json.loads(out)["verdicts"][0]["passed"]
 
 
+@pytest.mark.parametrize(
+    "source, alpha, samples, seed",
+    [("hardy", "1", "3", "144810252"), ("bloch", "1.2", "4", "9")],
+)
+def test_empirical_flat_argmax_reports_theta_zero(capsys, source, alpha, samples, seed):
+    """Maxima on the positive real axis print theta = 0, not a few ulps off it or 2 pi."""
+    code, out, err = run_cli(
+        capsys,
+        "empirical",
+        "--source",
+        source,
+        "--target",
+        "bloch",
+        "--alpha",
+        alpha,
+        "--samples",
+        samples,
+        "--seed",
+        seed,
+        "--no-timestamp",
+    )
+    assert code == 0, err
+    assert ", theta = 0; " in json.loads(out)["verdicts"][0]["notes"]
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_empirical_negative_seed_is_a_domain_error(capsys, seed):
+    code, out, err = run_cli(
+        capsys,
+        "empirical",
+        "--source",
+        "hardy",
+        "--target",
+        "bloch",
+        "--alpha",
+        "1",
+        "--samples",
+        "1",
+        "--seed",
+        seed,
+        "--no-timestamp",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "seed" in err
+
+
 def test_empirical_unbounded_pair(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -514,6 +561,16 @@ def test_dump_integrand_log_denominator_column(capsys):
     want = 2.0 + math.log(2.0)
     for row in rows[1:]:
         assert float(row[3]) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_dump_integrand_rejects_non_finite_t_max(capsys, t_max):
+    code, out, err = run_cli(
+        capsys, "dump-integrand", "--theorem", "T3.1", "--alpha", "0.5", f"--t-max={t_max}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--t-max" in err
 
 
 def test_dump_integrand_rejects_bad_parameters(capsys):

@@ -29,6 +29,19 @@ def test_sample_config_validation():
         SampleConfig(count=0)
     with pytest.raises(DomainError):
         SampleConfig(max_degree=-1)
+    for bad in (
+        {"seed": -1},
+        {"seed": True},
+        {"seed": 1.0},
+        {"seed": "3"},
+        {"count": True},
+        {"count": 2.0},
+        {"max_degree": False},
+        {"max_degree": 8.5},
+    ):
+        with pytest.raises(DomainError):
+            SampleConfig(**bad)
+    assert SampleConfig(seed=np.int64(3), count=np.int32(2)).seed == 3
     cfg = SampleConfig(seed=3, count=2)
     assert cfg.decay_exponent == 1.0
 

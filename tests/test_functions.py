@@ -18,7 +18,13 @@ from cesaronorm import (
     log_weight_constant,
     taylor_truncate,
 )
-from cesaronorm.functions import derivative, evaluate, one_minus_sq
+from cesaronorm.functions import (
+    EVAL_RADIUS_LIMIT,
+    derivative,
+    evaluate,
+    evaluate_polar,
+    one_minus_sq,
+)
 
 
 def test_power_series_rejects_bad_coeffs():
@@ -68,6 +74,41 @@ def test_evaluate_guard():
         evaluate(Poly([0, 1]), 0.7 + 0.8j)
     # just inside the guard is fine
     evaluate(Poly([0, 1]), 1.0 - 1e-12)
+
+
+def _tensor_grid(r, angles):
+    return r[:, None] * np.exp(1j * angles)[None, :]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 64, 300])
+def test_evaluate_polar_matches_evaluate_for_polys(degree):
+    """The separable product agrees with Horner's rule on the same grid, degree above the angle count included."""
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    p = Poly(coeffs / (np.arange(degree + 1) + 1.0))
+    r = np.array([0.0, 0.2, 0.35, 0.6, 0.9, 0.999, EVAL_RADIUS_LIMIT])
+    angles = 2.0 * np.pi * np.arange(256) / 256
+    got = evaluate_polar(p, r, angles)
+    ref = evaluate(p, _tensor_grid(r, angles))
+    assert got.shape == (r.size, angles.size)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_evaluate_polar_default_path_is_bitwise_evaluate():
+    r = np.array([0.0, 0.5, 0.99, EVAL_RADIUS_LIMIT])
+    angles = np.array([0.0, 0.3, 2.0, 5.9])
+    for f in (KorenblumExtremal(0.4), LogKorenblumExtremal(0.3), Constant(2.0 - 1j)):
+        np.testing.assert_array_equal(evaluate_polar(f, r, angles), evaluate(f, _tensor_grid(r, angles)))
+
+
+def test_evaluate_polar_guard():
+    angles = np.array([0.0, 1.0])
+    for f in (Poly([0, 1]), KorenblumExtremal(0.5)):
+        with pytest.raises(DomainError):
+            evaluate_polar(f, np.array([0.5, 1.0 - 1e-13]), angles)
+        with pytest.raises(DomainError):
+            evaluate_polar(f, np.array([-1.0]), angles)
+        evaluate_polar(f, np.array([EVAL_RADIUS_LIMIT]), angles)
 
 
 def test_extremal_alpha_ranges():

@@ -79,6 +79,21 @@ def test_slice_values_keep_the_scalar_checks():
         slice_values("T4.1", [0.0, 0.5, 1.0], 0.5)
 
 
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+def test_slice_values_check_alpha_once_per_call(monkeypatch, theorem_id):
+    """alpha is checked once per call, not once per quadrature round."""
+    calls = []
+    check = theorems.check_alpha
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(theorems, "check_alpha", counted)
+    slice_values(theorem_id, radius_grid(40), 0.3)
+    assert calls == ["integrand_F"]
+
+
 def test_halfline_batch_reports_each_failure_in_its_row():
     def g(t, rows):
         scale = np.where(rows == 1, np.inf, 1.0)  # integrand 1 is not finite at the cut

@@ -23,6 +23,7 @@ from cesaronorm import (
     space_norm,
 )
 from cesaronorm.functions import derivative, evaluate
+from cesaronorm import spaces
 from cesaronorm.spaces import bloch_growth_bound, weight_at
 
 
@@ -200,3 +201,53 @@ def test_polished_norm_of_random_images(space):
         else:
             dense = weight_at(space, r)[:, None] * np.abs(evaluate(image, z))
         assert est.value >= float(dense.max()) - 1e-12
+
+
+def _pointwise(image):
+    """The same image behind the generic path, which forms every grid point and calls eval_at."""
+    return ClosedForm(image.eval_at, derivative(image).eval_at, label="pointwise")
+
+
+def _sampled_image(seed):
+    rng = np.random.default_rng(seed)
+    deg = int(rng.integers(0, 65))
+    raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+    return cesaro_transform(Poly(raw / (np.arange(deg + 1) + 1.0)))
+
+
+def test_polar_norms_do_the_same_work_as_the_pointwise_path():
+    spaces_ = [Korenblum(0.25), KorenblumLog(0.5), BlochAlpha(1.0), BlochAlpha(1.5), BlochAlpha(3.0)]
+    for seed in range(40):
+        image = _sampled_image(seed)
+        space = spaces_[seed % len(spaces_)]
+        fast, ref = space_norm(image, space), space_norm(_pointwise(image), space)
+        assert (fast.angular_points, fast.radial_points) == (ref.angular_points, ref.radial_points)
+        assert fast.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+
+
+def test_space_norm_evaluation_count(monkeypatch):
+    """The (radius, angle) points one disk sup evaluates, pinned for a fixed image."""
+    counted = [0]
+    polar = spaces.evaluate_polar
+
+    def counting(f, r, angles):
+        counted[0] += np.size(r) * np.size(angles)
+        return polar(f, r, angles)
+
+    monkeypatch.setattr(spaces, "evaluate_polar", counting)
+    image = _sampled_image(3)
+    est = space_norm(image, Korenblum(0.25))
+    fast = counted[0]
+    counted[0] = 0
+    space_norm(_pointwise(image), Korenblum(0.25))
+    assert counted[0] == fast
+    assert est.angular_points == 512
+    # 60 688 grid, row and patch points, plus the one on the positive real axis
+    assert fast == 60_689
+
+
+def test_flat_argmax_is_reported_at_angle_zero():
+    # real coefficients: the modulus is symmetric about the real axis and peaks on it
+    image = cesaro_transform(Poly([1.0, 0.5, 0.25]))
+    for space in (HardyInf(), Korenblum(0.25), BlochAlpha(1.0)):
+        assert space_norm(image, space).argmax_angle == 0.0
