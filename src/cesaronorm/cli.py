@@ -243,7 +243,7 @@ def _cmd_empirical(args) -> int:
 
 def _cmd_dump(args) -> int:
     started = time.monotonic()
-    dump_ids = tuple(tid for tid, r in RESULTS.items() if r.profile is not None)
+    dump_ids = tuple(tid for tid, r in RESULTS.items() if r.radial)
     if args.theorem not in dump_ids:
         raise UsageError(f"dump-integrand supports {dump_ids}")
     result = RESULTS[args.theorem]

@@ -115,7 +115,7 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, tol:
     polar grid.  The remaining sources have cheap closed-form images and
     go through the generic norm.
     """
-    if result.profile is None:
+    if not result.radial:
         image = cesaro_transform(extremal_for(source))
         return space_norm(image, target, tol, k_max=k_max)
     est = profile_sup(result.theorem_id, source.alpha, tol, k_max=k_max, memo=memo)

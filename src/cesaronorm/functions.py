@@ -57,7 +57,7 @@ def one_minus_sq(z):
 
 
 # concrete types: an isinstance test against the numbers.Real ABC is several
-# times slower, and every golden probe of a radial search checks alpha
+# times slower, and every entry point that takes alpha checks it on each call
 _REAL = (float, int, np.floating, np.integer)
 
 

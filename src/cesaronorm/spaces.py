@@ -98,28 +98,25 @@ class NormEstimate:
     diverged: bool = False
 
 
-def _validate_radius(r):
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError("radius must lie in [0, 1)")
-    return arr
-
-
 def weight_at(space: SpaceSpec, r):
-    """Radial weight of the space at r (scalar or ndarray)."""
-    arr = _validate_radius(r)
+    """Radial weight of the space at r (scalar or ndarray); DomainError unless 0 <= r < 1."""
+    arr = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= arr) & (arr < 1.0)):
+        raise DomainError("radius must lie in [0, 1)")
+    out = _weight(space, arr)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def _weight(space: SpaceSpec, r: np.ndarray) -> np.ndarray:
+    """weight_at on an ndarray of radii, without the radius check."""
     if isinstance(space, HardyInf):
-        out = np.ones_like(arr)
-    elif isinstance(space, (Korenblum, BlochAlpha)):
-        out = one_minus_sq(arr) ** space.alpha
-    elif isinstance(space, KorenblumLog):
-        omsq = one_minus_sq(arr)
-        out = omsq ** space.alpha * (log_weight_constant(space.alpha) - np.log(omsq))
-    else:
-        raise DomainError(f"unknown space {space!r}")
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+        return np.ones_like(r)
+    if isinstance(space, (Korenblum, BlochAlpha)):
+        return one_minus_sq(r) ** space.alpha
+    if isinstance(space, KorenblumLog):
+        omsq = one_minus_sq(r)
+        return omsq ** space.alpha * (log_weight_constant(space.alpha) - np.log(omsq))
+    raise DomainError(f"unknown space {space!r}")
 
 
 def _clamped_radii(k_max: int) -> np.ndarray:
@@ -151,7 +148,7 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
         """Weighted modulus on the s x angles patch, and its best node."""
         s = np.clip(s, 0.0, s_top)
         r = 1.0 - np.exp2(-s)
-        vals = weight_at(space, r)[:, None] * np.abs(evaluate_polar(f, r, angles))
+        vals = _weight(space, r)[:, None] * np.abs(evaluate_polar(f, r, angles))
         a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return vals, (a, b, float(s[a]), float(angles[b]), float(vals[a, b]))
 

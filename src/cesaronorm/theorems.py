@@ -56,7 +56,6 @@ from .numerics import (
     RADIAL_K_MAX,
     DivergenceFlag,
     SupEstimate,
-    fill_grid,
     integrate_halfline_batch,
     integrate_halfline_exp,
     sup_over_radius,
@@ -94,17 +93,21 @@ class TheoremVerdict:
         }
 
 
-def _check_alpha_and_radii(r, alpha: float) -> None:
-    check_alpha("integrand_F", alpha, 0.0, 1.0)
-    if not np.all((0.0 <= r) & (r < 1.0)):
+def _check_alpha_and_radii(r, alpha: float, who: str = "integrand_F") -> None:
+    check_alpha(who, alpha, 0.0, 1.0)
+    if not np.all((0.0 <= r) & (r < 1.0)):  # also rejects nan
         raise DomainError("radius must lie in [0, 1)")
 
 
-def _checked_t(r, t, alpha: float) -> np.ndarray:
-    """t as a float array, after DomainError for a bad alpha, radius or t."""
-    _check_alpha_and_radii(r, alpha)
+def _checked_t(r, t, alpha: float, who: str = "integrand_F") -> np.ndarray:
+    """t as a float array, after DomainError for a bad alpha, radius or t.
+
+    t may be +inf, where every profile integrand vanishes, but not
+    negative or nan.
+    """
+    _check_alpha_and_radii(r, alpha, who)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise DomainError("t must be nonnegative")
     return t
 
@@ -151,10 +154,7 @@ def log_ratio(r: float, t, alpha: float):
     Equals 1 at t = 0 and tends to 1 as r -> 1 for each fixed t; the
     deviation scales like t / log(1/(1-r)), so the approach is slow.
     """
-    check_alpha("log_ratio", alpha, 0.0, 1.0)
-    if not 0.0 <= r < 1.0:
-        raise DomainError("radius must lie in [0, 1)")
-    return _log_ratio(r, np.exp(-np.asarray(t, dtype=float)), alpha)
+    return _log_ratio(r, np.exp(-_checked_t(r, t, alpha, "log_ratio")), alpha)
 
 
 def profile_integrand(theorem_id: str, r: float, t, alpha: float):
@@ -225,14 +225,12 @@ def profile_sup(
 ) -> SupEstimate:
     """sup_over_radius of the T3.1, T4.1 or T5.1 profile.
 
-    The grid radii that memo lacks come from one slice_values call; the
-    golden probes go one by one through the result's slice function.
-    memo: see sup_over_radius.
+    The grid radii that memo lacks come from one slice_values call, and
+    each zoom patch from one more.  memo: see sup_over_radius.
     """
-    memo = {} if memo is None else memo
-    fill_grid(memo, lambda radii: slice_values(theorem_id, radii, alpha, quad_tol), k_max)
-    profile = RESULTS[theorem_id].profile
-    return sup_over_radius(lambda r: profile(r, alpha, quad_tol), tol, k_max, memo=memo)
+    return sup_over_radius(
+        lambda radii: slice_values(theorem_id, radii, alpha, quad_tol), tol, k_max, memo=memo
+    )
 
 
 def korenblum_sup(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> SupEstimate:
@@ -367,19 +365,23 @@ _H_SERIES_PREFIX = np.array([h_series_coeff(n) for n in range(9)])
 _H_SMALL = 1e-4
 
 
-def h_closed_form(r: float) -> float:
+def h_closed_form(r):
     """h(r) = ((1-r^2)/r^2) (3r/(2(1-r)) - (1/4) log((1+r)/(1-r)^5)).
 
     The increasing radial profile behind the value-4 upper bound; its
     boundary limit is 3.  A short series branch covers the removable
-    singularity at the origin.
+    singularity at the origin.  A float for a scalar r, an ndarray for
+    an array.
     """
-    if not 0.0 <= r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise DomainError("radius must lie in [0, 1)")
-    if r < _H_SMALL:
-        return float(_polyval(_H_SERIES_PREFIX, np.asarray(r)).real)
-    bracket = 1.5 * r / (1.0 - r) - 0.25 * (math.log1p(r) - 5.0 * math.log1p(-r))
-    return (1.0 - r * r) / (r * r) * bracket
+    small = r < _H_SMALL
+    safe = np.where(small, 0.5, r)
+    bracket = 1.5 * safe / (1.0 - safe) - 0.25 * (np.log1p(safe) - 5.0 * np.log1p(-safe))
+    big = (1.0 - safe * safe) / (safe * safe) * bracket
+    out = np.where(small, _polyval(_H_SERIES_PREFIX, r).real, big)
+    return float(out) if out.ndim == 0 else out
 
 
 def h_analytic(z):
@@ -491,7 +493,8 @@ class Result:
     factor at (r, u = e^-t, alpha), how it combines with F) for the
     log-weighted profiles.  pair is the (source, target) space types of
     its empirical bound, which is checked against bounds(alpha, memo) =
-    (low, high); profile(r, alpha, quad_tol) is that pair's radial witness.
+    (low, high); radial marks the results whose witness is the radial
+    profile of slice_values.
     """
 
     theorem_id: str
@@ -505,7 +508,7 @@ class Result:
     factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
     bounds: Optional[Callable[[float, Optional[dict]], Interval]] = None
-    profile: Optional[Callable[[float, float, float], float]] = None
+    radial: bool = False
 
     def admits(self, alpha: float, exact_only: bool = False) -> bool:
         """alpha lies in the domain, or with exact_only where the value is exact."""
@@ -542,7 +545,7 @@ RESULTS = MappingProxyType(
                 exact_max=0.5,
                 pair=(Korenblum, Korenblum),
                 bounds=lambda a, memo: (0.0, korenblum_norm_exact(a)),
-                profile=lambda r, a, tol: korenblum_slice_integral(r, a, tol),
+                radial=True,
             ),
             Result(
                 "T4.1",
@@ -558,7 +561,7 @@ RESULTS = MappingProxyType(
                     log_to_plain_lower_bound(a),
                     log_to_plain_norm(a, memo=memo).value,
                 ),
-                profile=lambda r, a, tol: log_to_plain_slice(r, a, tol),
+                radial=True,
             ),
             Result(
                 "T5.1",
@@ -571,7 +574,7 @@ RESULTS = MappingProxyType(
                 factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
                 bounds=lambda a, memo: (0.0, log_to_log_norm(a, memo=memo).value),
-                profile=lambda r, a, tol: log_to_log_slice(r, a, tol),
+                radial=True,
             ),
             Result(
                 "T6.2",

@@ -166,7 +166,7 @@ def test_09_radial_profile_machinery():
         limit = boundary.value
     argmax_err = 0.0
     for alpha in (1.5, 2.0, 3.0):
-        est = sup_over_radius(lambda r: float(boundary_envelope(r, alpha)), 1e-10)
+        est = sup_over_radius(lambda r: boundary_envelope(r, alpha), 1e-10)
         argmax_err = max(argmax_err, abs(est.argmax_radius - 1.0 / (2.0 * alpha - 1.0)))
     ok = coeff_err <= 1e-10 and abs(limit - 3.0) <= 1e-4 and argmax_err <= 1e-6
     _line(9, "radial profile: series, boundary value 3, envelope argmax",

@@ -1,4 +1,4 @@
-"""The lockstep Gauss-Kronrod core: batch invariance, stopping rules, grid filling."""
+"""The lockstep Gauss-Kronrod core: batch invariance, stopping rules, batched radial search."""
 
 import heapq
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cesaronorm import ConvergenceError, DomainError, sup_over_radius, theorems, verify_theorem
-from cesaronorm.numerics import _panels, fill_grid, integrate_finite, integrate_halfline_batch, radius_grid
+from cesaronorm.numerics import _panels, integrate_finite, integrate_halfline_batch, radius_grid
 from cesaronorm.theorems import profile_sup, slice_values
 
 
@@ -118,50 +118,76 @@ def _batch_of(values_by_index):
     return batch, asked
 
 
-def _h_never_called(r):
-    raise AssertionError(f"profile called at {r!r}")
-
-
 def test_diverged_grid_reports_the_first_radius_and_hides_later_errors():
-    batch, _ = _batch_of(lambda k: 1.0 if k < 5 else math.inf if k == 5 else ConvergenceError("x"))
+    batch, asked = _batch_of(lambda k: 1.0 if k < 5 else math.inf if k == 5 else ConvergenceError("x"))
     memo: dict = {}
-    fill_grid(memo, batch)
-    est = sup_over_radius(_h_never_called, 1e-9, memo=memo)
+    est = sup_over_radius(batch, 1e-9, memo=memo)
     assert est.diverged
     assert est.argmax_radius == float(radius_grid(40)[5])
+    assert asked == [list(range(41))]  # the grid in one call, in increasing radius
+    assert sorted(memo) == [float(r) for r in radius_grid(5)]  # filling stops at the divergence
 
 
 def test_grid_error_before_divergence_is_raised_in_order():
     batch, _ = _batch_of(lambda k: math.inf if k == 7 else ConvergenceError(f"at {k}") if k >= 3 else 1.0)
     memo: dict = {}
-    fill_grid(memo, batch)
     with pytest.raises(ConvergenceError, match="at 3"):
-        sup_over_radius(_h_never_called, 1e-9, memo=memo)
+        sup_over_radius(batch, 1e-9, memo=memo)
+    with pytest.raises(ConvergenceError, match="at 3"):  # kept in memo, raised where the scan meets it
+        sup_over_radius(_batch_of(lambda k: 1.0)[0], 1e-9, memo=memo)
 
 
-def test_fill_grid_reads_memo_first():
-    batch, asked = _batch_of(lambda k: float(k))
+def test_sup_over_radius_reads_memo_first():
+    asked = []
+
+    def batch(radii):
+        asked.append([float(r) for r in radii])
+        return radii  # h(r) = r
+
     memo = {float(r): 0.0 for r in radius_grid(30)}
-    fill_grid(memo, batch)
-    assert asked == [list(range(31, 41))]
-    fill_grid(memo, batch)
-    assert len(asked) == 1
+    sup_over_radius(batch, 1e-9, memo=memo)
+    assert asked[0] == [float(r) for r in radius_grid(40)[31:]]
+    calls = len(asked)
+    sup_over_radius(batch, 1e-9, memo=memo)
+    assert len(asked) == calls
 
 
 def test_profile_sup_batches_only_the_radii_memo_lacks(monkeypatch):
-    sizes = []
+    asked = []
     batch = theorems.slice_values
 
     def recorded(theorem_id, radii, *args):
-        sizes.append(len(radii))
+        asked.append([float(r) for r in radii])
         return batch(theorem_id, radii, *args)
 
     monkeypatch.setattr(theorems, "slice_values", recorded)
     memo: dict = {}
     witness = profile_sup("T4.1", 0.5, k_max=30, memo=memo)  # the CLI's witness scan
+    patches = len(asked) - 1
     upper = profile_sup("T4.1", 0.5, memo=memo)  # and its upper end
-    assert [n for n in sizes if n > 1] == [31, 10]  # golden probes go one radius at a time
-    assert upper.value >= witness.value
+    sizes = [len(radii) for radii in asked]
+    assert patches >= 1 and len(sizes) == patches + 2  # the upper end reuses every patch
+    assert sizes[0] == 31 and sizes[-1] == 10  # grid batches
+    # zoom patches of 15 radii, less the middle node when an earlier step sampled it
+    assert all(n in (14, 15) for n in sizes[1:-1])
+    flat = [r for radii in asked for r in radii]
+    assert len(flat) == len(set(flat))  # no radius is integrated twice
+    assert upper.value == witness.value
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+@pytest.mark.parametrize("alpha", [round(0.05 * k, 2) for k in range(1, 20)])
+def test_profile_sup_reaches_a_dense_scan_of_its_bracket(theorem_id, alpha):
+    """The zoom ends no lower than 401 evenly spaced s-nodes of the bracket around the grid maximum.
+
+    Within 1e-12 relative where the grid maximum has k <= 20, and within
+    2e-6 deeper, where one patch can leave the bracket under 1e-9 wide in r.
+    """
+    k = int(np.argmax(slice_values(theorem_id, radius_grid(40), alpha)))
+    s = np.linspace(max(k - 1, 0), min(k + 1, 40), 401)
+    dense = max(slice_values(theorem_id, 1.0 - 2.0**-s, alpha))
+    value = profile_sup(theorem_id, alpha).value
+    assert value >= dense * (1.0 - (1e-12 if k <= 20 else 2e-6))
 
 
 def test_integrate_finite_calls_integrand_with_one_ndarray():

@@ -49,6 +49,15 @@ def test_weight_examples():
         weight_at(Korenblum(0.5), -0.1)
 
 
+def test_weight_rejects_nan_radii():
+    with pytest.raises(DomainError, match="radius"):
+        weight_at(Korenblum(0.5), math.nan)
+    with pytest.raises(DomainError, match="radius"):
+        weight_at(HardyInf(), np.array([0.2, math.nan]))
+    with pytest.raises(DomainError, match="radius"):
+        weight_at(KorenblumLog(0.5), np.array([math.nan]))
+
+
 def test_weight_vanishes_monotonically_at_boundary():
     r = np.linspace(0.9, 1.0 - 1e-9, 50)
     w = weight_at(Korenblum(0.25), r)

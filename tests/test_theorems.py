@@ -45,6 +45,7 @@ from cesaronorm.theorems import (
     log_to_log_slice,
     log_to_plain_lower_bound,
     log_to_plain_slice,
+    profile_integrand,
 )
 
 
@@ -124,6 +125,27 @@ def test_log_to_log_norm_boundary(alpha, sup_value):
     assert math.isfinite(est.value)
 
 
+@pytest.mark.parametrize("t", [math.nan, -1.0, np.array([0.5, math.nan])], ids=repr)
+def test_profile_integrands_reject_negative_and_nan_t(t):
+    with pytest.raises(DomainError, match="t must be nonnegative"):
+        integrand_F(0.5, t, 0.3)
+    with pytest.raises(DomainError, match="t must be nonnegative"):
+        log_ratio(0.5, t, 0.3)
+    for theorem_id in ("T3.1", "T4.1", "T5.1"):
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            profile_integrand(theorem_id, 0.5, t, 0.3)
+
+
+def test_profile_integrands_vanish_at_infinite_t():
+    assert float(integrand_F(0.5, math.inf, 0.3)) == 0.0
+    # phi_t(r) -> 0, where the log factor is log(2 e^(1/alpha))
+    want = (log_weight_constant(0.3) - math.log(0.75)) / log_weight_constant(0.3)
+    assert float(log_ratio(0.5, math.inf, 0.3)) == pytest.approx(want, rel=1e-15)
+    for theorem_id in ("T3.1", "T4.1", "T5.1"):
+        value, _ = profile_integrand(theorem_id, 0.5, np.array([0.0, math.inf]), 0.3)
+        assert value[1] == 0.0
+
+
 def test_log_ratio_is_one_at_zero_time():
     for r in (0.0, 0.3, 0.9, 1.0 - 2.0**-30):
         assert float(log_ratio(r, 0.0, 0.5)) == pytest.approx(1.0, abs=1e-14)
@@ -182,7 +204,7 @@ def test_hardy_to_bloch_bounds_branches():
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 def test_boundary_envelope_argmax(alpha):
-    est = sup_over_radius(lambda r: float(boundary_envelope(r, alpha)), 1e-10)
+    est = sup_over_radius(lambda r: boundary_envelope(r, alpha), 1e-10)
     assert est.argmax_radius == pytest.approx(1.0 / (2.0 * alpha - 1.0), abs=1e-6)
 
 
