@@ -81,29 +81,6 @@ def cesaro_coeff(series: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-class SemigroupKernel:
-    """Weight and disk self-map of the composition semigroup at time t."""
-
-    __slots__ = ("t", "_u")
-
-    def __init__(self, t: float):
-        if not (math.isfinite(t) and t >= 0.0):
-            raise DomainError("semigroup time must be finite and nonnegative")
-        self.t = float(t)
-        self._u = math.exp(-self.t)
-
-    def weight(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self._u / (1.0 - (1.0 - self._u) * z)
-
-    def map(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self._u * z / (1.0 - (1.0 - self._u) * z)
-
-    def __repr__(self):
-        return f"SemigroupKernel(t={self.t})"
-
-
 def _st_factored_log(u, z):
     """Principal log of 1 - phi_t(z)^2 via the cancellation-free factors."""
     d_full = 1.0 - (1.0 - u) * z
@@ -122,17 +99,6 @@ def _st_eval(f: AnalyticFunction, t: float, z):
         log_term = log_weight_constant(f.alpha) - log_omps
         return (u / d_full) * np.exp(-f.alpha * log_omps) / log_term
     return (u / d_full) * f.eval_at(u * z / d_full)
-
-
-def st_apply(f: AnalyticFunction, t: float, z):
-    """(S_t f)(z); scalar in, scalar out (arrays pass through elementwise)."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError("semigroup time must be finite and nonnegative")
-    arr = _check_point(z)
-    out = _st_eval(f, t, arr)
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
 
 
 def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
@@ -333,14 +299,14 @@ class _PolyImageDerivative(PolyImage):
         return f"PolyImage(degree={self.degree})'"
 
 
-def cesaro_transform(f: AnalyticFunction, tol: float = DEFAULT_QUAD_TOL) -> AnalyticFunction:
+def cesaro_transform(f: AnalyticFunction) -> AnalyticFunction:
     """C(f) as an analytic function.
 
     Polynomial images are closed forms built from the exact monomial
     images (the log tail is what cesaro_coeff necessarily truncates);
     constants scale the closed form of C(1); other closed forms are
-    wrapped as quadrature evaluators (value and derivative) at the given
-    tolerance.
+    wrapped as quadrature evaluators (value and derivative) at
+    DEFAULT_QUAD_TOL.
     """
     if isinstance(f, Poly):
         return PolyImage(f.series)
@@ -356,9 +322,9 @@ def cesaro_transform(f: AnalyticFunction, tol: float = DEFAULT_QUAD_TOL) -> Anal
         return ClosedForm(fn, dfn, label=f"{c} * cesaro(1)")
 
     def fn(z):
-        return cesaro_integral(f, np.asarray(z, dtype=complex), tol)
+        return cesaro_integral(f, np.asarray(z, dtype=complex))
 
     def dfn(z):
-        return cesaro_derivative(f, np.asarray(z, dtype=complex), tol)
+        return cesaro_derivative(f, np.asarray(z, dtype=complex))
 
     return ClosedForm(fn, dfn, label=f"cesaro({f!r})")

@@ -37,13 +37,15 @@ from .numerics import DivergenceFlag
 from .spaces import Korenblum, KorenblumLog, NormEstimate, SpaceSpec, space_norm
 from .theorems import RESULTS, Result, divergence_witness, profile_sup
 
+# depth of the radius grid of every norm measured here
+GRID_K_MAX = 30
+
 
 @dataclass(frozen=True)
 class SampleConfig:
     seed: int = 0
     count: int = 100
     max_degree: int = 64
-    decay_exponent: float = 1.0
 
     def __post_init__(self):
         for name in ("seed", "count", "max_degree"):
@@ -67,21 +69,21 @@ def extremal_for(space: SpaceSpec) -> AnalyticFunction:
     return Constant(1.0)
 
 
-def sample_unit_ball(space: SpaceSpec, cfg: SampleConfig, tol: float = 1e-9) -> list[AnalyticFunction]:
+def sample_unit_ball(space: SpaceSpec, cfg: SampleConfig) -> list[AnalyticFunction]:
     """Random polynomials normalized to unit norm in the given space.
 
-    Coefficients are complex Gaussian with magnitude decay
-    (n + 1)^-decay_exponent; the norm is positively homogeneous, so
-    dividing the coefficients by the measured norm is exact.
+    Coefficients are complex Gaussian with magnitude decay (n + 1)^-1;
+    the norm is positively homogeneous, so dividing the coefficients by
+    the measured norm is exact.
     """
     rng = np.random.default_rng(cfg.seed)
     out: list[AnalyticFunction] = []
     for _ in range(cfg.count):
         deg = int(rng.integers(0, cfg.max_degree + 1))
         raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        raw *= (np.arange(deg + 1) + 1.0) ** -cfg.decay_exponent
+        raw *= (np.arange(deg + 1) + 1.0) ** -1.0
         f = Poly(PowerSeries(raw))
-        norm = space_norm(f, space, tol)
+        norm = space_norm(f, space)
         if norm.diverged or norm.value == 0.0:
             # all-zero draw is impossible; divergence cannot happen for polys
             raise PreconditionError("sampled polynomial has unusable norm")
@@ -105,7 +107,7 @@ def result_for_pair(source: SpaceSpec, target: SpaceSpec) -> Result:
     return result
 
 
-def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, tol: float, k_max: int, memo):
+def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, memo):
     """Norm of the transformed extremal function.
 
     For the weighted-modulus sources the image has a positive radial
@@ -117,13 +119,13 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, tol:
     """
     if not result.radial:
         image = cesaro_transform(extremal_for(source))
-        return space_norm(image, target, tol, k_max=k_max)
-    est = profile_sup(result.theorem_id, source.alpha, tol, k_max=k_max, memo=memo)
+        return space_norm(image, target, k_max=GRID_K_MAX)
+    est = profile_sup(result.theorem_id, source.alpha, GRID_K_MAX, memo=memo)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
         argmax_angle=0.0,
-        radial_points=k_max + 1,
+        radial_points=GRID_K_MAX + 1,
         angular_points=1,
         refinement_residual=0.0,
         diverged=est.diverged,
@@ -134,14 +136,14 @@ def operator_norm_lower_bound(
     source: SpaceSpec,
     target: SpaceSpec,
     cfg: SampleConfig,
-    tol: float = 1e-9,
-    k_max: int = 30,
     memo: dict | None = None,
 ):
     """Best observed norm ratio over the sample plus the extremal witness.
 
-    Returns a NormEstimate whose value is a certified lower bound for
-    the operator norm (up to quadrature tolerance), or a DivergenceFlag
+    Every norm is measured on the radius grid r_k = 1 - 2^-k, k <=
+    GRID_K_MAX, at space_norm's default tol.  Returns a NormEstimate whose
+    value is a certified lower bound for the operator norm (up to
+    quadrature tolerance), or a DivergenceFlag
     for the sup-norm -> Bloch-type pair with alpha < 1.  memo (see
     theorems.profile_sup) takes the witness profile of the log-weighted pairs.
     """
@@ -155,14 +157,14 @@ def operator_norm_lower_bound(
             "use alpha further below 1"
         )
     best = None
-    for f in sample_unit_ball(source, cfg, tol):
+    for f in sample_unit_ball(source, cfg):
         image = cesaro_transform(f)
-        est = space_norm(image, target, tol, k_max=k_max)
+        est = space_norm(image, target, k_max=GRID_K_MAX)
         if est.diverged:
             return est
         if best is None or est.value > best.value:
             best = est
-    witness = _witness_estimate(result, source, target, tol, k_max, memo)
+    witness = _witness_estimate(result, source, target, memo)
     if witness.diverged:
         return witness
     if best is None or witness.value > best.value:

@@ -349,7 +349,6 @@ def taylor_truncate(
     n: int,
     radius: float = DEFAULT_EXTRACTION_RADIUS,
     tol: float = DEFAULT_COEFF_TOL,
-    max_points: int = _MAX_EXTRACTION_POINTS,
 ) -> PowerSeries:
     """First n + 1 Taylor coefficients of f at the origin.
 
@@ -373,14 +372,15 @@ def taylor_truncate(
     while m < 4 * (n + 1):
         m *= 2
     prev = _circle_coefficients(f, n, radius, m)
-    while m < max_points:
+    while m < _MAX_EXTRACTION_POINTS:
         m *= 2
         cur = _circle_coefficients(f, n, radius, m)
         if float(np.max(np.abs(cur - prev))) <= tol:
             return PowerSeries(cur)
         prev = cur
     raise ConvergenceError(
-        f"coefficient extraction did not stabilize below {tol:g} with {max_points} samples"
+        f"coefficient extraction did not stabilize below {tol:g} "
+        f"with {_MAX_EXTRACTION_POINTS} samples"
     )
 
 

@@ -124,7 +124,7 @@ def _panels(g, lo, hi, rows):
     return k15, err.max(axis=tuple(range(1, err.ndim)))
 
 
-def _lockstep(g, a, b, tol: float, max_panels: int = MAX_PANELS) -> list:
+def _lockstep(g, a, b, tol: float) -> list:
     """Adaptive G7/K15 integrals over [a_i, b_i], advanced together.
 
     Each integral keeps its own partition and stops as integrate_finite
@@ -149,10 +149,10 @@ def _lockstep(g, a, b, tol: float, max_panels: int = MAX_PANELS) -> list:
     while active:
         split, gone, rows, cuts = [], [], [], []
         for i in active:
-            if count[i] < max_panels and not running[i] > 2.0 * tol + drift[i]:
+            if count[i] < MAX_PANELS and not running[i] > 2.0 * tol + drift[i]:
                 running[i], drift[i] = sum(alive[i].values()), 0.0
             pid = heaps[i][0][1]
-            if count[i] >= max_panels or running[i] <= tol or hi[pid] - lo[pid] <= floors[i]:
+            if count[i] >= MAX_PANELS or running[i] <= tol or hi[pid] - lo[pid] <= floors[i]:
                 continue
             heapq.heappop(heaps[i])
             gone.append(alive[i].pop(pid))
@@ -193,32 +193,24 @@ def _lockstep(g, a, b, tol: float, max_panels: int = MAX_PANELS) -> list:
 
 
 def integrate_finite(
-    g: Callable,
-    a: float,
-    b: float,
-    tol: float = DEFAULT_QUAD_TOL,
-    max_panels: int = MAX_PANELS,
+    g: Callable, a: float, b: float, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Adaptive integral of g over [a, b] to absolute tolerance tol.
 
     g is called with one ndarray of abscissae and may return one value per
     abscissa or an array per abscissa (leading axis = abscissae).  Raises
-    ConvergenceError when the panel budget is exhausted above tolerance.
+    ConvergenceError when the panel budget of MAX_PANELS is exhausted
+    above tolerance.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integration interval must be finite with a < b")
-    (res,) = _lockstep(lambda x, rows: _eval_nodes(g, x), [a], [b], tol, max_panels)
+    (res,) = _lockstep(lambda x, rows: _eval_nodes(g, x), [a], [b], tol)
     if isinstance(res, ConvergenceError):
         raise res
     return res
 
 
-def integrate_halfline_batch(
-    g: Callable,
-    n: int,
-    tol: float = DEFAULT_QUAD_TOL,
-    cut: float = HALFLINE_CUT,
-) -> list:
+def integrate_halfline_batch(g: Callable, n: int, tol: float = DEFAULT_QUAD_TOL) -> list:
     """integrate_halfline_exp for n integrands in one lockstep pass.
 
     g(t, rows) evaluates integrand rows[k] at t[k].  Returns per integrand
@@ -230,6 +222,7 @@ def integrate_halfline_batch(
         vals = _eval_nodes(lambda t: g(t, rows), -np.log(u))
         return vals / u.reshape((u.shape[0],) + (1,) * (vals.ndim - 1))
 
+    cut = HALFLINE_CUT
     probe = np.abs(transformed(np.full(n, cut), np.arange(n))).reshape(n, -1)
     ok = np.flatnonzero(np.isfinite(probe).all(axis=1))
     done = _lockstep(lambda u, k: transformed(u, ok[k]), [cut] * ok.size, [1.0] * ok.size, tol)
@@ -240,19 +233,15 @@ def integrate_halfline_batch(
     return out
 
 
-def integrate_halfline_exp(
-    g: Callable,
-    tol: float = DEFAULT_QUAD_TOL,
-    cut: float = HALFLINE_CUT,
-) -> QuadratureResult:
+def integrate_halfline_exp(g: Callable, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Integral of g over [0, inf) for integrands with exponential decay.
 
     Uses the u = exp(-t) pullback described in the module docstring.  The
     transformed integrand must be integrable on (0, 1]; the portion below
-    the cut is not integrated, and cut * |h(cut)| is reported as
-    tail_bound so callers can see the truncation scale.
+    the cut u = HALFLINE_CUT is not integrated, and cut * |h(cut)| is
+    reported as tail_bound so callers can see the truncation scale.
     """
-    (res,) = integrate_halfline_batch(lambda t, rows: g(t), 1, tol, cut)
+    (res,) = integrate_halfline_batch(lambda t, rows: g(t), 1, tol)
     if isinstance(res, ConvergenceError):
         raise res
     return res
@@ -360,7 +349,6 @@ def sup_over_radius(
     h: Callable,
     tol: float = 1e-9,
     k_max: int = RADIAL_K_MAX,
-    guard: float = OVERFLOW_GUARD,
     memo: Optional[dict] = None,
 ) -> SupEstimate:
     """Supremum of h over [0, 1) via grid scan, batched zoom, tail limit.
@@ -368,7 +356,7 @@ def sup_over_radius(
     h takes one ndarray of radii and returns one value, or one exception,
     per radius.  The grid radii go in increasing order in one call, and
     the scan stops at the first exception, which is raised, or at the
-    first value that is not finite or beyond guard, which short-circuits
+    first value that is not finite or beyond OVERFLOW_GUARD, which short-circuits
     into a diverged estimate.  Each zoom patch is one more call; there an
     exception is raised and a non-finite value raises ConvergenceError.
     converged means the last patch raised the best value by at most tol.
@@ -381,8 +369,9 @@ def sup_over_radius(
         missing = [r for r in radii if r not in memo]
         for r, v in zip(missing, h(np.array(missing)) if missing else ()):
             memo[r] = v
-            if stop and (isinstance(v, Exception) or not (math.isfinite(v) and v <= guard)):
-                return
+            if isinstance(v, Exception) or not (math.isfinite(v) and v <= OVERFLOW_GUARD):
+                if stop:
+                    return
 
     def value(r):
         if isinstance(memo[r], Exception):
@@ -394,7 +383,7 @@ def sup_over_radius(
     vals: list[float] = []
     for r in radii:
         vals.append(value(r))
-        if not math.isfinite(vals[-1]) or vals[-1] > guard:
+        if not math.isfinite(vals[-1]) or vals[-1] > OVERFLOW_GUARD:
             return SupEstimate(vals[-1], r, converged=False, diverged=True)
 
     i = int(np.argmax(vals))

@@ -124,13 +124,17 @@ def _clamped_radii(k_max: int) -> np.ndarray:
     return np.unique(rs)
 
 
+# the angular grid starts at this many points and doubles up to the cap
+FIRST_ANGLES = 256
+MAX_ANGLES = 8192
+
 # patch nodes in units of the half-width; an interior winner leaves one
 # node spacing, a twelfth of the half-width, to search in the next patch
 _PATCH = np.linspace(-1.0, 1.0, 25)
 _SHRINK = 2.0 / (_PATCH.size - 1)
 
 
-def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
+def _disk_sup(f, space, tol, k_max):
     """sup over a polar grid of weight_at(space, r) |f(z)|, polished by batched zoom.
 
     A bare angular grid converges only quadratically in the spacing, so
@@ -160,7 +164,7 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
     def scan(vals, angles, m):
         # increasing radius so a blow-up reports its first witness
         row_max = vals.max(axis=1)
-        bad = np.flatnonzero(~np.isfinite(row_max) | (row_max > guard))
+        bad = np.flatnonzero(~np.isfinite(row_max) | (row_max > OVERFLOW_GUARD))
         if not bad.size:
             return None
         i = int(bad[0])
@@ -201,14 +205,14 @@ def _disk_sup(f, space, tol, k_max, n_angles, max_angles, guard):
             h *= _SHRINK
         return best_s, best_angle % (2.0 * math.pi), best_v, residual
 
-    m = n_angles
+    m = FIRST_ANGLES
     vals, angles, grid_best = grid_values(m)
     flagged = scan(vals, angles, m)
     if flagged is not None:
         return flagged
     best_s, best_angle, best_v, residual = polish(angles, m, grid_best)
     angular_delta = math.inf
-    while m < max_angles:
+    while m < MAX_ANGLES:
         m *= 2
         vals, angles, grid_best = grid_values(m)
         flagged = scan(vals, angles, m)
@@ -248,8 +252,6 @@ def space_norm(
     space: SpaceSpec,
     tol: float = 1e-9,
     k_max: int = RADIAL_K_MAX,
-    n_angles: int = 256,
-    max_angles: int = 8192,
 ) -> NormEstimate:
     """Numerical norm of f in the given space.
 
@@ -260,11 +262,11 @@ def space_norm(
     """
     if isinstance(space, BlochAlpha):
         base = abs(evaluate(f, 0j))
-        est = _disk_sup(derivative(f), space, tol, k_max, n_angles, max_angles, OVERFLOW_GUARD)
+        est = _disk_sup(derivative(f), space, tol, k_max)
         if est.diverged:
             return est
         return replace(est, value=base + est.value)
-    return _disk_sup(f, space, tol, k_max, n_angles, max_angles, OVERFLOW_GUARD)
+    return _disk_sup(f, space, tol, k_max)
 
 
 def bloch_growth_bound(seminorm: float, value_at_zero: float, r: float, alpha: float) -> float:

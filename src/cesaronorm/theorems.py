@@ -36,6 +36,7 @@ what verify, table, empirical and dump-integrand need about each.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Optional, Union
@@ -177,79 +178,74 @@ def _profile_integrand(theorem_id: str, r, t: np.ndarray, alpha: float):
     return combine(f, column), column
 
 
-def slice_values(theorem_id: str, radii, alpha: float, tol: float = 1e-10) -> list:
+def slice_values(theorem_id: str, radii, alpha: float) -> list:
     """The T3.1, T4.1 or T5.1 radial profile at every radius, in one lockstep half-line pass.
 
-    Each entry is a float, or the ConvergenceError of that radius.  A
-    radius's value is bitwise the same whichever radii share the call.
+    Each entry is a float, integrated to DEFAULT_QUAD_TOL, or the
+    ConvergenceError of that radius.  A radius's value is bitwise the
+    same whichever radii share the call.
     alpha and the radii are checked once, before any integration; the
     quadrature rounds run the unchecked integrand on its nonnegative nodes.
     """
     radii = np.asarray(radii, dtype=float)
     _check_alpha_and_radii(radii, alpha)
     results = integrate_halfline_batch(
-        lambda t, rows: _profile_integrand(theorem_id, radii[rows], t, alpha)[0], radii.size, tol
+        lambda t, rows: _profile_integrand(theorem_id, radii[rows], t, alpha)[0], radii.size
     )
     return [res if isinstance(res, ConvergenceError) else float(np.real(res.value)) for res in results]
 
 
-def _slice(theorem_id: str, r: float, alpha: float, tol: float) -> float:
-    (value,) = slice_values(theorem_id, [r], alpha, tol)
+def _slice(theorem_id: str, r: float, alpha: float) -> float:
+    (value,) = slice_values(theorem_id, [r], alpha)
     if isinstance(value, ConvergenceError):
         raise value
     return value
 
 
-def korenblum_slice_integral(r: float, alpha: float, tol: float = 1e-10) -> float:
+def korenblum_slice_integral(r: float, alpha: float) -> float:
     """int_0^inf F(r, t) dt, the radial profile behind the T3.1 supremum."""
-    return _slice("T3.1", r, alpha, tol)
+    return _slice("T3.1", r, alpha)
 
 
-def log_to_plain_slice(r: float, alpha: float, tol: float = 1e-10) -> float:
+def log_to_plain_slice(r: float, alpha: float) -> float:
     """Radial profile for T4.1: F divided by the log factor at phi_t(r)."""
-    return _slice("T4.1", r, alpha, tol)
+    return _slice("T4.1", r, alpha)
 
 
-def log_to_log_slice(r: float, alpha: float, tol: float = 1e-10) -> float:
+def log_to_log_slice(r: float, alpha: float) -> float:
     """Radial profile for T5.1: F times the ratio of log factors."""
-    return _slice("T5.1", r, alpha, tol)
+    return _slice("T5.1", r, alpha)
 
 
 def profile_sup(
     theorem_id: str,
     alpha: float,
-    tol: float = 1e-9,
-    quad_tol: float = 1e-10,
     k_max: int = RADIAL_K_MAX,
     memo: Optional[dict] = None,
 ) -> SupEstimate:
-    """sup_over_radius of the T3.1, T4.1 or T5.1 profile.
+    """sup_over_radius of the T3.1, T4.1 or T5.1 profile, at its default tol 1e-9.
 
     The grid radii that memo lacks come from one slice_values call, and
     each zoom patch from one more.  memo: see sup_over_radius.
     """
     return sup_over_radius(
-        lambda radii: slice_values(theorem_id, radii, alpha, quad_tol), tol, k_max, memo=memo
+        lambda radii: slice_values(theorem_id, radii, alpha), k_max=k_max, memo=memo
     )
 
 
-def korenblum_sup(alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10) -> SupEstimate:
+def korenblum_sup(alpha: float) -> SupEstimate:
     """Supremum over the radius of the T3.1 profile (boundary limit 1/alpha)."""
-    return profile_sup("T3.1", alpha, tol, quad_tol)
+    return profile_sup("T3.1", alpha)
 
 
-def log_to_plain_norm(
-    alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10, memo: Optional[dict] = None
-) -> SupEstimate:
+def log_to_plain_norm(alpha: float, memo: Optional[dict] = None) -> SupEstimate:
     """T4.1 sup-integral; the maximizer sits at an interior radius.  memo: see sup_over_radius."""
-    return profile_sup("T4.1", alpha, tol, quad_tol, memo=memo)
+    return profile_sup("T4.1", alpha, memo=memo)
 
 
-def log_to_log_norm(
-    alpha: float, tol: float = 1e-9, quad_tol: float = 1e-10, memo: Optional[dict] = None
-) -> SupEstimate:
+def log_to_log_norm(alpha: float, memo: Optional[dict] = None) -> SupEstimate:
     """T5.1 sup-integral; extrapolated_limit estimates the boundary value.  memo as above."""
-    return profile_sup("T5.1", alpha, tol, quad_tol, memo=memo)
+    return profile_sup("T5.1", alpha, memo=memo)
 
 
 def korenblum_norm_exact(alpha: float) -> float:
@@ -263,19 +259,31 @@ def log_to_plain_lower_bound(alpha: float) -> float:
     return 1.0 / log_weight_constant(check_alpha("log_to_plain_lower_bound", alpha, 0.0, 1.0))
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def bloch_upper_bound(alpha: float) -> float:
     """Upper bound for the Bloch-type operator norm, alpha > 1.
 
     max(A, 2^alpha/(alpha-1)) on 1 < alpha <= 2 and
     max(A, 2^alpha (2^alpha - alpha - 1)/(alpha-1)^2) beyond, with
     A = 1 + (2/(2 alpha - 1))^(2 alpha - 1) alpha^alpha (alpha-1)^(alpha-1).
+    A tends to 2, but its factors overflow from alpha ~ 144 on, so its
+    product is formed from its logarithm.  The second term passes the
+    float range near alpha = 521, which is a DomainError.
     """
     a = check_alpha("bloch_upper_bound", alpha, 1.0)
-    big_a = 1.0 + (2.0 / (2.0 * a - 1.0)) ** (2.0 * a - 1.0) * a**a * (a - 1.0) ** (a - 1.0)
+    log_a = (2.0 * a - 1.0) * math.log(2.0 / (2.0 * a - 1.0))
+    big_a = 1.0 + math.exp(log_a + a * math.log(a) + (a - 1.0) * math.log(a - 1.0))
     if a <= 2.0:
         other = 2.0**a / (a - 1.0)
     else:
-        other = 2.0**a * (2.0**a - a - 1.0) / (a - 1.0) ** 2
+        # log of an upper bound on the second term
+        if 2.0 * a * math.log(2.0) - 2.0 * math.log(a - 1.0) >= _LOG_FLOAT_MAX:
+            raise DomainError(f"the T6.2 upper bound leaves the float range at alpha = {a:g}")
+        # 4^alpha alone overflows from alpha = 512 on; scaling by 2^-64 and
+        # back is exact, so the value is the unscaled product wherever that is finite
+        other = 2.0**a * 2.0**-64 * (2.0**a - a - 1.0) / (a - 1.0) ** 2 * 2.0**64
     return max(big_a, other)
 
 
@@ -285,14 +293,14 @@ def bloch_lower_bound(alpha: float) -> float:
     return 1.5
 
 
-def bloch_lower_bound_integral(tol: float = 1e-10) -> float:
+def bloch_lower_bound_integral() -> float:
     """The defining computation 1 + int_0^inf e^-t (1 - e^-t) dt = 3/2."""
 
     def g(t):
         u = np.exp(-np.asarray(t, dtype=float))
         return u * (1.0 - u)
 
-    return 1.0 + float(np.real(integrate_halfline_exp(g, tol).value))
+    return 1.0 + float(np.real(integrate_halfline_exp(g).value))
 
 
 def hardy_to_bloch_bounds(alpha: float):
@@ -330,25 +338,21 @@ DIVERGENCE_PROBE_RADII = tuple(1.0 - 10.0**-k for k in range(2, 7))
 DIVERGENCE_THRESHOLD = 100.0
 
 
-def divergence_probe(alpha: float) -> list[tuple[float, float]]:
-    """Witness profile along r = 1 - 10^-k, k = 2..6."""
-    return [(r, bloch_witness_profile(r, alpha)) for r in DIVERGENCE_PROBE_RADII]
-
-
 def divergence_witness(alpha: float) -> tuple[list[tuple[float, float]], bool]:
-    """The probe, and whether it confirms the blow-up: monotone and past the threshold."""
-    probe = divergence_probe(alpha)
+    """The witness profile along r = 1 - 10^-k, k = 2..6, as (r, value) pairs,
+    and whether it confirms the blow-up: monotone and past the threshold."""
+    probe = [(r, bloch_witness_profile(r, alpha)) for r in DIVERGENCE_PROBE_RADII]
     values = [v for _, v in probe]
     monotone = all(b > a for a, b in zip(values, values[1:]))
     return probe, monotone and values[-1] > DIVERGENCE_THRESHOLD
 
 
-def constant_one_bloch_norm(alpha: float, tol: float = 1e-9) -> float:
+def constant_one_bloch_norm(alpha: float) -> float:
     """Bloch-type norm of C(1), the standard witness for the lower bounds.
 
     BlochAlpha(alpha) checks alpha.
     """
-    return space_norm(cesaro_of_one(), BlochAlpha(alpha), tol).value
+    return space_norm(cesaro_of_one(), BlochAlpha(alpha)).value
 
 
 def h_series_coeff(n: int) -> float:
@@ -439,21 +443,19 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
     return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
 
 
-def _verdict_t62(alpha: float, tol: float, empirical_value=None) -> TheoremVerdict:
+def _verdict_t62(alpha: float, tol: float) -> TheoremVerdict:
     ub = bloch_upper_bound(alpha)
-    witness = empirical_value if empirical_value is not None else constant_one_bloch_norm(alpha)
+    witness = constant_one_bloch_norm(alpha)
     passed = 1.5 - tol <= witness <= ub + tol
-    source = "empirical estimate" if empirical_value is not None else "constant-witness norm"
-    notes = f"{source} {witness:.9g} inside [3/2, {ub:.9g}]"
+    notes = f"constant-witness norm {witness:.9g} inside [3/2, {ub:.9g}]"
     return TheoremVerdict("T6.2", alpha, (1.5, ub), witness, tol, passed, notes)
 
 
-def _verdict_t63(alpha: float, tol: float, empirical_value=None) -> TheoremVerdict:
+def _verdict_t63(alpha: float, tol: float) -> TheoremVerdict:
     defining = bloch_lower_bound_integral()
-    witness = empirical_value if empirical_value is not None else constant_one_bloch_norm(alpha)
+    witness = constant_one_bloch_norm(alpha)
     passed = witness >= 1.5 - tol and abs(defining - 1.5) <= 1e-9
-    source = "empirical estimate" if empirical_value is not None else "constant-witness norm"
-    notes = f"defining integral gives {defining:.12g}; {source} {witness:.9g} >= 3/2"
+    notes = f"defining integral gives {defining:.12g}; constant-witness norm {witness:.9g} >= 3/2"
     return TheoremVerdict("T6.3", alpha, (1.5, None), witness, tol, passed, notes)
 
 
@@ -488,7 +490,7 @@ class Result:
 
     domain is the open alpha interval of the result; exact_max, when set,
     caps the alpha range where the value is exact rather than a bound.
-    verdict(alpha, tol, empirical_value) checks the result; cells(alpha)
+    verdict(alpha, tol) checks the result; cells(alpha)
     gives its columns of the norm table.  factor is (column name, log
     factor at (r, u = e^-t, alpha), how it combines with F) for the
     log-weighted profiles.  pair is the (source, target) space types of
@@ -501,7 +503,7 @@ class Result:
     label: str
     tol: float
     domain: tuple[float, float]
-    verdict: Callable[[float, float, Optional[float]], TheoremVerdict]
+    verdict: Callable[[float, float], TheoremVerdict]
     columns: tuple[str, ...]
     cells: Callable[[float], tuple]
     exact_max: Optional[float] = None
@@ -539,7 +541,7 @@ RESULTS = MappingProxyType(
                 "exact norm 1/alpha on the plain weighted space (alpha <= 1/2)",
                 1e-2,
                 (0.0, 1.0),
-                verdict=lambda a, tol, _: _verdict_t31(a, tol),
+                verdict=_verdict_t31,
                 columns=("t31_exact",),
                 cells=lambda a: (korenblum_norm_exact(a),),
                 exact_max=0.5,
@@ -552,7 +554,7 @@ RESULTS = MappingProxyType(
                 "log-weighted to plain-weighted norm via the sup-integral",
                 1e-6,
                 (0.0, 1.0),
-                verdict=lambda a, tol, _: _verdict_t41(a, tol),
+                verdict=_verdict_t41,
                 columns=("t41_sup", "t41_lower_bound"),
                 cells=lambda a: (log_to_plain_norm(a).value, log_to_plain_lower_bound(a)),
                 factor=("log_denominator", _log_factor_at_image, np.divide),
@@ -568,7 +570,7 @@ RESULTS = MappingProxyType(
                 "log-weighted norm via the sup-integral, boundary limit 1/alpha",
                 1e-2,
                 (0.0, 1.0),
-                verdict=lambda a, tol, _: _verdict_t51(a, tol),
+                verdict=_verdict_t51,
                 columns=("t51_sup", "t51_reciprocal_alpha"),
                 cells=lambda a: (log_to_log_norm(a).value, 1.0 / a),
                 factor=("log_ratio", _log_ratio, np.multiply),
@@ -601,7 +603,7 @@ RESULTS = MappingProxyType(
                 "sup-norm to Bloch-type bounds; unbounded below alpha = 1",
                 1e-3,
                 (0.0, math.inf),
-                verdict=lambda a, tol, _: _verdict_t71(a, tol),
+                verdict=_verdict_t71,
                 columns=("t71_low", "t71_high"),
                 cells=lambda a: hardy_to_bloch_bounds(a) if a >= 1.0 else (None, None),
                 pair=(HardyInf, BlochAlpha),
@@ -614,24 +616,19 @@ RESULTS = MappingProxyType(
 THEOREM_IDS = tuple(RESULTS)
 
 
-def verify_theorem(
-    theorem_id: str,
-    alpha: float,
-    tol: Optional[float] = None,
-    empirical_value: Optional[float] = None,
-) -> TheoremVerdict:
+def verify_theorem(theorem_id: str, alpha: float, tol: Optional[float] = None) -> TheoremVerdict:
     """Check one identified result at the given alpha.
 
     tol defaults per identifier (relative for the boundary-limit results
-    T3.1 and T5.1, absolute otherwise).  empirical_value substitutes a
-    sampled lower bound for the constant-function witness in the
-    Bloch-type verdicts.
+    T3.1 and T5.1, absolute otherwise); a bool, non-finite or nonpositive
+    tol is a DomainError.
     """
     if theorem_id not in THEOREM_IDS:
         raise DomainError(f"unknown result id {theorem_id!r}; choose from {THEOREM_IDS}")
     result = RESULTS[theorem_id]
     alpha = result.check_alpha(alpha)
-    tol = result.tol if tol is None else float(tol)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    return result.verdict(alpha, tol, empirical_value)
+    if tol is None:
+        tol = result.tol
+    elif isinstance(tol, bool) or not 0.0 < float(tol) < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    return result.verdict(alpha, float(tol))

@@ -24,7 +24,6 @@ from cesaronorm import (
     semigroup_transform,
     space_norm,
 )
-from cesaronorm.cesaro import SemigroupKernel, st_apply
 from cesaronorm.functions import EVAL_RADIUS_LIMIT, derivative, evaluate, evaluate_polar
 from cesaronorm import numerics
 
@@ -102,41 +101,47 @@ def test_semigroup_matches_integral_on_extremal():
 
 
 def test_kernel_invariants():
-    k0 = SemigroupKernel(0.0)
+    """S_t 1 is the weight w_t and S_t z / S_t 1 the self-map phi_t of the disk."""
+    rng = np.random.default_rng(5)
+    w = np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
     z = np.array([0.0, 0.5, -0.3 + 0.1j, 0.9j])
-    np.testing.assert_allclose(k0.map(z), z, atol=1e-15)
-    np.testing.assert_allclose(k0.weight(z), np.ones_like(z), atol=1e-15)
-    for t in (0.1, 1.0, 5.0):
-        k = SemigroupKernel(t)
-        assert complex(k.map(0.0)) == 0.0
-        assert complex(k.weight(0.0)) == pytest.approx(math.exp(-t), abs=1e-16)
-        # the map sends the disk into itself
-        rng = np.random.default_rng(5)
-        w = np.sqrt(rng.uniform(0, 1, 500)) * np.exp(2j * np.pi * rng.uniform(0, 1, 500))
-        assert float(np.max(np.abs(k.map(w)))) < 1.0
+    for t in (0.0, 0.1, 1.0, 5.0):
+        u = math.exp(-t)
+        weight = evaluate(semigroup_transform(Constant(1.0), t), w)
+        image = evaluate(semigroup_transform(Poly([0.0, 1.0]), t), w)
+        np.testing.assert_allclose(weight, u / (1.0 - (1.0 - u) * w), rtol=1e-14)
+        np.testing.assert_allclose(image / weight, u * w / (1.0 - (1.0 - u) * w), rtol=1e-14)
+        # phi_t fixes the origin and sends the disk into itself
+        assert evaluate(semigroup_transform(Poly([0.0, 1.0]), t), 0j) == 0.0
+        assert float(np.max(np.abs(image / weight))) < 1.0
+    # S_0 is the identity
+    for f in (Constant(1.0), Poly([0.0, 1.0])):
+        np.testing.assert_allclose(evaluate(semigroup_transform(f, 0.0), z), evaluate(f, z), atol=1e-15)
     with pytest.raises(DomainError):
-        SemigroupKernel(-0.1)
+        semigroup_transform(Constant(1.0), -0.1)
 
 
-def test_st_apply_examples():
+def test_semigroup_transform_examples():
     f = Poly([1.0, 2.0, -1.0])
     z = 0.4 - 0.2j
-    assert st_apply(f, 0.0, z) == pytest.approx(evaluate(f, z), abs=1e-14)
+    assert evaluate(semigroup_transform(f, 0.0), z) == pytest.approx(evaluate(f, z), abs=1e-14)
     for t in (0.3, 2.0):
-        assert st_apply(Constant(1.0), t, 0.0) == pytest.approx(math.exp(-t), abs=1e-15)
+        assert evaluate(semigroup_transform(Constant(1.0), t), 0j) == pytest.approx(
+            math.exp(-t), abs=1e-15
+        )
     with pytest.raises(DomainError):
-        st_apply(f, -1.0, z)
+        semigroup_transform(f, -1.0)
 
 
 def test_st_weighted_ratio_tends_to_exponential():
     """Along r -> 1-, the weighted norm ratio of S_t f_alpha approaches e^(-alpha t)."""
     alpha, t = 0.3, 1.0
-    f = KorenblumExtremal(alpha)
+    image = semigroup_transform(KorenblumExtremal(alpha), t)
     vals = []
     for k in range(10, 31, 5):
         r = 1.0 - 2.0**-k
         w = (1.0 - r * r) ** alpha
-        vals.append(w * abs(st_apply(f, t, r)))
+        vals.append(w * abs(evaluate(image, complex(r))))
     target = math.exp(-alpha * t)
     errors = [abs(v - target) for v in vals]
     assert errors == sorted(errors, reverse=True)

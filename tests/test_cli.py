@@ -197,6 +197,40 @@ def test_verify_failed_verdict_exits_one(capsys):
     assert not report["verdicts"][0]["passed"]
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_non_finite_tol_is_a_domain_error(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "verify", "--theorem", "T3.1", "--alpha", "0.25", "--tol", tol, "--no-timestamp"
+    )
+    assert (code, out) == (2, "")
+    assert "tolerance must be positive and finite" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--theorem", "T3.1", "--alpha", "0.25,0.5"),
+        ("verify", "--theorem", "T6.2", "--alpha", "1.5,150"),
+        ("table", "--alpha-grid", "0.1:0.9:0.4"),
+        ("table", "--alpha-grid", "1:200:50"),
+        ("empirical", "--source", "korenblum", "--target", "korenblum", "--alpha", "0.25",
+         "--samples", "2"),
+        ("empirical", "--source", "bloch", "--target", "bloch", "--alpha", "150", "--samples", "1"),
+        ("dump-integrand", "--theorem", "T5.1", "--alpha", "0.3"),
+    ],
+    ids=" ".join,
+)
+def test_reports_are_strict_json(capsys, argv):
+    """No NaN, Infinity or -Infinity token, which json.dumps writes and strict parsers reject."""
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert code == 0, err
+    json.loads(out, parse_constant=_reject_constant)
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

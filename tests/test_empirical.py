@@ -42,8 +42,6 @@ def test_sample_config_validation():
         with pytest.raises(DomainError):
             SampleConfig(**bad)
     assert SampleConfig(seed=np.int64(3), count=np.int32(2)).seed == 3
-    cfg = SampleConfig(seed=3, count=2)
-    assert cfg.decay_exponent == 1.0
 
 
 def test_extremal_for_mapping():

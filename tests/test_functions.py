@@ -18,6 +18,7 @@ from cesaronorm import (
     log_weight_constant,
     taylor_truncate,
 )
+from cesaronorm import functions
 from cesaronorm.functions import (
     EVAL_RADIUS_LIMIT,
     derivative,
@@ -212,7 +213,8 @@ def test_derivative_commutes_with_truncation(family):
     assert float(np.max(np.abs(from_deriv - from_series))) <= 1e-10
 
 
-def test_extraction_failure_is_reported():
+def test_extraction_failure_is_reported(monkeypatch):
     # too few sample points to stabilize a high-degree coefficient
+    monkeypatch.setattr(functions, "_MAX_EXTRACTION_POINTS", 512)
     with pytest.raises(ConvergenceError):
-        taylor_truncate(KorenblumExtremal(0.9), 40, radius=0.99, max_points=512)
+        taylor_truncate(KorenblumExtremal(0.9), 40, radius=0.99)

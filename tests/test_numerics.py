@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaronorm import ConvergenceError, DomainError, sup_over_radius
+from cesaronorm import ConvergenceError, DomainError, numerics, sup_over_radius
 from cesaronorm.numerics import (
     extrapolate_tail,
     golden_section_max,
@@ -57,9 +57,10 @@ def test_integrate_finite_needs_vectorized_integrand():
         integrate_finite(lambda u: math.exp(u), 0.0, 1.0)
 
 
-def test_integrate_finite_cap():
+def test_integrate_finite_cap(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_PANELS", 16)
     with pytest.raises(ConvergenceError):
-        integrate_finite(lambda u: np.sin(1.0 / u) / u, 1e-12, 1.0, 1e-13, max_panels=16)
+        integrate_finite(lambda u: np.sin(1.0 / u) / u, 1e-12, 1.0, 1e-13)
 
 
 def test_halfline_examples():

@@ -36,7 +36,7 @@ from cesaronorm.spaces import bloch_growth_bound
 from cesaronorm.theorems import (
     bloch_lower_bound,
     bloch_lower_bound_integral,
-    divergence_probe,
+    divergence_witness,
     hardy_to_bloch_bounds,
     integrand_F,
     korenblum_norm_exact,
@@ -180,6 +180,27 @@ def test_bloch_upper_bound_branches():
             bloch_upper_bound(bad)
 
 
+@pytest.mark.parametrize("alpha", [1.05, 3.0, 143.0, 144.0, 150.0, 300.0, 515.0, 521.0])
+def test_bloch_upper_bound_matches_mpmath_past_the_overflow_of_its_factors(alpha):
+    """Both terms at 40 digits: A tends to 2, and the bound is the larger term."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        big_a = 1 + (2 / (2 * a - 1)) ** (2 * a - 1) * a**a * (a - 1) ** (a - 1)
+        if a <= 2:
+            other = 2**a / (a - 1)
+        else:
+            other = 2**a * (2**a - a - 1) / (a - 1) ** 2
+        want = float(max(big_a, other))
+    assert bloch_upper_bound(alpha) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [522.0, 600.0, 1100.0, 1e300])
+def test_bloch_upper_bound_beyond_the_float_range_is_a_domain_error(alpha):
+    with pytest.raises(DomainError, match="float range"):
+        bloch_upper_bound(alpha)
+
+
 def test_bloch_lower_bound_and_integral():
     assert bloch_lower_bound(1.2) == 1.5
     with pytest.raises(DomainError):
@@ -219,7 +240,7 @@ def test_witness_profile_and_probe():
     # C(1)'(0) = 1/2, and every weight is 1 at the origin
     for alpha in (0.3, 1.0, 2.0):
         assert bloch_witness_profile(0.0, alpha) == pytest.approx(0.5, abs=1e-12)
-    probe = divergence_probe(0.5)
+    probe = divergence_witness(0.5)[0]
     values = [v for _, v in probe]
     assert values == sorted(values)
     assert values[-1] > 100.0
@@ -290,15 +311,6 @@ def test_verify_t31_above_half_is_lower_bound_only():
     assert "lower bound only" in v.notes
 
 
-def test_verify_t62_with_empirical_override():
-    v = verify_theorem("T6.2", 1.5, empirical_value=1.84)
-    assert v.passed
-    assert "empirical estimate" in v.notes
-    assert v.computed == 1.84
-    bad = verify_theorem("T6.2", 1.5, empirical_value=9.99)
-    assert not bad.passed
-
-
 def test_verify_t71_near_one_reports_slow_witness():
     v = verify_theorem("T7.1", 0.95)
     assert not v.passed
@@ -318,6 +330,12 @@ def test_verify_domain_errors():
         verify_theorem("T3.1", 0.25, tol=0.0)
     with pytest.raises(DomainError):
         verify_theorem("T3.1", float("nan"))
+
+
+@pytest.mark.parametrize("tol", [True, False, math.nan, math.inf, -math.inf, -1e-3], ids=repr)
+def test_verify_rejects_bool_and_non_finite_tol(tol):
+    with pytest.raises(DomainError, match="tolerance"):
+        verify_theorem("T3.1", 0.25, tol=tol)
 
 
 def test_theorem_id_registry():
