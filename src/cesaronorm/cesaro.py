@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .functions import (
     AnalyticFunction,
     ClosedForm,
@@ -64,7 +64,7 @@ from .functions import (
     derivative,
     log_weight_constant,
 )
-from .numerics import DEFAULT_QUAD_TOL, _lockstep
+from .numerics import DEFAULT_QUAD_TOL, _failure, _lockstep
 
 
 def cesaro_coeff(series: PowerSeries) -> PowerSeries:
@@ -132,11 +132,11 @@ def _unit_interval_integral(integrand, z, tol: float):
     """
     arr = _check_point(z)
     flat, n = arr.ravel(), arr.size
-    results = _lockstep(lambda u, rows: integrand(u, flat[rows]), [0.0] * n, [1.0] * n, tol)
-    for res in results:
-        if isinstance(res, ConvergenceError):
-            raise res
-    value = np.array([res.value for res in results], dtype=complex).reshape(arr.shape)
+    values, totals, counts = _lockstep(lambda u, rows: integrand(u, flat[rows]), n, 0.0, 1.0, tol)
+    failed = np.flatnonzero(~(totals <= tol))
+    if failed.size:
+        raise _failure(float(totals[failed[0]]), int(counts[failed[0]]), tol)
+    value = values.reshape(arr.shape)
     return complex(value) if np.ndim(z) == 0 else value
 
 

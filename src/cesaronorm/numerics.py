@@ -1,17 +1,18 @@
 """Quadrature and supremum-search primitives.
 
 One lockstep core runs every adaptive integral.  It advances a batch of
-independent integrals, each on its own partition into panels of the
-embedded Gauss(7)/Kronrod(15) pair: a panel is evaluated once at the 15
-Kronrod abscissae, the 7-point Gauss value reuses a subset of those
-samples, and |K15 - G7| (the worst component, for array-valued
+independent integrals over one interval, each on its own partition into
+panels of the embedded Gauss(7)/Kronrod(15) pair: a panel is evaluated
+once at the 15 Kronrod abscissae, the 7-point Gauss value reuses a subset
+of those samples, and |K15 - G7| (the worst component, for array-valued
 integrands) is the panel error.  In each round every unfinished integral
 splits its own worst panel, and all new panels of the round go through
 one integrand call.  An integral stops once its summed error is within
-tol (a running total, re-summed exactly near tol), when its worst panel
-is narrower than the width floor, or at 10^4 panels, where it ends in
-ConvergenceError.  integrate_finite is the batch of one; the operator
-forms of cesaro run one integral per point.
+tol (a running total, re-summed exactly near tol) or is not finite, when
+its worst panel is narrower than the width floor, or at 10^4 panels; it
+ends in ConvergenceError unless its exact error total is within tol.
+integrate_finite is the batch of one; the operator forms of cesaro run
+one integral per point.
 
 Half-line integrals of exponentially decaying integrands are pulled back
 to (0, 1] through u = exp(-t):
@@ -36,9 +37,8 @@ c * q^k.  golden_section_max is the scalar one-dimensional search.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,80 +116,111 @@ def _panels(g, lo, hi, rows):
     """
     h = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
-    vals = np.ascontiguousarray(g(x.ravel(), np.repeat(rows, _XGK.size)))
+    vals = np.ascontiguousarray(g(x.ravel(), rows.repeat(_XGK.size)))
     vals = vals.reshape(x.shape + vals.shape[1:])
     h = h.reshape((-1,) + (1,) * (vals.ndim - 2))
     k15 = h * np.einsum("j,pj...->p...", _WGK, vals)
     err = np.abs(k15 - h * np.einsum("j,pj...->p...", _WG, vals.take(_GAUSS_IDX, axis=1)))
-    return k15, err.max(axis=tuple(range(1, err.ndim)))
+    return k15, err.max(axis=tuple(range(1, err.ndim))) if err.ndim > 1 else err
 
 
-def _lockstep(g, a, b, tol: float) -> list:
-    """Adaptive G7/K15 integrals over [a_i, b_i], advanced together.
+def _row_sums(x):
+    """Sums along axis 1, strictly left to right as Python's sum adds (np.sum adds pairwise)."""
+    return np.add.accumulate(x, axis=1)[:, -1]
 
-    Each integral keeps its own partition and stops as integrate_finite
-    describes.  In each round every unfinished one splits its worst panel,
-    and all new panels go through one call g(x, rows), rows giving the
-    integral of each node.  Returns per integral a QuadratureResult or the
-    ConvergenceError it ended with.
+
+def _finish(tables, which, c: int):
+    """Values, exact error totals and panel counts of the table rows which."""
+    err_t, lo_t, val_t = (tables[k][which, :c] for k in (0, 1, 3))
+    by_lo = np.arange(err_t.shape[0])[:, None], lo_t.argsort(axis=1, kind="stable")
+    dead = (err_t[by_lo] == -np.inf).reshape(err_t.shape + (1,) * (val_t.ndim - 2))
+    live = err_t != -np.inf
+    values = _row_sums(np.where(dead, -np.zeros((), val_t.dtype), val_t[by_lo]))
+    # a split turns one live panel into two and adds two panels
+    return values, _row_sums(np.where(live, err_t, -0.0)), 2 * live.sum(axis=1) - 1
+
+
+def _lockstep(g, n: int, a: float, b: float, tol: float):
+    """n adaptive G7/K15 integrals over [a, b], advanced together.
+
+    In each round every unfinished integral splits its worst panel, and all
+    new panels go through one call g(x, rows), rows giving the integral of
+    each node.  The panels form one flat table: table row i owns the cells
+    i * cap + k, k counting its panels in creation order.  When the cells
+    run out, the rows of finished integrals are summed and dropped, and cap
+    doubles.  A cell holds the ends, K15 value and error of a panel; the
+    error turns -inf once the panel is split.  argmax along a row picks the
+    worst panel, the first maximum being the oldest, as a heap on (-error,
+    id) would.  Sums run left to right along a row, -0.0 in split and
+    unused cells changing no float: the error total in creation order and
+    the value in order of lo, as Python's sum adds them.  Returns values,
+    exact error totals and panel counts as arrays, one entry per integral.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    n = len(a)
-    vals, err = _panels(g, np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.arange(n))
-    lo, hi, values, errs = list(a), list(b), list(vals), err.tolist()  # by panel id
-    floors = [(bi - ai) * 1e-15 for ai, bi in zip(a, b)]
-    alive = [{i: errs[i]} for i in range(n)]  # panel id -> error, in creation order
-    heaps = [[(-errs[i], i)] for i in range(n)]
-    count = [1] * n
-    # Running error totals, with a bound on their rounding drift; the exact
-    # sum decides every stop, and is taken only once a total nears tol.
-    running, drift = errs[:], [0.0] * n
-    active = list(range(n))
-    while active:
-        split, gone, rows, cuts = [], [], [], []
-        for i in active:
-            if count[i] < MAX_PANELS and not running[i] > 2.0 * tol + drift[i]:
-                running[i], drift[i] = sum(alive[i].values()), 0.0
-            pid = heaps[i][0][1]
-            if count[i] >= MAX_PANELS or running[i] <= tol or hi[pid] - lo[pid] <= floors[i]:
-                continue
-            heapq.heappop(heaps[i])
-            gone.append(alive[i].pop(pid))
-            values[pid] = None
-            split.append(i)
-            rows += (i, i)
-            cuts += (lo[pid], 0.5 * (lo[pid] + hi[pid]), hi[pid])
-        if not split:
-            break
-        cuts = np.array(cuts).reshape(-1, 3)
-        new_lo, new_hi = cuts[:, :2].ravel(), cuts[:, 1:].ravel()
-        vals, err = _panels(g, new_lo, new_hi, np.array(rows))
-        base, e = len(lo), err.tolist()
-        lo += new_lo.tolist()
-        hi += new_hi.tolist()
-        values += list(vals)
-        for k, i in enumerate(rows):
-            alive[i][base + k] = e[k]
-            heapq.heappush(heaps[i], (-e[k], base + k))
-        for j, i in enumerate(split):
-            change = (e[2 * j], e[2 * j + 1], -gone[j])
-            drift[i] += 1e-15 * (abs(running[i]) + sum(map(abs, change)))  # > 4 roundings
-            running[i] += sum(change)
-            count[i] += 2
-        active = split
+    # about 2048 cells to start with, at least 16 a row, so that small batches rarely double;
+    # c counts the panels of every unfinished integral
+    cap, c = max(16, 2048 // max(n, 1)), 1
+    err_f, lo_f, hi_f = np.full(n * cap, -np.inf), np.full(n * cap, a), np.full(n * cap, b)
+    vals, err = _panels(g, lo_f[::cap], hi_f[::cap], np.arange(n))
+    val_f = np.zeros((n * cap,) + vals.shape[1:], vals.dtype)
+    err_f[::cap], val_f[::cap] = err, vals
+    values, totals, counts = np.empty_like(vals), np.empty(n), np.empty(n, dtype=int)
+    ids = np.arange(n)  # the integral of each table row
+    # The unfinished integrals, compacted: table rows, and running error
+    # totals with a bound on their rounding drift.  Only exact sums decide
+    # stops; once some total nears tol, all of them are re-summed exactly.
+    rows, run, drift, floor = np.arange(n), err, np.zeros(n), (b - a) * 1e-15
+    while rows.size and c < MAX_PANELS:
+        errs = err_f.reshape(ids.size, cap)[:, :c].take(rows, axis=0)
+        if np.count_nonzero(run > 2.0 * tol + drift) < rows.size:
+            run, drift = _row_sums(np.where(errs == -np.inf, -0.0, errs)), np.zeros(rows.size)
+        pos = rows * cap + errs.argmax(axis=1)
+        lo, hi = lo_f[pos], hi_f[pos]
+        keep = (run > tol) & (hi - lo > floor)  # a NaN total stops too
+        if np.count_nonzero(keep) < rows.size:
+            rows, run, drift, pos, lo, hi = (x[keep] for x in (rows, run, drift, pos, lo, hi))
+            if not rows.size:
+                break
+        gone = err_f[pos]
+        err_f[pos] = -np.inf
+        # each child starts as its parent; the midpoint closes the left one and opens the right one
+        mid = 0.5 * (lo + hi)
+        lo, hi, kids = lo.repeat(2), hi.repeat(2), rows.repeat(2)
+        lo[1::2], hi[0::2] = mid, mid
+        vals, err = _panels(g, lo, hi, ids[kids])
+        if c + 2 > cap:  # sum up and drop the finished rows, and double cap
+            tables = [t.reshape((ids.size, cap) + t.shape[1:]) for t in (err_f, lo_f, hi_f, val_f)]
+            done = np.ones(ids.size, dtype=bool)
+            done[rows] = False
+            fin = ids[done]
+            values[fin], totals[fin], counts[fin] = _finish(tables, done, c)
+            err_f, lo_f, hi_f, val_f = (
+                np.concatenate([t[rows], np.full_like(t[rows], f)], axis=1).reshape((-1,) + t.shape[2:])
+                for t, f in zip(tables, (-np.inf, a, b, 0.0))
+            )
+            ids, rows, cap = ids[rows], np.arange(rows.size), 2 * cap
+            kids = rows.repeat(2)
+        if vals.dtype != val_f.dtype:
+            val_f = val_f.astype(np.result_type(val_f, vals))
+            values = values.astype(val_f.dtype)
+        cell = kids * cap + c
+        cell[1::2] += 1
+        err_f[cell], lo_f[cell], hi_f[cell], val_f[cell] = err, lo, hi, vals
+        pair = err[0::2] + err[1::2]
+        drift += 1e-15 * (np.abs(run) + (pair + gone))  # > 4 roundings
+        run += pair - gone
+        c += 2
 
-    out = []
-    for i in range(n):
-        total, ordered = sum(alive[i].values()), sorted(alive[i], key=lo.__getitem__)
-        value = values[ordered[0]]
-        for pid in ordered[1:]:  # deterministic left-to-right summation
-            value = value + values[pid]
-        out.append(QuadratureResult(value, total, count[i]))
-        if total > tol:
-            message = f"quadrature error {total:.3e} above tolerance {tol:.3e}"
-            out[-1] = ConvergenceError(f"{message} after {count[i]} panels")
-    return out
+    tables = [t.reshape((ids.size, cap) + t.shape[1:]) for t in (err_f, lo_f, hi_f, val_f)]
+    values[ids], totals[ids], counts[ids] = _finish(tables, slice(None), c)
+    return values, totals, counts
+
+
+def _failure(total: float, count: int, tol: float) -> ConvergenceError:
+    """The error of an integral whose exact error total is not within tol."""
+    reason = "is not finite" if math.isnan(total) else f"{total:.3e} above tolerance {tol:.3e}"
+    return ConvergenceError(f"quadrature error {reason} after {count} panels")
 
 
 def integrate_finite(
@@ -200,14 +231,15 @@ def integrate_finite(
     g is called with one ndarray of abscissae and may return one value per
     abscissa or an array per abscissa (leading axis = abscissae).  Raises
     ConvergenceError when the panel budget of MAX_PANELS is exhausted
-    above tolerance.
+    above tolerance, or when the error estimate is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integration interval must be finite with a < b")
-    (res,) = _lockstep(lambda x, rows: _eval_nodes(g, x), [a], [b], tol)
-    if isinstance(res, ConvergenceError):
-        raise res
-    return res
+    values, totals, counts = _lockstep(lambda x, rows: _eval_nodes(g, x), 1, a, b, tol)
+    total, count = float(totals[0]), int(counts[0])
+    if not total <= tol:
+        raise _failure(total, count, tol)
+    return QuadratureResult(values[0], total, count)
 
 
 def integrate_halfline_batch(g: Callable, n: int, tol: float = DEFAULT_QUAD_TOL) -> list:
@@ -215,7 +247,7 @@ def integrate_halfline_batch(g: Callable, n: int, tol: float = DEFAULT_QUAD_TOL)
 
     g(t, rows) evaluates integrand rows[k] at t[k].  Returns per integrand
     a QuadratureResult, or the ConvergenceError of a non-finite probe at
-    the cut or of an exhausted panel budget.
+    the cut, of a non-finite error estimate or of an exhausted panel budget.
     """
 
     def transformed(u, rows):
@@ -223,13 +255,13 @@ def integrate_halfline_batch(g: Callable, n: int, tol: float = DEFAULT_QUAD_TOL)
         return vals / u.reshape((u.shape[0],) + (1,) * (vals.ndim - 1))
 
     cut = HALFLINE_CUT
-    probe = np.abs(transformed(np.full(n, cut), np.arange(n))).reshape(n, -1)
-    ok = np.flatnonzero(np.isfinite(probe).all(axis=1))
-    done = _lockstep(lambda u, k: transformed(u, ok[k]), [cut] * ok.size, [1.0] * ok.size, tol)
+    probe = np.abs(transformed(np.full(n, cut), np.arange(n)))
+    ok = np.flatnonzero(np.isfinite(probe).all(axis=tuple(range(1, probe.ndim))))
+    values, totals, counts = _lockstep(lambda u, k: transformed(u, ok[k]), ok.size, cut, 1.0, tol)
     out = [ConvergenceError("transformed integrand not finite at the endpoint cut") for _ in range(n)]
-    for i, res in zip(ok, done):
+    for k, (i, total, count) in enumerate(zip(ok.tolist(), totals.tolist(), counts.tolist())):
         tail = float(probe[i].max()) * cut
-        out[i] = res if isinstance(res, ConvergenceError) else replace(res, tail_bound=tail)
+        out[i] = QuadratureResult(values[k], total, count, tail) if total <= tol else _failure(total, count, tol)
     return out
 
 

@@ -268,20 +268,3 @@ def space_norm(
         return replace(est, value=base + est.value)
     return _disk_sup(f, space, tol, k_max)
 
-
-def bloch_growth_bound(seminorm: float, value_at_zero: float, r: float, alpha: float) -> float:
-    """Pointwise growth bound |f(r)| <= f0 + s * G_alpha(r) in the Bloch scale.
-
-    G_1(r) = log(1/(1-r)); for alpha != 1,
-    G_alpha(r) = ((1-r)^(1-alpha) - 1) / (alpha - 1).
-    """
-    if seminorm < 0.0 or value_at_zero < 0.0:
-        raise DomainError("seminorm and origin value must be nonnegative")
-    if not 0.0 <= r < 1.0:
-        raise DomainError("radius must lie in [0, 1)")
-    check_alpha("bloch_growth_bound", alpha)
-    if alpha == 1.0:
-        growth = math.log(1.0 / (1.0 - r))
-    else:
-        growth = ((1.0 - r) ** (1.0 - alpha) - 1.0) / (alpha - 1.0)
-    return value_at_zero + seminorm * growth

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaronorm import (
+    ClosedForm,
     Constant,
+    ConvergenceError,
     DomainError,
     Korenblum,
     KorenblumExtremal,
@@ -267,6 +269,14 @@ def test_forms_refine_each_point_on_its_own_partition(monkeypatch):
         for form in FORMS:
             form(f, z, 1e-8)
     assert total[0] == 86_400
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_forms_raise_where_the_integrand_is_not_finite(form):
+    """A point whose integrand is nan somewhere fails the batch instead of returning nan."""
+    f = ClosedForm(lambda w: np.where(np.abs(w) > 0.3, np.nan, 1.0), lambda w: np.zeros_like(w))
+    with pytest.raises(ConvergenceError, match="not finite"):
+        form(f, np.array([0.1, 0.9, 0.2j]))
 
 
 def _log_extremal_derivative_image(alpha, z):

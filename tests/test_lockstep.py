@@ -220,3 +220,123 @@ def test_t31_passes_on_dense_alpha_grid(alpha):
 @pytest.mark.parametrize("alpha", [round(0.05 * k, 2) for k in range(1, 20)])
 def test_t41_passes_on_dense_alpha_grid(alpha):
     assert verify_theorem("T4.1", alpha).passed
+
+
+# one integrand per row of a batch on [0, 1]: rows that converge, a row that
+# stops on the width floor and rows that exhaust the panel budget
+MIXED_ROWS = (
+    lambda u: np.exp(1j * 40.0 * u),
+    lambda u: u**-0.5 + 0j,  # stops on the width floor
+    lambda u: np.sin(1.0 / u) / u + 0j,  # stops on the width floor
+    lambda u: np.sin(10.0 * u) + 0j,
+    lambda u: np.exp(1j * 2000.0 * u),  # budget exhausted
+    lambda u: np.exp(1j / (u + 0.01)),
+    lambda u: np.full(u.shape, 2.0 + 1j),  # converges on its first panel
+)
+
+
+@pytest.mark.parametrize("components", [None, 2], ids=["scalar", "array"])
+def test_batch_rows_match_the_one_at_a_time_reference(components, monkeypatch):
+    """Each row of one mixed batch ends bitwise where the reference loop ends alone."""
+    budget, tol = 301, 1e-10
+    monkeypatch.setattr(numerics, "MAX_PANELS", budget)
+    rows = MIXED_ROWS
+    if components:  # row i as (f_i, (k + 1) f_i), k = 0..components-1
+        rows = [lambda u, f=f: np.outer(f(u), np.arange(1.0, components + 1.0)) for f in MIXED_ROWS]
+
+    def batch(x, which):
+        out = np.empty(x.shape + ((components,) if components else ()), dtype=complex)
+        for i, f in enumerate(rows):
+            out[which == i] = f(x[which == i])
+        return out
+
+    values, totals, counts = numerics._lockstep(batch, len(rows), 0.0, 1.0, tol)
+    outcomes = set()
+    for i, f in enumerate(rows):
+        value, total, count = _reference(f, 0.0, 1.0, tol, budget)
+        assert (int(counts[i]), totals[i].hex()) == (count, total.hex())
+        if value is None:
+            assert not totals[i] <= tol
+            assert f"after {count} panels" in str(numerics._failure(totals[i], counts[i], tol))
+            outcomes.add("budget" if count >= budget else "width floor")
+        else:
+            assert np.asarray(values[i]).tobytes() == np.asarray(value).tobytes()
+            outcomes.add("converged")
+    assert outcomes == {"converged", "width floor", "budget"}
+
+
+def test_empty_batch():
+    def g(x, rows):
+        assert x.size == rows.size == 0
+        return np.exp(x)
+
+    values, totals, counts = numerics._lockstep(g, 0, 0.0, 1.0, 1e-10)
+    assert values.shape == totals.shape == counts.shape == (0,)
+    assert integrate_halfline_batch(lambda t, rows: np.exp(-t), 0) == []
+    assert slice_values("T3.1", [], 0.5) == []
+
+
+def test_non_finite_integrand_raises_instead_of_returning():
+    """|K15 - G7| of an infinite panel is nan, and nan > tol is False: the row must still fail."""
+    with pytest.raises(ConvergenceError, match="not finite after 1 panels"):
+        integrate_finite(lambda u: np.where(u > 0.5, np.inf, 1.0), 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_finite(lambda u: np.where(u > 0.5, np.nan, 1.0), 0.0, 1.0)
+
+
+def test_halfline_batch_fails_a_row_that_is_not_finite_inside():
+    def g(t, rows):  # integrand 1 is finite at the cut but not for t < 1
+        return np.where((rows == 1) & (t < 1.0), np.inf, np.exp(-(rows + 1.0) * t))
+
+    first, second, third = integrate_halfline_batch(g, 3, 1e-10)
+    assert isinstance(second, ConvergenceError) and "not finite" in str(second)
+    alone = [integrate_halfline_batch(lambda t, rows: g(t, rows + k), 1, 1e-10)[0] for k in (0, 2)]
+    assert (first, third) == tuple(alone)
+
+
+@pytest.mark.parametrize(
+    "theorem_id, alpha, calls, nodes",
+    [("T5.1", 0.2, 42, 26_895), ("T4.1", 0.5, 39, 24_255), ("T3.1", 0.05, 63, 36_135)],
+)
+def test_radial_grid_work_is_pinned(theorem_id, alpha, calls, nodes, monkeypatch):
+    """_panels calls and integrand nodes of one slice_values call on the full grid."""
+    counted = [0, 0]
+    panels = numerics._panels
+
+    def counting(g, lo, hi, rows):
+        counted[0] += 1
+
+        def g_counted(x, r):
+            counted[1] += x.size
+            return g(x, r)
+
+        return panels(g_counted, lo, hi, rows)
+
+    monkeypatch.setattr(numerics, "_panels", counting)
+    slice_values(theorem_id, radius_grid(40), alpha)
+    assert counted == [calls, nodes]
+
+
+def test_integrand_that_turns_complex_after_the_first_round():
+    """Real values on the first panel, complex ones from the round that reaches u < 1e-3."""
+
+    def g(u):
+        return np.sqrt(u) + 0j if u.min() < 1e-3 else np.sqrt(u)
+
+    assert not np.iscomplexobj(_one_panel(g, 0.0, 1.0)[0])
+    res = integrate_finite(g, 0.0, 1.0, 1e-10)
+    assert res.subdivisions > 1 and np.iscomplexobj(res.value)
+    assert res.value.real == pytest.approx(2.0 / 3.0, abs=1e-9) and res.value.imag == 0.0
+
+
+def test_ties_go_to_the_oldest_panel(monkeypatch):
+    """With error = width, the first split of each depth takes its leftmost panel, as a heap does.
+
+    A panel's value here is its left end, so the final value names the panels left alive.
+    """
+    monkeypatch.setattr(numerics, "_panels", lambda g, lo, hi, rows: (lo.copy(), hi - lo))
+    monkeypatch.setattr(numerics, "MAX_PANELS", 8)
+    values, totals, counts = numerics._lockstep(None, 2, 0.0, 1.0, 0.5)
+    # [0, 1] -> [0, .5] [.5, 1] -> [0, .25] [.25, .5] -> [.5, .75] [.75, 1] -> [0, .125] [.125, .25]
+    assert values.tolist() == [0.0 + 0.125 + 0.25 + 0.5 + 0.75] * 2
+    assert totals.tolist() == [1.0, 1.0] and counts.tolist() == [9, 9]

@@ -1,4 +1,4 @@
-"""Weighted spaces: weights, norms, the radial shortcut, and the growth bound."""
+"""Weighted spaces: weights, norms and the radial shortcut."""
 
 import math
 
@@ -24,7 +24,7 @@ from cesaronorm import (
 )
 from cesaronorm.functions import derivative, evaluate
 from cesaronorm import spaces
-from cesaronorm.spaces import bloch_growth_bound, weight_at
+from cesaronorm.spaces import weight_at
 
 
 def test_construction_ranges():
@@ -137,31 +137,6 @@ def test_bloch_norm_splits_origin_value_and_seminorm():
     # f(z) = c + z: |f(0)| = |c|, seminorm = sup (1 - r^2)^alpha * 1
     est = space_norm(Poly([2.0, 1.0]), BlochAlpha(0.8))
     assert est.value == pytest.approx(3.0, abs=1e-9)
-
-
-def test_bloch_growth_bound_examples():
-    assert bloch_growth_bound(1.0, 0.0, 0.5, 1.0) == pytest.approx(math.log(2.0), abs=1e-14)
-    assert bloch_growth_bound(1.0, 0.0, 0.75, 2.0) == pytest.approx(3.0, abs=1e-12)
-    assert bloch_growth_bound(5.0, 2.5, 0.0, 1.7) == 2.5
-    with pytest.raises(DomainError):
-        bloch_growth_bound(1.0, 0.0, 1.0, 2.0)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.0])
-def test_growth_bound_dominates_polynomials(alpha):
-    """|f(r)| never exceeds the growth bound built from the Bloch data."""
-    rng = np.random.default_rng(int(alpha * 10))
-    radii = np.linspace(0.0, 0.99, 20)
-    for _ in range(50):
-        deg = int(rng.integers(1, 10))
-        f = Poly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        # seminorm = sup weight |f'| = Bloch norm minus the origin value
-        bloch = space_norm(f, BlochAlpha(alpha), tol=1e-9)
-        f0 = abs(evaluate(f, 0.0))
-        seminorm = bloch.value - f0
-        for r in radii:
-            bound = bloch_growth_bound(seminorm, f0, float(r), alpha)
-            assert abs(evaluate(f, float(r))) <= bound + 1e-9
 
 
 def test_g_monotone_on_weight_domain():

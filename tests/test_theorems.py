@@ -32,7 +32,6 @@ from cesaronorm import (
     taylor_truncate,
     verify_theorem,
 )
-from cesaronorm.spaces import bloch_growth_bound
 from cesaronorm.theorems import (
     bloch_lower_bound,
     bloch_lower_bound_integral,
@@ -370,7 +369,6 @@ ALPHA_ENTRY_POINTS = {
     "boundary_envelope": lambda a: boundary_envelope(0.5, a),
     "bloch_witness_profile": lambda a: bloch_witness_profile(0.5, a),
     "constant_one_bloch_norm": constant_one_bloch_norm,
-    "bloch_growth_bound": lambda a: bloch_growth_bound(1.0, 0.0, 0.5, a),
     "Korenblum": Korenblum,
     "KorenblumLog": KorenblumLog,
     "BlochAlpha": BlochAlpha,
