@@ -61,7 +61,6 @@ from .functions import (
     _check_point,
     _polyval,
     _polyval_polar,
-    derivative,
     log_weight_constant,
 )
 from .numerics import DEFAULT_QUAD_TOL, _failure, _lockstep
@@ -106,7 +105,6 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError("semigroup time must be finite and nonnegative")
     u = math.exp(-t)
-    df = derivative(f)
 
     def fn(z):
         return _st_eval(f, t, np.asarray(z, dtype=complex))
@@ -114,11 +112,9 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     def dfn(z):
         z = np.asarray(z, dtype=complex)
         d_full = 1.0 - (1.0 - u) * z
-        phi = u * z / d_full
+        f_phi, df_phi = f.eval_with_derivative(u * z / d_full)
         # product rule: w' f(phi) + w phi' f'(phi)
-        return (u * (1.0 - u) / d_full**2) * f.eval_at(phi) + (
-            u**2 / d_full**3
-        ) * df.eval_at(phi)
+        return (u * (1.0 - u) / d_full**2) * f_phi + (u**2 / d_full**3) * df_phi
 
     return ClosedForm(fn, dfn, label=f"S_{t:g}")
 
@@ -162,12 +158,11 @@ def cesaro_semigroup(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
 
 def cesaro_derivative(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
     """Derivative form of the operator image, C(f)'(z), via one quadrature."""
-    df = derivative(f)
 
     def g(u, z):
         d_full = 1.0 - (1.0 - u) * z
-        phi = u * z / d_full
-        return (1.0 - u) / d_full**2 * f.eval_at(phi) + u / d_full**3 * df.eval_at(phi)
+        f_phi, df_phi = f.eval_with_derivative(u * z / d_full)
+        return (1.0 - u) / d_full**2 * f_phi + u / d_full**3 * df_phi
 
     return _unit_interval_integral(g, z, tol)
 

@@ -13,7 +13,14 @@ extremal families
 
 Both families use principal branches.  That is legitimate on the whole
 disk because Re(1 - z^2) = 1 - x^2 + y^2 > 0 whenever |z| < 1, so
-1 - z^2 never meets the branch cut of the principal logarithm.
+1 - z^2 never meets the branch cut of the principal logarithm.  Each
+family takes one principal log, log_w = log(1 - z^2), per point and forms
+every power as exp(c * log_w), the same arithmetic as np.power with
+glibc's cpow, so the values are those of the power formulas bit for bit.
+
+eval_with_derivative(z) returns (f(z), f'(z)) at the same points.  The
+base class calls eval_at and derivative().eval_at; the extremal families
+share log_w between the two, and their derivative() takes f' from it.
 
 Evaluators accept scalars or numpy arrays of points.  Evaluation is
 guarded at |z| <= 1 - 1e-12; the families above blow up at the boundary
@@ -77,7 +84,8 @@ def _polyval(coeffs, z):
     """sum_n coeffs[n] z^n on the ndarray z, by Horner's rule."""
     out = np.full(z.shape, coeffs[-1], dtype=complex)
     for c in coeffs[-2::-1]:
-        out = out * z + c
+        out *= z
+        out += c
     return out
 
 
@@ -153,6 +161,10 @@ class AnalyticFunction:
 
     def eval_at(self, z):
         raise NotImplementedError
+
+    def eval_with_derivative(self, z):
+        """(f(z), f'(z)) at the same points; overridden where the two share work."""
+        return self.eval_at(z), self.derivative().eval_at(z)
 
     def eval_polar(self, r, angles):
         """Values on the grid r[:, None] * exp(1j * angles)[None, :]; r and angles 1-D."""
@@ -244,17 +256,18 @@ class KorenblumExtremal(AnalyticFunction):
         self.alpha = check_alpha(type(self).__name__, alpha, 0.0, 1.0)
 
     def eval_at(self, z):
+        return np.exp(-self.alpha * np.log(one_minus_sq(np.asarray(z, dtype=complex))))
+
+    def eval_with_derivative(self, z):
         z = np.asarray(z, dtype=complex)
-        return np.power(one_minus_sq(z), -self.alpha)
+        a = self.alpha
+        log_w = np.log(one_minus_sq(z))
+        return np.exp(-a * log_w), 2.0 * a * z * np.exp((-a - 1.0) * log_w)
 
     def derivative(self) -> ClosedForm:
-        a = self.alpha
-
-        def dfn(z):
-            z = np.asarray(z, dtype=complex)
-            return 2.0 * a * z * np.power(one_minus_sq(z), -a - 1.0)
-
-        return ClosedForm(dfn, label=f"d/dz (1-z^2)^(-{a})")
+        return ClosedForm(
+            lambda z: self.eval_with_derivative(z)[1], label=f"d/dz (1-z^2)^(-{self.alpha})"
+        )
 
     def __repr__(self):
         return f"KorenblumExtremal(alpha={self.alpha})"
@@ -273,25 +286,24 @@ class LogKorenblumExtremal(AnalyticFunction):
     def __init__(self, alpha: float):
         self.alpha = check_alpha(type(self).__name__, alpha, 0.0, 1.0)
 
-    def _log_term(self, z):
-        return log_weight_constant(self.alpha) - np.log(one_minus_sq(z))
-
     def eval_at(self, z):
+        log_w = np.log(one_minus_sq(np.asarray(z, dtype=complex)))
+        return np.exp(-self.alpha * log_w) / (log_weight_constant(self.alpha) - log_w)
+
+    def eval_with_derivative(self, z):
         z = np.asarray(z, dtype=complex)
-        return np.power(one_minus_sq(z), -self.alpha) / self._log_term(z)
+        a = self.alpha
+        w = one_minus_sq(z)
+        log_w = np.log(w)
+        log_term = log_weight_constant(a) - log_w
+        f = np.exp(-a * log_w) / log_term
+        # d/dz log f = 2 a z/(1-z^2) - (2 z/(1-z^2)) / log_term
+        return f, f * (2.0 * z / w) * (a - 1.0 / log_term)
 
     def derivative(self) -> ClosedForm:
-        a = self.alpha
-
-        def dfn(z):
-            z = np.asarray(z, dtype=complex)
-            omsq = one_minus_sq(z)
-            log_term = log_weight_constant(a) - np.log(omsq)
-            f = np.power(omsq, -a) / log_term
-            # d/dz log f = 2 a z/(1-z^2) - (2 z/(1-z^2)) / log_term
-            return f * (2.0 * z / omsq) * (a - 1.0 / log_term)
-
-        return ClosedForm(dfn, label=f"d/dz log-extremal({a})")
+        return ClosedForm(
+            lambda z: self.eval_with_derivative(z)[1], label=f"d/dz log-extremal({self.alpha})"
+        )
 
     def __repr__(self):
         return f"LogKorenblumExtremal(alpha={self.alpha})"

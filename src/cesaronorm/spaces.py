@@ -19,11 +19,11 @@ rows at radii around the grid maximum, then joint (radius, angle)
 patches that shrink around the best point.  Every grid, row and patch
 is a tensor grid radii x angles, evaluated in one functions.evaluate_polar
 call: polynomials and their Cesaro images as a separable product of
-radial rows and angular powers, every other function pointwise.  A
-maximum that is flat in the angle to within rounding at angle 0 is
-reported at angle 0.  Values beyond the overflow guard (1e12) mark the
-function as outside the space and are reported through the diverged flag
-instead of an exception.
+radial rows and angular powers, every other function pointwise.  The
+argmax angle is reported in [-pi, pi), and a maximum that is flat in the
+angle to within rounding at angle 0 is reported at angle 0.  Values
+beyond the overflow guard (1e12) mark the function as outside the space
+and are reported through the diverged flag instead of an exception.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ SpaceSpec = HardyInf | Korenblum | KorenblumLog | BlochAlpha
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Norm value with the argmax location and refinement diagnostics."""
+    """Norm value with the argmax location (angle in [-pi, pi)) and refinement diagnostics."""
 
     value: float
     argmax_radius: float
@@ -134,6 +134,12 @@ _PATCH = np.linspace(-1.0, 1.0, 25)
 _SHRINK = 2.0 / (_PATCH.size - 1)
 
 
+def _principal_angle(angle: float) -> float:
+    """angle reduced to [-pi, pi); exact, as the final shift by 2 pi lies in Sterbenz range."""
+    angle %= 2.0 * math.pi
+    return angle - 2.0 * math.pi if angle >= math.pi else angle
+
+
 def _disk_sup(f, space, tol, k_max):
     """sup over a polar grid of weight_at(space, r) |f(z)|, polished by batched zoom.
 
@@ -172,7 +178,7 @@ def _disk_sup(f, space, tol, k_max):
         return NormEstimate(
             value=float(row_max[i]),
             argmax_radius=float(radii[i]),
-            argmax_angle=float(angles[j]),
+            argmax_angle=_principal_angle(float(angles[j])),
             radial_points=i + 1,
             angular_points=m,
             refinement_residual=math.inf,
@@ -203,7 +209,7 @@ def _disk_sup(f, space, tol, k_max):
                 if {a, b} & {0, _PATCH.size - 1}:
                     continue
             h *= _SHRINK
-        return best_s, best_angle % (2.0 * math.pi), best_v, residual
+        return best_s, _principal_angle(best_angle), best_v, residual
 
     m = FIRST_ANGLES
     vals, angles, grid_best = grid_values(m)

@@ -328,3 +328,26 @@ def test_poly_image_second_derivative_falls_back_to_contour():
     d1 = derivative(image)
     quotient = (evaluate(d1, z + h) - evaluate(d1, z - h)) / (2 * h)
     np.testing.assert_allclose(evaluate(derivative(d1), z), quotient, rtol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "f",
+    FUNCTIONS + (KorenblumExtremal(0.05), LogKorenblumExtremal(0.05), cesaro_transform(FUNCTIONS[0])),
+    ids=repr,
+)
+def test_derivative_form_is_bitwise_the_two_call_integrand(f):
+    """One eval_with_derivative per node gives the same integral as f and f' evaluated apart."""
+    from cesaronorm.cesaro import _unit_interval_integral
+
+    df = derivative(f)
+
+    def two_calls(u, z):
+        d_full = 1.0 - (1.0 - u) * z
+        phi = u * z / d_full
+        return (1.0 - u) / d_full**2 * f.eval_at(phi) + u / d_full**3 * df.eval_at(phi)
+
+    z = _golden_points(48)
+    for tol in (1e-8, 1e-12):
+        got = cesaro_derivative(f, z, tol)
+        want = _unit_interval_integral(two_calls, z, tol)
+        assert got.tobytes() == want.tobytes()

@@ -650,3 +650,24 @@ def test_dump_integrand_rejects_bad_parameters(capsys):
         )[0]
         == 2
     )
+
+
+def test_empirical_theta_on_the_positive_axis_is_printed_near_zero(capsys):
+    """C(1)' peaks on the positive real axis: theta prints near 0, not as 6.28318."""
+    code, out, err = run_cli(
+        capsys,
+        "empirical",
+        "--source",
+        "bloch",
+        "--target",
+        "bloch",
+        "--alpha",
+        "1.5",
+        "--samples",
+        "2",
+        "--no-timestamp",
+    )
+    assert code == 0, err
+    notes = json.loads(out)["verdicts"][0]["notes"]
+    theta = float(notes.split("theta = ")[1].split(";")[0])
+    assert abs(theta) < 1e-6, notes

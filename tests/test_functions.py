@@ -218,3 +218,65 @@ def test_extraction_failure_is_reported(monkeypatch):
     monkeypatch.setattr(functions, "_MAX_EXTRACTION_POINTS", 512)
     with pytest.raises(ConvergenceError):
         taylor_truncate(KorenblumExtremal(0.9), 40, radius=0.99)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _disk_samples(n=4000, seed=11):
+    """Dense disk points by area, plus radii up to the guard 1 - 1e-12 and the real axis near +-1."""
+    rng = np.random.default_rng(seed)
+    z = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    s = 1.0 - np.logspace(-12, -1, 120)
+    angles = 2.0 * np.pi * rng.uniform(0.0, 1.0, s.size)
+    return np.concatenate([z, s * np.exp(1j * angles), s, -s, [0j]])
+
+
+def _joint_cases():
+    from cesaronorm import ClosedForm, cesaro_of_one, cesaro_transform
+
+    p = Poly([0.5, -1.0 + 2.0j, 0.25, 1.5j, -0.75])
+    return [
+        p,
+        Constant(1.5 - 0.5j),
+        cesaro_of_one(),
+        ClosedForm(np.exp, label="exp"),
+        KorenblumExtremal(0.05),
+        KorenblumExtremal(0.9),
+        LogKorenblumExtremal(0.05),
+        LogKorenblumExtremal(0.9),
+        cesaro_transform(p),
+    ]
+
+
+@pytest.mark.parametrize("f", _joint_cases(), ids=repr)
+def test_eval_with_derivative_is_bitwise_the_two_calls(f):
+    z = _disk_samples()
+    if isinstance(f, functions.ClosedForm) and f.deriv_fn is None:
+        z = z[np.abs(z) < 0.999]  # the contour fallback needs room for its circle
+    value, deriv = f.eval_with_derivative(z)
+    assert _same_bits(value, f.eval_at(z))
+    assert _same_bits(deriv, f.derivative().eval_at(z))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.33, 0.5, 0.9])
+def test_extremals_from_one_log_match_the_power_formula(alpha):
+    """exp(-alpha log w) and the derivatives built on it agree with np.power, also near z = +-1."""
+    z = _disk_samples(seed=int(100 * alpha))
+    w = one_minus_sq(z)
+    plain = np.power(w, -alpha)
+    log_term = log_weight_constant(alpha) - np.log(w)
+    cases = (
+        (KorenblumExtremal(alpha), plain, 2.0 * alpha * z * np.power(w, -alpha - 1.0)),
+        (
+            LogKorenblumExtremal(alpha),
+            plain / log_term,
+            plain / log_term * (2.0 * z / w) * (alpha - 1.0 / log_term),
+        ),
+    )
+    for f, want, want_deriv in cases:
+        value, deriv = f.eval_with_derivative(z)
+        for got, ref in ((value, want), (deriv, want_deriv), (f.eval_at(z), want)):
+            assert np.all(np.abs(got - ref) <= 4e-16 * np.abs(ref))

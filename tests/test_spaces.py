@@ -18,6 +18,7 @@ from cesaronorm import (
     KorenblumLog,
     LogKorenblumExtremal,
     Poly,
+    cesaro_of_one,
     cesaro_transform,
     log_weight_constant,
     space_norm,
@@ -239,3 +240,19 @@ def test_flat_argmax_is_reported_at_angle_zero():
     image = cesaro_transform(Poly([1.0, 0.5, 0.25]))
     for space in (HardyInf(), Korenblum(0.25), BlochAlpha(1.0)):
         assert space_norm(image, space).argmax_angle == 0.0
+
+
+@pytest.mark.parametrize("a", [1.5, 3.0, 10.0])
+def test_argmax_on_the_positive_axis_is_reported_near_zero(a):
+    """C(1)' peaks on the positive real axis; its angle is reported in [-pi, pi), not just below 2 pi."""
+    assert abs(space_norm(cesaro_of_one(), BlochAlpha(a)).argmax_angle) < 1e-6
+
+
+def test_argmax_angle_lies_in_the_principal_range():
+    # |1 + i z| peaks at z = -i r, angle -pi/2 (reported as 3 pi / 2 before the wrap)
+    est = space_norm(Poly([1.0, 1.0j]), Korenblum(0.5))
+    assert est.argmax_angle == pytest.approx(-0.5 * math.pi, abs=1e-6)
+    for angle in (-math.pi, -1e-300, 0.0, math.pi - 1e-15, math.pi, 2.0 * math.pi, 7.0):
+        wrapped = spaces._principal_angle(angle)
+        assert -math.pi <= wrapped < math.pi
+        assert math.remainder(wrapped - angle, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-15)
