@@ -63,7 +63,7 @@ from .functions import (
     _polyval_polar,
     log_weight_constant,
 )
-from .numerics import DEFAULT_QUAD_TOL, _failure, _lockstep
+from .numerics import DEFAULT_QUAD_TOL, integrate_rows
 
 
 def cesaro_coeff(series: PowerSeries) -> PowerSeries:
@@ -128,10 +128,7 @@ def _unit_interval_integral(integrand, z, tol: float):
     """
     arr = _check_point(z)
     flat, n = arr.ravel(), arr.size
-    values, totals, counts = _lockstep(lambda u, rows: integrand(u, flat[rows]), n, 0.0, 1.0, tol)
-    failed = np.flatnonzero(~(totals <= tol))
-    if failed.size:
-        raise _failure(float(totals[failed[0]]), int(counts[failed[0]]), tol)
+    values, _, _ = integrate_rows(lambda u, rows: integrand(u, flat[rows]), n, 0.0, 1.0, tol)
     value = values.reshape(arr.shape)
     return complex(value) if np.ndim(z) == 0 else value
 

@@ -78,6 +78,11 @@ class UsageError(Exception):
     pass
 
 
+# input sizes beyond these are rejected before anything is allocated
+MAX_GRID_POINTS = 10_000
+MAX_T_POINTS = 10**6
+
+
 def _parse_alpha_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
@@ -89,7 +94,7 @@ def _parse_alpha_list(text: str) -> list[float]:
 
 
 def parse_grid(text: str) -> list[float]:
-    """start:stop:step, inclusive of start, exclusive of stop + step/2."""
+    """start:stop:step, inclusive of start, exclusive of stop + step/2, at most MAX_GRID_POINTS points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must look like start:stop:step, got {text!r}")
@@ -99,6 +104,9 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
     if step <= 0.0 or not all(map(math.isfinite, (start, stop, step))):
         raise UsageError("grid step must be positive and finite")
+    span = (stop - start) / step + 0.5  # floor(span) + 1 points, up to rounding
+    if span >= MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     out = []
     k = 0
     while True:
@@ -250,6 +258,8 @@ def _cmd_dump(args) -> int:
     result.check_alpha(args.alpha)
     if args.t_points < 2:
         raise UsageError("--t-points must be at least 2")
+    if args.t_points > MAX_T_POINTS:
+        raise UsageError(f"--t-points must be at most {MAX_T_POINTS}")
     if not (math.isfinite(args.t_max) and args.t_max > 0.0):
         raise UsageError("--t-max must be positive and finite")
     radii = _parse_alpha_list(args.radii)

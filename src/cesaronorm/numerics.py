@@ -5,14 +5,16 @@ independent integrals over one interval, each on its own partition into
 panels of the embedded Gauss(7)/Kronrod(15) pair: a panel is evaluated
 once at the 15 Kronrod abscissae, the 7-point Gauss value reuses a subset
 of those samples, and |K15 - G7| (the worst component, for array-valued
-integrands) is the panel error.  In each round every unfinished integral
-splits its own worst panel, and all new panels of the round go through
-one integrand call.  An integral stops once its summed error is within
-tol (a running total, re-summed exactly near tol) or is not finite, when
-its worst panel is narrower than the width floor, or at 10^4 panels; it
-ends in ConvergenceError unless its exact error total is within tol.
-integrate_finite is the batch of one; the operator forms of cesaro run
-one integral per point.
+integrands) is the panel error.  The panels of a batch live in one 2-D
+table, a row per integral and a column per panel.  In each round every
+unfinished integral splits its own worst panel, and all new panels of the
+round go through one integrand call.  An integral stops once the exact
+left-to-right sum of its panel errors, taken every round, is within tol
+or is not finite, when its worst panel is narrower than the width floor,
+or at 10^4 panels (Piessens et al., QUADPACK, 1983).  integrate_rows owns
+the convergence rule: it raises ConvergenceError for the first integral
+whose error total is not within tol.  integrate_finite is the batch of
+one; the operator forms of cesaro run one integral per point.
 
 Half-line integrals of exponentially decaying integrands are pulled back
 to (0, 1] through u = exp(-t):
@@ -32,7 +34,9 @@ next bracket is the winner's neighbours, narrowed around the vertex of
 the parabola through the three when it is concave (Brent, Algorithms for
 Minimization without Derivatives, 1973, ch. 5).  It extrapolates the
 last five grid values with iterated Aitken steps, exact for tails like
-c * q^k.  golden_section_max is the scalar one-dimensional search.
+c * q^k.  golden_section_max, the scalar one-dimensional search, is no
+longer called by the package; it stays because the benchmark's tracer
+binds it by name.
 """
 
 from __future__ import annotations
@@ -112,7 +116,9 @@ def _panels(g, lo, hi, rows):
     """K15 values and |K15 - G7| errors of the panels [lo_p, hi_p] from one call g(x, rows).
 
     The node axis of C-ordered values is reduced with einsum, never a BLAS
-    product, so a panel does not depend on the other panels of the call.
+    product, so a panel does not depend on the other panels of the call,
+    provided the dtype of g does not depend on the nodes: einsum rounds real
+    and complex values differently (np.emath.sqrt is a counterexample).
     """
     h = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
@@ -129,9 +135,9 @@ def _row_sums(x):
     return np.add.accumulate(x, axis=1)[:, -1]
 
 
-def _finish(tables, which, c: int):
-    """Values, exact error totals and panel counts of the table rows which."""
-    err_t, lo_t, val_t = (tables[k][which, :c] for k in (0, 1, 3))
+def _finish(err_t, lo_t, val_t, c: int):
+    """Values, exact error totals and panel counts of the table rows, from their first c columns."""
+    err_t, lo_t, val_t = err_t[:, :c], lo_t[:, :c], val_t[:, :c]
     by_lo = np.arange(err_t.shape[0])[:, None], lo_t.argsort(axis=1, kind="stable")
     dead = (err_t[by_lo] == -np.inf).reshape(err_t.shape + (1,) * (val_t.ndim - 2))
     live = err_t != -np.inf
@@ -141,79 +147,63 @@ def _finish(tables, which, c: int):
 
 
 def _lockstep(g, n: int, a: float, b: float, tol: float):
-    """n adaptive G7/K15 integrals over [a, b], advanced together.
+    """n adaptive G7/K15 integrals over [a, b], advanced together; see the module docstring.
 
-    In each round every unfinished integral splits its worst panel, and all
-    new panels go through one call g(x, rows), rows giving the integral of
-    each node.  The panels form one flat table: table row i owns the cells
-    i * cap + k, k counting its panels in creation order.  When the cells
-    run out, the rows of finished integrals are summed and dropped, and cap
-    doubles.  A cell holds the ends, K15 value and error of a panel; the
-    error turns -inf once the panel is split.  argmax along a row picks the
-    worst panel, the first maximum being the oldest, as a heap on (-error,
-    id) would.  Sums run left to right along a row, -0.0 in split and
-    unused cells changing no float: the error total in creation order and
+    All new panels of a round go through one call g(x, rows), rows giving
+    the integral of each node.  Table row i holds the ends, K15 values and
+    errors of one integral's panels in creation order, an error turning
+    -inf once its panel is split.  When the columns run out, finished rows
+    are summed and dropped and the others padded to twice the width.
+    argmax along a row picks the worst panel, the first maximum being the
+    oldest, as a heap on (-error, id) would.  Sums run left to right, -0.0
+    in split cells changing no float: the error total in creation order,
     the value in order of lo, as Python's sum adds them.  Returns values,
-    exact error totals and panel counts as arrays, one entry per integral.
+    exact error totals and panel counts, one entry per integral.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     # about 2048 cells to start with, at least 16 a row, so that small batches rarely double;
     # c counts the panels of every unfinished integral
     cap, c = max(16, 2048 // max(n, 1)), 1
-    err_f, lo_f, hi_f = np.full(n * cap, -np.inf), np.full(n * cap, a), np.full(n * cap, b)
-    vals, err = _panels(g, lo_f[::cap], hi_f[::cap], np.arange(n))
-    val_f = np.zeros((n * cap,) + vals.shape[1:], vals.dtype)
-    err_f[::cap], val_f[::cap] = err, vals
+    vals, err = _panels(g, np.full(n, a), np.full(n, b), np.arange(n))
+    err_t, lo_t, hi_t = np.full((n, cap), -np.inf), np.full((n, cap), a), np.full((n, cap), b)
+    val_t = np.zeros((n, cap) + vals.shape[1:], vals.dtype)
+    err_t[:, 0], val_t[:, 0] = err, vals
     values, totals, counts = np.empty_like(vals), np.empty(n), np.empty(n, dtype=int)
-    ids = np.arange(n)  # the integral of each table row
-    # The unfinished integrals, compacted: table rows, and running error
-    # totals with a bound on their rounding drift.  Only exact sums decide
-    # stops; once some total nears tol, all of them are re-summed exactly.
-    rows, run, drift, floor = np.arange(n), err, np.zeros(n), (b - a) * 1e-15
+    # the integral of each table row, and the table rows of the unfinished integrals
+    ids, rows, floor = np.arange(n), np.arange(n), (b - a) * 1e-15
     while rows.size and c < MAX_PANELS:
-        errs = err_f.reshape(ids.size, cap)[:, :c].take(rows, axis=0)
-        if np.count_nonzero(run > 2.0 * tol + drift) < rows.size:
-            run, drift = _row_sums(np.where(errs == -np.inf, -0.0, errs)), np.zeros(rows.size)
-        pos = rows * cap + errs.argmax(axis=1)
-        lo, hi = lo_f[pos], hi_f[pos]
-        keep = (run > tol) & (hi - lo > floor)  # a NaN total stops too
-        if np.count_nonzero(keep) < rows.size:
-            rows, run, drift, pos, lo, hi = (x[keep] for x in (rows, run, drift, pos, lo, hi))
-            if not rows.size:
-                break
-        gone = err_f[pos]
-        err_f[pos] = -np.inf
+        errs = err_t[rows, :c]
+        col = errs.argmax(axis=1)
+        lo, hi = lo_t[rows, col], hi_t[rows, col]
+        keep = (_row_sums(np.where(errs == -np.inf, -0.0, errs)) > tol) & (hi - lo > floor)  # NaN stops
+        rows, col, lo, hi = rows[keep], col[keep], lo[keep], hi[keep]
+        if not rows.size:
+            break
+        err_t[rows, col] = -np.inf
         # each child starts as its parent; the midpoint closes the left one and opens the right one
         mid = 0.5 * (lo + hi)
-        lo, hi, kids = lo.repeat(2), hi.repeat(2), rows.repeat(2)
+        lo, hi = lo.repeat(2), hi.repeat(2)
         lo[1::2], hi[0::2] = mid, mid
-        vals, err = _panels(g, lo, hi, ids[kids])
+        vals, err = _panels(g, lo, hi, ids[rows].repeat(2))
         if c + 2 > cap:  # sum up and drop the finished rows, and double cap
-            tables = [t.reshape((ids.size, cap) + t.shape[1:]) for t in (err_f, lo_f, hi_f, val_f)]
             done = np.ones(ids.size, dtype=bool)
             done[rows] = False
             fin = ids[done]
-            values[fin], totals[fin], counts[fin] = _finish(tables, done, c)
-            err_f, lo_f, hi_f, val_f = (
-                np.concatenate([t[rows], np.full_like(t[rows], f)], axis=1).reshape((-1,) + t.shape[2:])
-                for t, f in zip(tables, (-np.inf, a, b, 0.0))
+            values[fin], totals[fin], counts[fin] = _finish(err_t[done], lo_t[done], val_t[done], c)
+            err_t, lo_t, hi_t, val_t = (
+                np.concatenate([t[rows], np.full_like(t[rows], f)], axis=1)
+                for t, f in zip((err_t, lo_t, hi_t, val_t), (-np.inf, a, b, 0.0))
             )
             ids, rows, cap = ids[rows], np.arange(rows.size), 2 * cap
-            kids = rows.repeat(2)
-        if vals.dtype != val_f.dtype:
-            val_f = val_f.astype(np.result_type(val_f, vals))
-            values = values.astype(val_f.dtype)
-        cell = kids * cap + c
-        cell[1::2] += 1
-        err_f[cell], lo_f[cell], hi_f[cell], val_f[cell] = err, lo, hi, vals
-        pair = err[0::2] + err[1::2]
-        drift += 1e-15 * (np.abs(run) + (pair + gone))  # > 4 roundings
-        run += pair - gone
+        if vals.dtype != val_t.dtype:
+            val_t = val_t.astype(np.result_type(val_t, vals))
+            values = values.astype(val_t.dtype)
+        for t, new in zip((err_t, lo_t, hi_t, val_t), (err, lo, hi, vals)):
+            t[rows, c : c + 2] = new.reshape((-1, 2) + new.shape[1:])
         c += 2
 
-    tables = [t.reshape((ids.size, cap) + t.shape[1:]) for t in (err_f, lo_f, hi_f, val_f)]
-    values[ids], totals[ids], counts[ids] = _finish(tables, slice(None), c)
+    values[ids], totals[ids], counts[ids] = _finish(err_t, lo_t, val_t, c)
     return values, totals, counts
 
 
@@ -221,6 +211,15 @@ def _failure(total: float, count: int, tol: float) -> ConvergenceError:
     """The error of an integral whose exact error total is not within tol."""
     reason = "is not finite" if math.isnan(total) else f"{total:.3e} above tolerance {tol:.3e}"
     return ConvergenceError(f"quadrature error {reason} after {count} panels")
+
+
+def integrate_rows(g: Callable, n: int, a: float, b: float, tol: float):
+    """_lockstep(g, n, a, b, tol); ConvergenceError for the first error total not within tol."""
+    values, totals, counts = _lockstep(g, n, a, b, tol)
+    failed = np.flatnonzero(~(totals <= tol))
+    if failed.size:
+        raise _failure(float(totals[failed[0]]), int(counts[failed[0]]), tol)
+    return values, totals, counts
 
 
 def integrate_finite(
@@ -235,11 +234,8 @@ def integrate_finite(
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("integration interval must be finite with a < b")
-    values, totals, counts = _lockstep(lambda x, rows: _eval_nodes(g, x), 1, a, b, tol)
-    total, count = float(totals[0]), int(counts[0])
-    if not total <= tol:
-        raise _failure(total, count, tol)
-    return QuadratureResult(values[0], total, count)
+    values, totals, counts = integrate_rows(lambda x, rows: _eval_nodes(g, x), 1, a, b, tol)
+    return QuadratureResult(values[0], float(totals[0]), int(counts[0]))
 
 
 def integrate_halfline_batch(g: Callable, n: int, tol: float = DEFAULT_QUAD_TOL) -> list:

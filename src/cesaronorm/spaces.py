@@ -162,11 +162,6 @@ def _disk_sup(f, space, tol, k_max):
         a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
         return vals, (a, b, float(s[a]), float(angles[b]), float(vals[a, b]))
 
-    def grid_values(m):
-        angles = 2.0 * np.pi * np.arange(m) / m
-        vals, best = patch(s_grid, angles)
-        return vals, angles, best
-
     def scan(vals, angles, m):
         # increasing radius so a blow-up reports its first witness
         row_max = vals.max(axis=1)
@@ -211,16 +206,11 @@ def _disk_sup(f, space, tol, k_max):
             h *= _SHRINK
         return best_s, _principal_angle(best_angle), best_v, residual
 
-    m = FIRST_ANGLES
-    vals, angles, grid_best = grid_values(m)
-    flagged = scan(vals, angles, m)
-    if flagged is not None:
-        return flagged
-    best_s, best_angle, best_v, residual = polish(angles, m, grid_best)
-    angular_delta = math.inf
+    m, best_v, angular_delta = FIRST_ANGLES // 2, -math.inf, math.inf
     while m < MAX_ANGLES:
         m *= 2
-        vals, angles, grid_best = grid_values(m)
+        angles = 2.0 * np.pi * np.arange(m) / m
+        vals, grid_best = patch(s_grid, angles)
         flagged = scan(vals, angles, m)
         if flagged is not None:
             return flagged
@@ -228,7 +218,8 @@ def _disk_sup(f, space, tol, k_max):
         angular_delta = abs(nv - best_v)
         if nv > best_v:
             best_s, best_angle, best_v, residual = ns, na, nv, nres
-        if angular_delta <= max(0.5 * tol, 4e-16 * max(1.0, best_v)):
+        # the first level has no level to compare with, even at tol = inf
+        if m > FIRST_ANGLES and angular_delta <= max(0.5 * tol, 4e-16 * max(1.0, best_v)):
             break
     else:
         if angular_delta > tol:

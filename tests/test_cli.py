@@ -8,7 +8,7 @@ import math
 import pytest
 from jsonschema import validate
 
-from cesaronorm import DomainError, verify_theorem
+from cesaronorm import DomainError, cli, verify_theorem
 from cesaronorm.cli import UsageError, main, parse_grid
 
 REPORT_SCHEMA = {
@@ -322,6 +322,34 @@ def test_table_bad_grids(capsys):
     assert run_cli(capsys, "table", "--alpha-grid", "oops")[0] == 2
     assert run_cli(capsys, "table", "--alpha-grid", "0.9:0.5:0.1")[0] == 2
     assert run_cli(capsys, "table", "--alpha-grid", "-0.3:0.2:0.1")[0] == 2
+
+
+def test_parse_grid_bounds_the_point_count():
+    assert len(parse_grid("1:10000:1")) == 10_000
+    # a step below the float spacing near start never moves start + k * step
+    for big in ("1:10001:1", "0:1e9:1", "0.1:0.9:1e-300", "-1e308:1e308:1"):
+        with pytest.raises(UsageError, match="more than 10000 points"):
+            parse_grid(big)
+
+
+@pytest.mark.parametrize("grid", ["0.1:0.9:1e-300", "0:1e9:1"])
+def test_table_rejects_oversized_grids(capsys, grid):
+    code, out, err = run_cli(capsys, "table", "--alpha-grid", grid)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "more than 10000 points" in err
+
+
+@pytest.mark.parametrize("t_points", ["1000001", "1000000000000"])
+def test_dump_integrand_rejects_too_many_t_points_before_allocating(capsys, monkeypatch, t_points):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("linspace called")
+
+    monkeypatch.setattr(cli.np, "linspace", no_linspace)
+    code, out, err = run_cli(
+        capsys, "dump-integrand", "--theorem", "T3.1", "--alpha", "0.5", "--t-points", t_points
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--t-points" in err
 
 
 def test_empirical_plain_pair(capsys):

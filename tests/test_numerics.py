@@ -63,6 +63,50 @@ def test_integrate_finite_cap(monkeypatch):
         integrate_finite(lambda u: np.sin(1.0 / u) / u, 1e-12, 1.0, 1e-13)
 
 
+# 132 rows of a batch on [0, 1], each (f, -f / 2) per node: cubics that converge
+# on their first panel, sines that take one round, and multiples of sqrt(u)
+# that split their leftmost panel every round and run past the first doubling
+def _doubling_row(i):
+    if i % 3 == 0:
+        return lambda u: (1.0 + 0.01 * i) * u**3 - u
+    if i % 3 == 1:
+        return lambda u: (1.0 + 0.01 * i) * np.sin((5.0 + 3.0 * (i % 2)) * u)
+    return lambda u: (0.5 + 0.05 * i) * np.sqrt(u)
+
+
+def _components(f, u):
+    """(f, -f / 2) at u, complex once a node of the call lies below 1e-3."""
+    out = np.outer(f(u), [1.0, -0.5])
+    return out + 0j if u.min() < 1e-3 else out
+
+
+def test_lockstep_doubling_matches_each_row_alone():
+    """Rows dropped at a doubling, trailing value dims and a dtype switch, each bitwise as alone.
+
+    Only multiples of sqrt(u) are left when the first call reaches u < 1e-3,
+    in round 3, and each of them reaches it in the same round alone, so every
+    call has the dtype that each of its rows has alone.
+    """
+    rows = [_doubling_row(i) for i in range(132)]
+    dtypes = []
+
+    def batch(x, which):
+        out = np.empty(x.shape + (2,), dtype=complex if x.min() < 1e-3 else float)
+        for i in np.unique(which):
+            out[which == i] = _components(rows[i], x[which == i])
+        dtypes.append(out.dtype)
+        return out
+
+    values, totals, counts = numerics._lockstep(batch, len(rows), 0.0, 1.0, 1e-10)
+    assert dtypes[0] == float and values.dtype == complex and values.shape == (132, 2)
+    # cap is 16 columns for more than 128 rows: some rows end before it doubles, others after
+    assert counts.min() <= 3 and counts.max() > 16
+    for i, f in enumerate(rows):
+        value, total, count = numerics._lockstep(lambda x, _, f=f: _components(f, x), 1, 0.0, 1.0, 1e-10)
+        assert (int(counts[i]), totals[i].hex()) == (int(count[0]), total[0].hex())
+        assert values[i].tobytes() == value[0].astype(complex).tobytes()
+
+
 def test_halfline_examples():
     assert integrate_halfline_exp(lambda t: np.exp(-0.5 * t), 1e-9).value == pytest.approx(
         2.0, abs=1e-7
