@@ -57,11 +57,11 @@ from .functions import (
     LogKorenblumExtremal,
     Poly,
     PowerSeries,
-    _angular_powers,
     _check_point,
     _polyval,
     _polyval_polar,
     log_weight_constant,
+    polar_tables,
 )
 from .numerics import DEFAULT_QUAD_TOL, integrate_rows
 
@@ -210,7 +210,8 @@ class PolyImage(AnalyticFunction):
     coefficients plus the geometric log tail) covers small |z| where the
     closed form cancels.  On a polar grid the branch is chosen per radius
     and every polynomial part is a separable product sharing one matrix
-    of angular powers.
+    of angular powers; those and log(1 - z) come from polar_tables,
+    shared across a disk sup's functions and bitwise as built afresh.
     """
 
     __slots__ = ("degree", "total", "q", "dq", "head", "dhead")
@@ -232,9 +233,9 @@ class PolyImage(AnalyticFunction):
         d = self.degree
         return self.head, d + 1, 1.0 / (d + 2.0 + _POLY_TAIL_J)
 
-    def _closed(self, z, polyval):
-        """The closed form at z, given polyval(p) = p at the same points."""
-        return (-self.total * np.log(1.0 - z) - polyval(self.q)) / z
+    def _closed(self, z, log_one_minus, polyval):
+        """The closed form at z, given log(1 - z) and polyval(p) = p at the same points."""
+        return (-self.total * log_one_minus - polyval(self.q)) / z
 
     def eval_at(self, z):
         z = np.asarray(z, dtype=complex)
@@ -243,20 +244,20 @@ class PolyImage(AnalyticFunction):
         zs, zc = z[small], z[~small]
         head, shift, tail = self._series()
         out[small] = _polyval(head, zs) + self.total * zs**shift * _polyval(tail, zs)
-        out[~small] = self._closed(zc, lambda p: _polyval(p, zc))
+        out[~small] = self._closed(zc, np.log(1.0 - zc), lambda p: _polyval(p, zc))
         return out
 
     def eval_polar(self, r, angles):
         small = r < _POLY_SMALL
         rs, rc = r[small], r[~small]
         head, shift, tail = self._series()
-        unit = np.exp(1j * angles)
-        w = _angular_powers(unit, max(self.q.size, shift + 1, tail.size) if rs.size else self.q.size)
         out = np.empty((r.size, angles.size), dtype=complex)
         if rs.size:
-            zs_shift = rs[:, None] ** shift * w[shift]
-            out[small] = _polyval_polar(head, rs, w) + self.total * zs_shift * _polyval_polar(tail, rs, w)
-        out[~small] = self._closed(rc[:, None] * unit, lambda p: _polyval_polar(p, rc, w))
+            ts = polar_tables(rs, angles)
+            zs_shift = rs[:, None] ** shift * ts.angular_powers(shift + 1)[shift]
+            out[small] = _polyval_polar(head, ts) + self.total * zs_shift * _polyval_polar(tail, ts)
+        tc = polar_tables(rc, angles)
+        out[~small] = self._closed(rc[:, None] * tc.unit, tc.log_one_minus(), lambda p: _polyval_polar(p, tc))
         return out
 
     def derivative(self) -> "PolyImage":
@@ -279,8 +280,8 @@ class _PolyImageDerivative(PolyImage):
         d = self.degree
         return self.dhead, d, (d + 1.0 + _POLY_TAIL_J) / (d + 2.0 + _POLY_TAIL_J)
 
-    def _closed(self, z, polyval):
-        n_val = -self.total * np.log(1.0 - z) - polyval(self.q)
+    def _closed(self, z, log_one_minus, polyval):
+        n_val = -self.total * log_one_minus - polyval(self.q)
         n_der = self.total / (1.0 - z) - polyval(self.dq)
         return (n_der * z - n_val) / z**2
 

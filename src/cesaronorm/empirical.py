@@ -74,7 +74,9 @@ def sample_unit_ball(space: SpaceSpec, cfg: SampleConfig) -> list[AnalyticFuncti
 
     Coefficients are complex Gaussian with magnitude decay (n + 1)^-1;
     the norm is positively homogeneous, so dividing the coefficients by
-    the measured norm is exact.
+    the measured norm is exact.  The norm is space_norm's at its defaults:
+    tol 1e-9 on the radius grid k <= RADIAL_K_MAX (41 radii), not the
+    GRID_K_MAX grid on which operator_norm_lower_bound measures images.
     """
     rng = np.random.default_rng(cfg.seed)
     out: list[AnalyticFunction] = []
@@ -140,8 +142,10 @@ def operator_norm_lower_bound(
 ):
     """Best observed norm ratio over the sample plus the extremal witness.
 
-    Every norm is measured on the radius grid r_k = 1 - 2^-k, k <=
-    GRID_K_MAX, at space_norm's default tol.  Returns a NormEstimate whose
+    Every image, and the witness, is measured on the radius grid
+    r_k = 1 - 2^-k, k <= GRID_K_MAX (31 radii), at space_norm's default
+    tol; the samples are normalized by sample_unit_ball on space_norm's
+    default grid of 41 radii.  Returns a NormEstimate whose
     value is a certified lower bound for the operator norm (up to
     quadrature tolerance), or a DivergenceFlag
     for the sup-norm -> Bloch-type pair with alpha < 1.  memo (see

@@ -31,7 +31,12 @@ functions evaluate there as a separable product: the rows
 coeffs[n] r^n times the angular powers W[n, j] = exp(1j n angles[j]),
 one matrix product where Horner's rule would make one pass over every
 grid point per degree.  Every other function forms the grid and goes
-through eval_at.
+through eval_at.  The radial powers r^n, W and log(1 - z) do not depend
+on the function: a grid of at least 256 angles, as a disk sup's levels
+and row patches are, takes them from a bounded LRU cache keyed by the
+bytes of (r, angles).  Every table is read-only and a fresh build of
+its size, so values are bitwise those of per-call tables whatever the
+cache holds.
 
 Taylor coefficients of a closed form are recovered through the discrete
 Cauchy integral: sample on a circle |z| = rho, take an FFT, and divide
@@ -44,6 +49,7 @@ need a radius closer to the circle of convergence than the default 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,6 +62,7 @@ EVAL_RADIUS_LIMIT = 1.0 - 1e-12
 DEFAULT_COEFF_TOL = 1e-10
 DEFAULT_EXTRACTION_RADIUS = 0.5
 _MAX_EXTRACTION_POINTS = 1 << 17
+_SHARED_ANGLES = 256
 
 
 def one_minus_sq(z):
@@ -89,17 +96,75 @@ def _polyval(coeffs, z):
     return out
 
 
-def _angular_powers(unit, n):
-    """W[k, j] = unit[j]^k for k < n, by cumulative products down the rows."""
-    w = np.empty((n, unit.size), dtype=complex)
-    w[0] = 1.0
-    w[1:] = unit
-    return np.cumprod(w, axis=0, out=w)
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
-def _polyval_polar(coeffs, r, w):
-    """sum_n coeffs[n] (r e^(i angle))^n on the r x angle grid whose angular powers are w."""
-    return (coeffs * r[:, None] ** np.arange(coeffs.size)) @ w[: coeffs.size]
+class _PolarTables:
+    """Tables of the grid r x angles that do not depend on the function evaluated, read-only.
+
+    unit = exp(1j angles) and the angular powers belong to the level, the
+    tables of the angles alone, which all grids with those angles share;
+    the radial powers and log(1 - z) to the grid.  Each is built on first
+    use, and a power table too short for n is rebuilt whole: every prefix
+    of a fresh build is bitwise the build of that many powers, whereas
+    extending a cumulative product by one row takes numpy's other complex
+    multiply and moves entries by an ulp.
+    """
+
+    __slots__ = ("r", "unit", "level", "_w", "_rpow", "_log")
+
+    def __init__(self, r, angles, level=None):
+        # no level: the grid is its own, not through self.level, which would make
+        # a cycle that keeps a zoom patch's tables until the cycle collector runs
+        self.r, self.level = r, level
+        self.unit = _frozen(np.exp(1j * angles)) if level is None else level.unit
+        self._w = self._rpow = self._log = None
+
+    def angular_powers(self, n):
+        """W[k, j] = unit[j]^k for k < n, by cumulative products down the rows."""
+        level = self if self.level is None else self.level
+        if level._w is None or level._w.shape[0] < n:
+            w = np.empty((n, self.unit.size), dtype=complex)
+            w[0] = 1.0
+            w[1:] = self.unit
+            level._w = _frozen(np.cumprod(w, axis=0, out=w))
+        return level._w[:n]
+
+    def radial_powers(self, n):
+        if self._rpow is None or self._rpow.shape[1] < n:
+            self._rpow = _frozen(self.r[:, None] ** np.arange(n))
+        return self._rpow[:, :n]
+
+    def log_one_minus(self):
+        if self._log is None:
+            self._log = _frozen(np.log(1.0 - self.r[:, None] * self.unit))
+        return self._log
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_level(angles_key):
+    return _PolarTables(None, np.frombuffer(angles_key))
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_polar_tables(r_key, angles_key):
+    return _PolarTables(np.frombuffer(r_key), None, _shared_level(angles_key))
+
+
+def polar_tables(r, angles):
+    """The _PolarTables of r x angles: shared for at least _SHARED_ANGLES angles, else new."""
+    r, angles = np.asarray(r, dtype=float), np.asarray(angles, dtype=float)
+    if angles.size < _SHARED_ANGLES:
+        return _PolarTables(r, angles)
+    return _shared_polar_tables(r.tobytes(), angles.tobytes())
+
+
+def _polyval_polar(coeffs, tables):
+    """sum_n coeffs[n] (r e^(i angle))^n on the grid of tables."""
+    n = coeffs.size
+    return (coeffs * tables.radial_powers(n)) @ tables.angular_powers(n)
 
 
 def _check_radius(moduli) -> None:
@@ -188,8 +253,7 @@ class Poly(AnalyticFunction):
         return self.series.eval_at(z)
 
     def eval_polar(self, r, angles):
-        c = self.series.coeffs
-        return _polyval_polar(c, r, _angular_powers(np.exp(1j * angles), c.size))
+        return _polyval_polar(self.series.coeffs, polar_tables(r, angles))
 
     def derivative(self) -> "Poly":
         return Poly(self.series.differentiate())

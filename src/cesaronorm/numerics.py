@@ -329,7 +329,9 @@ def golden_section_max(
 
 
 def radius_grid(k_max: int = RADIAL_K_MAX) -> np.ndarray:
-    """Geometric approach to the boundary: r_k = 1 - 2^-k, k = 0..k_max."""
+    """Geometric approach to the boundary: r_k = 1 - 2^-k, k = 0..k_max, for an integer k_max >= 1."""
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 1:
+        raise DomainError(f"k_max must be an integer >= 1, got {k_max!r}")
     return 1.0 - 2.0 ** -np.arange(k_max + 1, dtype=float)
 
 

@@ -20,6 +20,8 @@ patches that shrink around the best point.  Every grid, row and patch
 is a tensor grid radii x angles, evaluated in one functions.evaluate_polar
 call: polynomials and their Cesaro images as a separable product of
 radial rows and angular powers, every other function pointwise.  The
+grids and whole-row patches repeat across the functions measured, so
+their tables come from functions.polar_tables, bitwise as built afresh.  The
 argmax angle is reported in [-pi, pi), and a maximum that is flat in the
 angle to within rounding at angle 0 is reported at angle 0.  Values
 beyond the overflow guard (1e12) mark the function as outside the space
@@ -35,6 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .functions import (
+    _REAL,
     EVAL_RADIUS_LIMIT,
     AnalyticFunction,
     check_alpha,
@@ -255,8 +258,11 @@ def space_norm(
     The returned value is a supremum over sampled points, hence a lower
     bound of the true norm that is accurate to roughly tol for smooth
     integrands.  A diverged estimate means the weighted modulus passed
-    the overflow guard, i.e. f does not belong to the space.
+    the overflow guard, i.e. f does not belong to the space.  tol must be
+    positive (inf visits two angular levels) and k_max an integer >= 1.
     """
+    if isinstance(tol, bool) or not isinstance(tol, _REAL) or not tol > 0.0:
+        raise DomainError(f"space_norm requires tol > 0, got {tol!r}")
     if isinstance(space, BlochAlpha):
         base = abs(evaluate(f, 0j))
         est = _disk_sup(derivative(f), space, tol, k_max)

@@ -15,13 +15,14 @@ from cesaronorm import (
     KorenblumExtremal,
     KorenblumLog,
     LogKorenblumExtremal,
+    Poly,
     PreconditionError,
     SampleConfig,
     bloch_upper_bound,
     operator_norm_lower_bound,
     space_norm,
 )
-from cesaronorm.empirical import extremal_for, sample_unit_ball
+from cesaronorm.empirical import GRID_K_MAX, extremal_for, sample_unit_ball
 
 
 def test_sample_config_validation():
@@ -56,6 +57,23 @@ def test_samples_are_normalized():
     space = Korenblum(0.4)
     for f in sample_unit_ball(space, SampleConfig(seed=9, count=6, max_degree=12)):
         assert space_norm(f, space, 1e-9).value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("space", [HardyInf(), Korenblum(0.25), BlochAlpha(1.5)], ids=repr)
+def test_samples_are_normalized_on_the_default_radius_grid(space):
+    """Each sample is raw / space_norm(Poly(raw), space).value, at k_max RADIAL_K_MAX, bit for bit."""
+    cfg = SampleConfig(seed=3, count=5, max_degree=40)
+    rng = np.random.default_rng(cfg.seed)
+    off_grid = []
+    for f in sample_unit_ball(space, cfg):
+        deg = int(rng.integers(0, cfg.max_degree + 1))
+        raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        raw *= (np.arange(deg + 1) + 1.0) ** -1.0
+        np.testing.assert_array_equal(f.series.coeffs, raw / space_norm(Poly(raw), space).value)
+        off_grid.append(space_norm(Poly(raw), space, k_max=GRID_K_MAX).value != space_norm(Poly(raw), space).value)
+    if isinstance(space, HardyInf):
+        # the sup of |f| sits at the circle, so the shorter grid gives other norms
+        assert any(off_grid)
 
 
 def test_degree_zero_sample_is_unit_constant():

@@ -122,6 +122,24 @@ def test_space_norm_divergence_flag():
     assert est.argmax_radius > 0.9
 
 
+@pytest.mark.parametrize("tol", [math.nan, True, False, 0.0, -1e-9, -math.inf, "1e-9", None])
+def test_space_norm_rejects_bad_tol(tol):
+    with pytest.raises(DomainError, match="tol > 0"):
+        space_norm(Poly([1.0, 0.5]), HardyInf(), tol=tol)
+
+
+@pytest.mark.parametrize("k_max", [-1, 0, 2.5, 40.0, True, None, "40"])
+def test_space_norm_rejects_bad_k_max(k_max):
+    with pytest.raises(DomainError, match="k_max must be an integer >= 1"):
+        space_norm(Poly([1.0, 0.5]), HardyInf(), k_max=k_max)
+
+
+def test_space_norm_accepts_integer_k_max_and_infinite_tol():
+    f = Poly([1.0, 0.5])
+    assert space_norm(f, HardyInf(), k_max=np.int64(5)) == space_norm(f, HardyInf(), k_max=5)
+    assert space_norm(f, HardyInf(), tol=math.inf, k_max=1).radial_points == 2
+
+
 def test_norm_dominates_samples():
     rng = np.random.default_rng(11)
     space = KorenblumLog(0.6)

@@ -45,6 +45,7 @@ from cesaronorm.theorems import (
     log_to_plain_lower_bound,
     log_to_plain_slice,
     profile_integrand,
+    profile_sup,
 )
 
 
@@ -383,3 +384,14 @@ ALPHA_ENTRY_POINTS = {
 def test_alpha_rejects_bool_and_non_finite(entry, alpha):
     with pytest.raises(DomainError, match="alpha"):
         ALPHA_ENTRY_POINTS[entry](alpha)
+
+
+@pytest.mark.parametrize("k_max", [-1, 0, 2.5, 40.0, True, None])
+def test_profile_sup_rejects_bad_k_max(k_max):
+    with pytest.raises(DomainError, match="k_max must be an integer >= 1"):
+        profile_sup("T3.1", 0.3, k_max)
+
+
+def test_profile_sup_takes_the_shortest_grid():
+    est = profile_sup("T3.1", 0.3, 1)
+    assert est.argmax_radius <= 0.5 and not est.diverged
