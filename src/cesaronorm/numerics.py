@@ -16,15 +16,12 @@ the convergence rule: it raises ConvergenceError for the first integral
 whose error total is not within tol.  integrate_finite is the batch of
 one; the operator forms of cesaro run one integral per point.
 
-Half-line integrals of exponentially decaying integrands are pulled back
-to (0, 1] through u = exp(-t):
-
-    int_0^inf g(t) dt = int_0^1 g(-log u) / u du,
-
-which turns the e^{-t} kernel decay into a bounded transformed integrand.
-The left endpoint is cut at u = 1e-16, and the probe value there is
-reported as tail_bound.  integrate_halfline_batch integrates many such
-integrands, such as a radial profile at every grid radius, in one pass.
+ExpCumulative gives I(L) = int_0^L e^(-alpha (L - y)) k(y) dy at many
+depths L from one left-to-right pass over a table of y panels,
+I(b) = e^(-alpha (b - a)) I(a) + int_a^b e^(-alpha (b - y)) k(y) dy, and
+one tail panel per depth.  The new panels go through one integrate_rows
+call, each mapped onto [0, 1] as its own row; the table ends depend on
+alpha alone, so a depth's value does not depend on what shares the call.
 
 sup_over_radius scans a batched profile h over the radius grid
 r_k = 1 - 2^-k, k = 0..40, in one call, and refines the grid maximum by
@@ -63,7 +60,6 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 DEFAULT_QUAD_TOL = 1e-10
 MAX_PANELS = 10_000
-HALFLINE_CUT = 1e-16
 
 OVERFLOW_GUARD = 1e12
 RADIAL_K_MAX = 40
@@ -71,12 +67,11 @@ RADIAL_K_MAX = 40
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, accumulated error estimate, panel count, and truncated tail bound."""
+    """Value, accumulated error estimate and panel count."""
 
     value: complex
     error_estimate: float
     subdivisions: int
-    tail_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,6 +82,8 @@ class SupEstimate:
     therefore a certified lower bound for the supremum.  When the tail of
     the grid behaves geometrically, extrapolated_limit estimates the
     r -> 1 limit.  diverged marks a blow-up past the overflow guard.
+    limit_fit is (B alpha^2, residual) when extrapolated_limit is instead
+    the A of a fitted model A + B/M + ..., as for the T5.1 profile.
     """
 
     value: float
@@ -94,6 +91,7 @@ class SupEstimate:
     converged: bool
     extrapolated_limit: Optional[float] = None
     diverged: bool = False
+    limit_fit: Optional[tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -166,6 +164,8 @@ def _lockstep(g, n: int, a: float, b: float, tol: float):
     # c counts the panels of every unfinished integral
     cap, c = max(16, 2048 // max(n, 1)), 1
     vals, err = _panels(g, np.full(n, a), np.full(n, b), np.arange(n))
+    if not (err > tol).any():  # every integral stops on its first panel, as the loop would
+        return vals, err, np.ones(n, dtype=int)
     err_t, lo_t, hi_t = np.full((n, cap), -np.inf), np.full((n, cap), a), np.full((n, cap), b)
     val_t = np.zeros((n, cap) + vals.shape[1:], vals.dtype)
     err_t[:, 0], val_t[:, 0] = err, vals
@@ -238,41 +238,45 @@ def integrate_finite(
     return QuadratureResult(values[0], float(totals[0]), int(counts[0]))
 
 
-def integrate_halfline_batch(g: Callable, n: int, tol: float = DEFAULT_QUAD_TOL) -> list:
-    """integrate_halfline_exp for n integrands in one lockstep pass.
+# Per panel, so that the few dozen panels of a profile sum to within DEFAULT_QUAD_TOL.
+# Ends 0, 1/4, 1/2, 1, 2, ...: a panel as wide as its left end keeps a kernel
+# singularity left of 0 three half-widths away; at most 4 / alpha wide.
+PANEL_TOL = 1e-12
+_FIRST_PANEL = 0.25
+_PANEL_DECAY = 4.0
 
-    g(t, rows) evaluates integrand rows[k] at t[k].  Returns per integrand
-    a QuadratureResult, or the ConvergenceError of a non-finite probe at
-    the cut, of a non-finite error estimate or of an exhausted panel budget.
+
+class ExpCumulative:
+    """I(L) = int_0^L e^(-alpha (L - y)) k(y) dy at depths L >= 0, k vectorized.
+
+    The table of I at the panel ends grows as deeper L are asked for.
     """
 
-    def transformed(u, rows):
-        vals = _eval_nodes(lambda t: g(t, rows), -np.log(u))
-        return vals / u.reshape((u.shape[0],) + (1,) * (vals.ndim - 1))
+    def __init__(self, k: Callable, alpha: float):
+        self.k, self.alpha = k, alpha
+        self.ends, self.at_ends = [0.0], [0.0]
 
-    cut = HALFLINE_CUT
-    probe = np.abs(transformed(np.full(n, cut), np.arange(n)))
-    ok = np.flatnonzero(np.isfinite(probe).all(axis=tuple(range(1, probe.ndim))))
-    values, totals, counts = _lockstep(lambda u, k: transformed(u, ok[k]), ok.size, cut, 1.0, tol)
-    out = [ConvergenceError("transformed integrand not finite at the endpoint cut") for _ in range(n)]
-    for k, (i, total, count) in enumerate(zip(ok.tolist(), totals.tolist(), counts.tolist())):
-        tail = float(probe[i].max()) * cut
-        out[i] = QuadratureResult(values[k], total, count, tail) if total <= tol else _failure(total, count, tol)
-    return out
+    def __call__(self, depths) -> np.ndarray:
+        depths = np.asarray(depths, dtype=float)
+        ends, alpha = self.ends, self.alpha
+        top = float(depths.max(initial=0.0))
+        while ends[-1] <= top:
+            ends.append(ends[-1] + min(max(ends[-1], _FIRST_PANEL), _PANEL_DECAY / alpha))
+        y = np.array(ends)
+        last = np.searchsorted(y, depths, side="right") - 1  # the last table end <= L
+        new = np.arange(len(self.at_ends) - 1, int(last.max(initial=0)))
+        lo = np.concatenate([y[new], y[last]])
+        width = np.concatenate([y[new + 1] - y[new], depths - y[last]])
 
+        def g(s, rows):
+            w = width[rows]
+            return w * np.exp(-alpha * w * (1.0 - s)) * self.k(lo[rows] + w * s)
 
-def integrate_halfline_exp(g: Callable, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
-    """Integral of g over [0, inf) for integrands with exponential decay.
-
-    Uses the u = exp(-t) pullback described in the module docstring.  The
-    transformed integrand must be integrable on (0, 1]; the portion below
-    the cut u = HALFLINE_CUT is not integrated, and cut * |h(cut)| is
-    reported as tail_bound so callers can see the truncation scale.
-    """
-    (res,) = integrate_halfline_batch(lambda t, rows: g(t), 1, tol)
-    if isinstance(res, ConvergenceError):
-        raise res
-    return res
+        pieces = integrate_rows(g, lo.size, 0.0, 1.0, PANEL_TOL)[0]
+        for w, piece in zip(width[: new.size].tolist(), pieces[: new.size].tolist()):
+            self.at_ends.append(math.exp(-alpha * w) * self.at_ends[-1] + piece)
+        tail = slice(new.size, None)
+        return np.exp(-alpha * width[tail]) * np.array(self.at_ends)[last] + pieces[tail]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -368,9 +372,9 @@ def extrapolate_tail(values) -> Optional[float]:
 
 
 # a zoom patch samples this many evenly spaced interior nodes of its
-# bracket; the zoom stops once the bracket is narrower than _ZOOM_XTOL in r.
-# Near k = 19 a bracket 1e-8 wide in r is still 7.6e-3 wide in s, which
-# left the T5.1 sup at alpha = 0.25 3.4e-11 relative below its maximum.
+# bracket; the zoom stops once the bracket is narrower than _ZOOM_XTOL in s.
+# A stop on the width in r ends at once near k = 39, where the whole
+# bracket is already under 1e-9 wide in r.
 _ZOOM_NODES = 15
 _ZOOM_XTOL = 1e-9
 
@@ -396,7 +400,7 @@ def sup_over_radius(
     memo = {} if memo is None else memo
 
     def fill(radii, stop):
-        missing = [r for r in radii if r not in memo]
+        missing = list(dict.fromkeys(r for r in radii if r not in memo))
         for r, v in zip(missing, h(np.array(missing)) if missing else ()):
             memo[r] = v
             if isinstance(v, Exception) or not (math.isfinite(v) and v <= OVERFLOW_GUARD):
@@ -449,7 +453,7 @@ def sup_over_radius(
         fa = f[j - 1] if lo == s[j - 1] else None
         fb = f[j + 1] if hi == s[j + 1] else None
         a, b = float(lo), float(hi)
-        if 2.0**-a - 2.0**-b < _ZOOM_XTOL:
+        if b - a < _ZOOM_XTOL:
             break
 
     limit = extrapolate_tail(vals[-5:]) if len(vals) >= 5 else None

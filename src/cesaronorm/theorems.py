@@ -1,20 +1,28 @@
 """Verified quantities: norm identities, bounds, and their witnesses.
 
-Every quantity below reduces to one scalar pipeline built from the
-numerics module.  The workhorse integrand, written with delta = 1 - r
-and u = e^-t to stay cancellation-free arbitrarily close to the
-boundary, is
+The workhorse integrand, with delta = 1 - r and u = e^-t, is
 
     F(r, t) = (1 + r)^alpha * u * (delta + u r)^(2 alpha - 1)
               / (delta + 2 u r)^alpha ,
 
-the weighted modulus of S_t applied to the norm-one extremal function,
-evaluated on the radius.  Its half-line integral in t is the radial
-profile whose supremum (and boundary limit 1/alpha) identifies the
-operator norm on the plain weighted space for alpha <= 1/2.  The
-log-weighted variants divide by, or multiply by the ratio of, the log
-factor log(2 e^(1/alpha) / (1 - s^2)) evaluated at s = phi_t(r) and
-s = r.
+the weighted modulus of S_t applied to the norm-one extremal function on
+the radius.  Its integral over t >= 0 is the T3.1 profile, whose supremum
+and boundary limit 1/alpha give the norm on the plain weighted space for
+alpha <= 1/2.  T4.1 divides F by the log factor log(2 e^(1/alpha) / (1 - s^2))
+at s = phi_t(r); T5.1 also multiplies by the log factor at s = r.
+
+The profiles are computed in L = log(1/delta): y = log(1 + u r / delta)
+maps t >= 0 onto [0, L] and gives 1 - phi_t(r)^2 = e^-y (2 - e^-y), so
+
+    P3 = ((1 + r)^alpha / r) int_0^L e^(-alpha (L - y)) (2 - e^-y)^-alpha dy,
+
+P4 is the same with the kernel over 1/alpha + y - log(1 - e^-y / 2), and
+P5 = Lambda(L) P4 with Lambda(L) = 1/alpha + L - log(1 - e^-L / 2).  No
+difference 1 - r is formed, and one numerics.ExpCumulative pass serves
+every radius of a search.  P3 tends to 1/alpha geometrically in L (Aitken
+steps on the grid tail), P5 like 1/(alpha L): its limit is the A of a
+least-squares fit A + B/M + C/M^2 + D/M^3, M = L + 1/alpha, at
+alpha M = 40..640, with A left free and B alpha^2 = 1 as the check.
 
 Result identifiers
 ------------------
@@ -37,14 +45,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .cesaro import cesaro_of_one
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .functions import (
     _polyval,
     check_alpha,
@@ -56,9 +64,9 @@ from .functions import (
 from .numerics import (
     RADIAL_K_MAX,
     DivergenceFlag,
+    ExpCumulative,
     SupEstimate,
-    integrate_halfline_batch,
-    integrate_halfline_exp,
+    integrate_finite,
     sup_over_radius,
 )
 from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog, space_norm
@@ -120,19 +128,9 @@ def integrand_F(r, t, alpha: float):
     t.  F(0, t) = e^-t and F(r, 0) = 1; for fixed t the boundary limit is
     e^(-alpha t), which integrates to 1/alpha.
     """
-    return _integrand_F(r, _checked_t(r, t, alpha), alpha)
-
-
-def _integrand_F(r, t: np.ndarray, alpha: float):
-    """integrand_F without its checks."""
-    u = np.exp(-t)
+    u = np.exp(-_checked_t(r, t, alpha))
     delta = 1.0 - r
-    return (
-        (1.0 + r) ** alpha
-        * u
-        * (delta + u * r) ** (2.0 * alpha - 1.0)
-        / (delta + 2.0 * u * r) ** alpha
-    )
+    return (1.0 + r) ** alpha * u * (delta + u * r) ** (2.0 * alpha - 1.0) / (delta + 2.0 * u * r) ** alpha
 
 
 def _log_factor_at_image(r: float, u, alpha: float):
@@ -164,57 +162,67 @@ def profile_integrand(theorem_id: str, r: float, t, alpha: float):
     F(r, t) itself for T3.1 (column None); F divided by the log factor at
     phi_t(r) for T4.1; F times the ratio of log factors for T5.1.
     """
-    return _profile_integrand(theorem_id, r, _checked_t(r, t, alpha), alpha)
-
-
-def _profile_integrand(theorem_id: str, r, t: np.ndarray, alpha: float):
-    """profile_integrand without its checks."""
-    f = _integrand_F(r, t, alpha)
+    f = integrand_F(r, t, alpha)
     factor = RESULTS[theorem_id].factor
     if factor is None:
         return f, None
     _, column_fn, combine = factor
-    column = column_fn(r, np.exp(-t), alpha)
+    column = column_fn(r, np.exp(-np.asarray(t, dtype=float)), alpha)
     return combine(f, column), column
 
 
-def slice_values(theorem_id: str, radii, alpha: float) -> list:
-    """The T3.1, T4.1 or T5.1 radial profile at every radius, in one lockstep half-line pass.
+def _profile_table(theorem_id: str, alpha: float) -> ExpCumulative:
+    """An empty cumulative pass of the T3.1 kernel, or of the T4.1 kernel for T4.1 and T5.1."""
+    log_weighted = theorem_id != "T3.1"
 
-    Each entry is a float, integrated to DEFAULT_QUAD_TOL, or the
-    ConvergenceError of that radius.  A radius's value is bitwise the
-    same whichever radii share the call.
-    alpha and the radii are checked once, before any integration; the
-    quadrature rounds run the unchecked integrand on its nonnegative nodes.
+    def k(y):
+        e = np.exp(-y)
+        k3 = (2.0 - e) ** -alpha
+        return k3 / (1.0 / alpha + y - np.log1p(-0.5 * e)) if log_weighted else k3
+
+    return ExpCumulative(k, alpha)
+
+
+def _profile_at(theorem_id: str, depths, r, alpha: float, table: ExpCumulative) -> np.ndarray:
+    """The profile at depths L = log(1/(1 - r)), given both; its limit k(0) at r = 0."""
+    scale = (1.0 + r) ** alpha / np.where(r > 0.0, r, 1.0)
+    values = np.where(r > 0.0, scale * table(depths), table.k(np.zeros_like(r)))
+    if theorem_id == "T5.1":
+        values *= 1.0 / alpha + depths - np.log1p(-0.5 * np.exp(-depths))
+    return values
+
+
+def slice_values(theorem_id: str, radii, alpha: float, table: Optional[ExpCumulative] = None) -> list:
+    """The T3.1, T4.1 or T5.1 radial profile at every radius, from one cumulative pass in L.
+
+    A ConvergenceError of the pass is raised.  table (_profile_table)
+    carries the panels of the earlier calls of one search; a radius's
+    value is bitwise the same whichever radii and table share the call.
+    alpha and the radii are checked once, before any integration.
     """
     radii = np.asarray(radii, dtype=float)
     _check_alpha_and_radii(radii, alpha)
-    results = integrate_halfline_batch(
-        lambda t, rows: _profile_integrand(theorem_id, radii[rows], t, alpha)[0], radii.size
-    )
-    return [res if isinstance(res, ConvergenceError) else float(np.real(res.value)) for res in results]
-
-
-def _slice(theorem_id: str, r: float, alpha: float) -> float:
-    (value,) = slice_values(theorem_id, [r], alpha)
-    if isinstance(value, ConvergenceError):
-        raise value
-    return value
+    table = table or _profile_table(theorem_id, alpha)
+    return _profile_at(theorem_id, -np.log1p(-radii), radii, alpha, table).tolist()
 
 
 def korenblum_slice_integral(r: float, alpha: float) -> float:
     """int_0^inf F(r, t) dt, the radial profile behind the T3.1 supremum."""
-    return _slice("T3.1", r, alpha)
+    return slice_values("T3.1", [r], alpha)[0]
 
 
 def log_to_plain_slice(r: float, alpha: float) -> float:
     """Radial profile for T4.1: F divided by the log factor at phi_t(r)."""
-    return _slice("T4.1", r, alpha)
+    return slice_values("T4.1", [r], alpha)[0]
 
 
 def log_to_log_slice(r: float, alpha: float) -> float:
     """Radial profile for T5.1: F times the ratio of log factors."""
-    return _slice("T5.1", r, alpha)
+    return slice_values("T5.1", [r], alpha)[0]
+
+
+# x = 1/(alpha M) at alpha M = 40..640, where alpha P5 = 1 + x + 2 x^2 + 6 x^3 + O(x^4)
+_T51_FIT_X = 1.0 / (40.0 * 2.0 ** (np.arange(17) / 4.0))
 
 
 def profile_sup(
@@ -225,12 +233,24 @@ def profile_sup(
 ) -> SupEstimate:
     """sup_over_radius of the T3.1, T4.1 or T5.1 profile, at its default tol 1e-9.
 
-    The grid radii that memo lacks come from one slice_values call, and
-    each zoom patch from one more.  memo: see sup_over_radius.
+    Each batch of radii that memo lacks (the grid, then one per zoom patch)
+    is one slice_values call on one table that lives for this call only.
+    For T5.1, extrapolated_limit and limit_fit (B alpha^2 and the largest
+    misfit) fit alpha P5 in x = 1/(alpha M), a logarithmic tail (Sidi,
+    Practical Extrapolation Methods, 2003).  memo: see sup_over_radius.
     """
-    return sup_over_radius(
-        lambda radii: slice_values(theorem_id, radii, alpha), k_max=k_max, memo=memo
+    table = _profile_table(theorem_id, alpha)
+    est = sup_over_radius(
+        lambda radii: slice_values(theorem_id, radii, alpha, table), k_max=k_max, memo=memo
     )
+    if theorem_id != "T5.1" or est.diverged:
+        return est
+    depths = (1.0 / _T51_FIT_X - 1.0) / alpha
+    target = alpha * _profile_at("T5.1", depths, -np.expm1(-depths), alpha, table)
+    design = np.vander(_T51_FIT_X, 4, increasing=True)
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    fit = (float(coef[1]), float(np.abs(design @ coef - target).max()))
+    return replace(est, extrapolated_limit=float(coef[0]) / alpha, limit_fit=fit)
 
 
 def korenblum_sup(alpha: float) -> SupEstimate:
@@ -294,13 +314,8 @@ def bloch_lower_bound(alpha: float) -> float:
 
 
 def bloch_lower_bound_integral() -> float:
-    """The defining computation 1 + int_0^inf e^-t (1 - e^-t) dt = 3/2."""
-
-    def g(t):
-        u = np.exp(-np.asarray(t, dtype=float))
-        return u * (1.0 - u)
-
-    return 1.0 + float(np.real(integrate_halfline_exp(g).value))
+    """The defining computation 1 + int_0^inf e^-t (1 - e^-t) dt = 3/2, as 1 + int_0^1 (1 - u) du."""
+    return 1.0 + float(np.real(integrate_finite(lambda u: 1.0 - u, 0.0, 1.0).value))
 
 
 def hardy_to_bloch_bounds(alpha: float):
@@ -436,9 +451,11 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
         computed, passed, notes = None, False, "boundary extrapolation unavailable"
     else:
         passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
+        b_alpha_sq, residual = est.limit_fit
         notes = (
             f"sup {est.value:.9g} at r = {est.argmax_radius:.6g}; "
-            f"boundary limit extrapolates to {computed:.9g}, theory >= {target:.9g}"
+            f"boundary limit fits to {computed:.9g} (A + B/M + C/M^2 + D/M^3, "
+            f"B alpha^2 = {b_alpha_sq:.6f}, residual {residual:.1e}), theory >= {target:.9g}"
         )
     return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
 

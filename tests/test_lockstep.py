@@ -8,7 +8,7 @@ import pytest
 
 from cesaronorm import ConvergenceError, DomainError, sup_over_radius, theorems, verify_theorem
 from cesaronorm import numerics
-from cesaronorm.numerics import _panels, integrate_finite, integrate_halfline_batch, radius_grid
+from cesaronorm.numerics import _panels, integrate_finite, radius_grid
 from cesaronorm.theorems import profile_sup, slice_values
 
 
@@ -74,6 +74,18 @@ def test_grid_batch_matches_batch_of_one_bitwise(theorem_id, alpha):
     assert [v.hex() for v in batch] == [v.hex() for v in single]
 
 
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+def test_shared_table_matches_a_fresh_pass_bitwise(theorem_id):
+    """A table that earlier batches filled, deeper or shallower, changes no value."""
+    radii = 1.0 - 2.0 ** -np.linspace(0.0, 40.0, 97)
+    fresh = [slice_values(theorem_id, [r], 0.3)[0].hex() for r in radii]
+    for first, second in ((radii[:50], radii[50:]), (radii[50:], radii[:50])):
+        table = theorems._profile_table(theorem_id, 0.3)
+        shared = slice_values(theorem_id, first, 0.3, table) + slice_values(theorem_id, second, 0.3, table)
+        order = list(first) + list(second)
+        assert [v.hex() for v in shared] == [fresh[list(radii).index(r)] for r in order]
+
+
 def test_slice_values_keep_the_scalar_checks():
     with pytest.raises(DomainError, match="alpha"):
         slice_values("T3.1", [0.5], 1.5)
@@ -94,18 +106,6 @@ def test_slice_values_check_alpha_once_per_call(monkeypatch, theorem_id):
     monkeypatch.setattr(theorems, "check_alpha", counted)
     slice_values(theorem_id, radius_grid(40), 0.3)
     assert calls == ["integrand_F"]
-
-
-def test_halfline_batch_reports_each_failure_in_its_row():
-    def g(t, rows):
-        scale = np.where(rows == 1, np.inf, 1.0)  # integrand 1 is not finite at the cut
-        return scale * np.exp(-(rows + 1.0) * t)
-
-    first, second, third = integrate_halfline_batch(g, 3, 1e-10)
-    assert first.value == pytest.approx(1.0, abs=1e-9)
-    assert isinstance(second, ConvergenceError)
-    assert third.value == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert first.tail_bound > 0.0
 
 
 def _batch_of(values_by_index):
@@ -155,23 +155,28 @@ def test_sup_over_radius_reads_memo_first():
 
 
 def test_profile_sup_batches_only_the_radii_memo_lacks(monkeypatch):
-    asked = []
-    batch = theorems.slice_values
+    asked, rows = [], []
+    batch, integrate = theorems.slice_values, numerics.integrate_rows
 
     def recorded(theorem_id, radii, *args):
         asked.append([float(r) for r in radii])
         return batch(theorem_id, radii, *args)
 
+    def counted(g, n, *args):
+        rows.append(n)
+        return integrate(g, n, *args)
+
     monkeypatch.setattr(theorems, "slice_values", recorded)
+    monkeypatch.setattr(numerics, "integrate_rows", counted)
     memo: dict = {}
     witness = profile_sup("T4.1", 0.5, k_max=30, memo=memo)  # the CLI's witness scan
-    patches = len(asked) - 1
     upper = profile_sup("T4.1", 0.5, memo=memo)  # and its upper end
-    sizes = [len(radii) for radii in asked]
-    assert patches >= 1 and len(sizes) == patches + 2  # the upper end reuses every patch
-    assert sizes[0] == 31 and sizes[-1] == 10  # grid batches
-    # zoom patches of 15 radii, less the middle node when an earlier step sampled it
-    assert all(n in (14, 15) for n in sizes[1:-1])
+    # grid batches of 31 and 10 radii around 8 zoom patches of 15 radii, less
+    # the middle node when an earlier step sampled it; the upper end reuses every patch
+    assert [len(radii) for radii in asked] == [31, 14, 15, 15, 14, 14, 15, 15, 14, 10]
+    # one integrate_rows call per batch: a tail panel per radius, plus the
+    # table panels up to the deepest radius in the first batch of each search
+    assert rows == [31 + 7, 14, 15, 15, 14, 14, 15, 15, 14, 10 + 8]
     flat = [r for radii in asked for r in radii]
     assert len(flat) == len(set(flat))  # no radius is integrated twice
     assert upper.value == witness.value
@@ -182,14 +187,14 @@ def test_profile_sup_batches_only_the_radii_memo_lacks(monkeypatch):
 def test_profile_sup_reaches_a_dense_scan_of_its_bracket(theorem_id, alpha):
     """The zoom ends no lower than 401 evenly spaced s-nodes of the bracket around the grid maximum.
 
-    Within 1e-12 relative where the grid maximum has k <= 20, and within
-    2e-6 deeper, where one patch can leave the bracket under 1e-9 wide in r.
+    Within 1e-12 relative at every k: the zoom stops on the width of its
+    bracket in s, which does not shrink with 1 - r.
     """
     k = int(np.argmax(slice_values(theorem_id, radius_grid(40), alpha)))
     s = np.linspace(max(k - 1, 0), min(k + 1, 40), 401)
     dense = max(slice_values(theorem_id, 1.0 - 2.0**-s, alpha))
     value = profile_sup(theorem_id, alpha).value
-    assert value >= dense * (1.0 - (1e-12 if k <= 20 else 2e-6))
+    assert value >= dense * (1.0 - 1e-12)
 
 
 def test_integrate_finite_calls_integrand_with_one_ndarray():
@@ -272,7 +277,6 @@ def test_empty_batch():
 
     values, totals, counts = numerics._lockstep(g, 0, 0.0, 1.0, 1e-10)
     assert values.shape == totals.shape == counts.shape == (0,)
-    assert integrate_halfline_batch(lambda t, rows: np.exp(-t), 0) == []
     assert slice_values("T3.1", [], 0.5) == []
 
 
@@ -284,22 +288,16 @@ def test_non_finite_integrand_raises_instead_of_returning():
         integrate_finite(lambda u: np.where(u > 0.5, np.nan, 1.0), 0.0, 1.0)
 
 
-def test_halfline_batch_fails_a_row_that_is_not_finite_inside():
-    def g(t, rows):  # integrand 1 is finite at the cut but not for t < 1
-        return np.where((rows == 1) & (t < 1.0), np.inf, np.exp(-(rows + 1.0) * t))
-
-    first, second, third = integrate_halfline_batch(g, 3, 1e-10)
-    assert isinstance(second, ConvergenceError) and "not finite" in str(second)
-    alone = [integrate_halfline_batch(lambda t, rows: g(t, rows + k), 1, 1e-10)[0] for k in (0, 2)]
-    assert (first, third) == tuple(alone)
-
-
 @pytest.mark.parametrize(
     "theorem_id, alpha, calls, nodes",
-    [("T5.1", 0.2, 42, 26_895), ("T4.1", 0.5, 39, 24_255), ("T3.1", 0.05, 63, 36_135)],
+    [("T5.1", 0.2, 1, 720), ("T4.1", 0.5, 1, 735), ("T3.1", 0.05, 1, 720)],
 )
 def test_radial_grid_work_is_pinned(theorem_id, alpha, calls, nodes, monkeypatch):
-    """_panels calls and integrand nodes of one slice_values call on the full grid."""
+    """_panels calls and integrand nodes of one slice_values call on the full grid.
+
+    One round of 15 nodes per panel: 7 or 8 table panels up to L = 40 log 2
+    and one tail panel per radius, each within PANEL_TOL at once.
+    """
     counted = [0, 0]
     panels = numerics._panels
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from cesaronorm import ConvergenceError, DomainError, numerics, sup_over_radius
 from cesaronorm.numerics import (
+    ExpCumulative,
     extrapolate_tail,
     golden_section_max,
     integrate_finite,
-    integrate_halfline_exp,
     radius_grid,
 )
 
@@ -31,8 +31,8 @@ def test_integrate_endpoint_singularity():
 
 
 def test_integrate_kernel_weight_product():
-    # e^-t (1 - e^-t) over the half line through the u = e^-t pullback
-    res = integrate_halfline_exp(lambda t: np.exp(-t) * (1.0 - np.exp(-t)), 1e-11)
+    # e^-t (1 - e^-t) over the half line is 1 - u over [0, 1] through u = e^-t
+    res = integrate_finite(lambda u: 1.0 - u, 0.0, 1.0, 1e-11)
     assert res.value == pytest.approx(0.5, abs=1e-10)
 
 
@@ -107,22 +107,18 @@ def test_lockstep_doubling_matches_each_row_alone():
         assert values[i].tobytes() == value[0].astype(complex).tobytes()
 
 
-def test_halfline_examples():
-    assert integrate_halfline_exp(lambda t: np.exp(-0.5 * t), 1e-9).value == pytest.approx(
-        2.0, abs=1e-7
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 2.0])
+def test_exp_cumulative_matches_closed_forms(alpha):
+    """int_0^L e^(-alpha (L - y)) k(y) dy for k = 1 and k = e^-y, from L = 0 out to L = 10^5."""
+    depths = np.array([0.0, 1e-3, 0.7, 5.0, 27.7, 1e3, 1e5])
+    np.testing.assert_allclose(
+        ExpCumulative(np.ones_like, alpha)(depths), -np.expm1(-alpha * depths) / alpha, rtol=1e-13
     )
-    assert integrate_halfline_exp(lambda t: np.exp(-t), 1e-10).value == pytest.approx(
-        1.0, abs=1e-9
+    np.testing.assert_allclose(
+        ExpCumulative(lambda y: np.exp(-y), alpha)(depths[::-1]),
+        ((np.exp(-depths) - np.exp(-alpha * depths)) / (alpha - 1.0))[::-1],
+        rtol=1e-13,
     )
-    assert integrate_halfline_exp(lambda t: np.exp(-2.0 * t), 1e-10).value == pytest.approx(
-        0.5, abs=1e-9
-    )
-
-
-def test_halfline_reports_tail_bound():
-    res = integrate_halfline_exp(lambda t: np.exp(-0.5 * t), 1e-9)
-    assert res.tail_bound > 0.0
-    assert res.tail_bound < 1e-7
 
 
 def test_golden_section_max_on_sine():
