@@ -219,8 +219,7 @@ def _cmd_empirical(args) -> int:
     target = _SPACES[args.target](args.alpha)
     result = result_for_pair(source, target)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    memo: dict = {}  # the witness and the theoretical upper end scan one profile
-    est = operator_norm_lower_bound(source, target, cfg, memo=memo)
+    est = operator_norm_lower_bound(source, target, cfg)
     slack = 1e-3
     params = {k: getattr(args, k) for k in ("source", "target", "alpha", "samples", "seed")}
     theoretical = None
@@ -233,7 +232,7 @@ def _cmd_empirical(args) -> int:
         passed = False
         notes = f"sampled image left the target space near r = {est.argmax_radius:.6g}"
     else:
-        low, high = theoretical = result.bounds(args.alpha, memo)
+        low, high = theoretical = result.bounds(args.alpha)
         sound = est.value <= high + slack
         passed = sound and est.value >= low - slack
         notes = (

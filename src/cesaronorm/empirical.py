@@ -109,7 +109,7 @@ def result_for_pair(source: SpaceSpec, target: SpaceSpec) -> Result:
     return result
 
 
-def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, memo):
+def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec):
     """Norm of the transformed extremal function.
 
     For the weighted-modulus sources the image has a positive radial
@@ -122,7 +122,7 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, memo
     if not result.radial:
         image = cesaro_transform(extremal_for(source))
         return space_norm(image, target, k_max=GRID_K_MAX)
-    est = profile_sup(result.theorem_id, source.alpha, GRID_K_MAX, memo=memo)
+    est = profile_sup(result.theorem_id, source.alpha, GRID_K_MAX)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
@@ -134,12 +134,7 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec, memo
     )
 
 
-def operator_norm_lower_bound(
-    source: SpaceSpec,
-    target: SpaceSpec,
-    cfg: SampleConfig,
-    memo: dict | None = None,
-):
+def operator_norm_lower_bound(source: SpaceSpec, target: SpaceSpec, cfg: SampleConfig):
     """Best observed norm ratio over the sample plus the extremal witness.
 
     Every image, and the witness, is measured on the radius grid
@@ -148,8 +143,7 @@ def operator_norm_lower_bound(
     default grid of 41 radii.  Returns a NormEstimate whose
     value is a certified lower bound for the operator norm (up to
     quadrature tolerance), or a DivergenceFlag
-    for the sup-norm -> Bloch-type pair with alpha < 1.  memo (see
-    theorems.profile_sup) takes the witness profile of the log-weighted pairs.
+    for the sup-norm -> Bloch-type pair with alpha < 1.
     """
     result = result_for_pair(source, target)
     if result.theorem_id == "T7.1" and target.alpha < 1.0:
@@ -168,7 +162,7 @@ def operator_norm_lower_bound(
             return est
         if best is None or est.value > best.value:
             best = est
-    witness = _witness_estimate(result, source, target, memo)
+    witness = _witness_estimate(result, source, target)
     if witness.diverged:
         return witness
     if best is None or witness.value > best.value:

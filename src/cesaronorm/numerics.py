@@ -23,17 +23,15 @@ one tail panel per depth.  The new panels go through one integrate_rows
 call, each mapped onto [0, 1] as its own row; the table ends depend on
 alpha alone, so a depth's value does not depend on what shares the call.
 
-sup_over_radius scans a batched profile h over the radius grid
-r_k = 1 - 2^-k, k = 0..40, in one call, and refines the grid maximum by
-zoom patches in s = -log2(1 - r), where the grid is uniform: each patch
-is one call on 15 evenly spaced interior nodes of a bracket, and the
-next bracket is the winner's neighbours, narrowed around the vertex of
-the parabola through the three when it is concave (Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 5).  It extrapolates the
-last five grid values with iterated Aitken steps, exact for tails like
-c * q^k.  golden_section_max, the scalar one-dimensional search, is no
-longer called by the package; it stays because the benchmark's tracer
-binds it by name.
+sup_over_radius, for any batched profile h (theorems.profile_sup searches
+its own profiles in L), scans h over r_k = 1 - 2^-k, k = 0..40, in one
+call and refines the grid maximum by zoom patches in s = -log2(1 - r):
+each patch is one call on 15 evenly spaced interior nodes of a bracket,
+the next bracket the winner's neighbours, narrowed around the vertex of a
+concave parabola through the three (Brent, Algorithms for Minimization
+without Derivatives, 1973, ch. 5).  Iterated Aitken steps extrapolate the
+last five grid values, exact for tails like c * q^k.  golden_section_max
+is no longer called by the package; the benchmark's tracer binds it by name.
 """
 
 from __future__ import annotations
@@ -78,10 +76,10 @@ class QuadratureResult:
 class SupEstimate:
     """Result of a supremum search over the radius parameter.
 
-    value is the largest sampled value (grid plus zoom patches) and
-    therefore a certified lower bound for the supremum.  When the tail of
-    the grid behaves geometrically, extrapolated_limit estimates the
-    r -> 1 limit.  diverged marks a blow-up past the overflow guard.
+    value is the largest sampled value and therefore a certified lower
+    bound for the supremum; argmax_depth, if known, is log(1/(1 - r)) at its
+    radius.  When the grid's tail is geometric, extrapolated_limit estimates
+    the r -> 1 limit.  diverged marks a blow-up past the overflow guard.
     limit_fit is (B alpha^2, residual) when extrapolated_limit is instead
     the A of a fitted model A + B/M + ..., as for the T5.1 profile.
     """
@@ -92,6 +90,7 @@ class SupEstimate:
     extrapolated_limit: Optional[float] = None
     diverged: bool = False
     limit_fit: Optional[tuple[float, float]] = None
+    argmax_depth: Optional[float] = None
 
 
 @dataclass(frozen=True)

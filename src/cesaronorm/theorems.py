@@ -19,10 +19,11 @@ maps t >= 0 onto [0, L] and gives 1 - phi_t(r)^2 = e^-y (2 - e^-y), so
 P4 is the same with the kernel over 1/alpha + y - log(1 - e^-y / 2), and
 P5 = Lambda(L) P4 with Lambda(L) = 1/alpha + L - log(1 - e^-L / 2).  No
 difference 1 - r is formed, and one numerics.ExpCumulative pass serves
-every radius of a search.  P3 tends to 1/alpha geometrically in L (Aitken
-steps on the grid tail), P5 like 1/(alpha L): its limit is the A of a
-least-squares fit A + B/M + C/M^2 + D/M^3, M = L + 1/alpha, at
-alpha M = 40..640, with A left free and B alpha^2 = 1 as the check.
+every depth of a search.  profile_sup finds the sup in L from the exact
+slope dP/dL, since dI/dL = k(L) - alpha I(L).  P3 tends to 1/alpha
+geometrically in L (Aitken steps on the grid tail), P5 like 1/(alpha L):
+its limit is the A of a least-squares fit A + B/M + ... + E/M^4,
+M = L + 1/alpha, at alpha M = 40..640, A free and B alpha^2 = 1 the check.
 
 Result identifiers
 ------------------
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Optional, Union
 
@@ -62,12 +63,14 @@ from .functions import (
     one_minus_sq,
 )
 from .numerics import (
+    OVERFLOW_GUARD,
     RADIAL_K_MAX,
     DivergenceFlag,
     ExpCumulative,
     SupEstimate,
+    extrapolate_tail,
     integrate_finite,
-    sup_over_radius,
+    radius_grid,
 )
 from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog, space_norm
 
@@ -183,27 +186,37 @@ def _profile_table(theorem_id: str, alpha: float) -> ExpCumulative:
     return ExpCumulative(k, alpha)
 
 
-def _profile_at(theorem_id: str, depths, r, alpha: float, table: ExpCumulative) -> np.ndarray:
-    """The profile at depths L = log(1/(1 - r)), given both; its limit k(0) at r = 0."""
-    scale = (1.0 + r) ** alpha / np.where(r > 0.0, r, 1.0)
-    values = np.where(r > 0.0, scale * table(depths), table.k(np.zeros_like(r)))
+def _profile_at(theorem_id: str, depths, r, alpha: float, table: ExpCumulative):
+    """The profile P and its slope P' = dP/dL at depths L = log(1/(1 - r)), given both.
+
+    P' = c' I + c (k - alpha I) for P = c I, c = (1 + r)^alpha / r, dr/dL = e^-L;
+    at r = 0, P = k(0) and P' = k(0) / 2, as k'(0) = -alpha k(0) for both
+    kernels.  T5.1 multiplies by Lambda, and Lambda' = 1 - e^-L / (2 - e^-L).
+    """
+    cumulative, k, e, safe_r = table(depths), table.k(depths), np.exp(-depths), np.where(r > 0.0, r, 1.0)
+    scale = (1.0 + r) ** alpha / safe_r
+    values = np.where(r > 0.0, scale * cumulative, k)
+    slopes = scale * (e * (alpha / (1.0 + r) - 1.0 / safe_r) * cumulative + k - alpha * cumulative)
+    slopes = np.where(r > 0.0, slopes, 0.5 * k)
     if theorem_id == "T5.1":
-        values *= 1.0 / alpha + depths - np.log1p(-0.5 * np.exp(-depths))
-    return values
+        log_factor = 1.0 / alpha + depths - np.log1p(-0.5 * e)
+        slopes = log_factor * slopes + (1.0 - e / (2.0 - e)) * values
+        values = log_factor * values
+    return values, slopes
 
 
-def slice_values(theorem_id: str, radii, alpha: float, table: Optional[ExpCumulative] = None) -> list:
+def slice_values(theorem_id: str, radii, alpha: float) -> list:
     """The T3.1, T4.1 or T5.1 radial profile at every radius, from one cumulative pass in L.
 
-    A ConvergenceError of the pass is raised.  table (_profile_table)
-    carries the panels of the earlier calls of one search; a radius's
-    value is bitwise the same whichever radii and table share the call.
+    A ConvergenceError of the pass is raised.  A radius's value is bitwise
+    the same whichever radii share the call, and whichever depths filled
+    the table before (profile_sup calls one table up to three times).
     alpha and the radii are checked once, before any integration.
     """
     radii = np.asarray(radii, dtype=float)
     _check_alpha_and_radii(radii, alpha)
-    table = table or _profile_table(theorem_id, alpha)
-    return _profile_at(theorem_id, -np.log1p(-radii), radii, alpha, table).tolist()
+    table = _profile_table(theorem_id, alpha)
+    return _profile_at(theorem_id, -np.log1p(-radii), radii, alpha, table)[0].tolist()
 
 
 def korenblum_slice_integral(r: float, alpha: float) -> float:
@@ -221,36 +234,71 @@ def log_to_log_slice(r: float, alpha: float) -> float:
     return slice_values("T5.1", [r], alpha)[0]
 
 
-# x = 1/(alpha M) at alpha M = 40..640, where alpha P5 = 1 + x + 2 x^2 + 6 x^3 + O(x^4)
+# x = 1/(alpha M) at alpha M = 40..640, where alpha P5 = 1 + x + 2 x^2 + 6 x^3 + 24 x^4 + O(x^5)
 _T51_FIT_X = 1.0 / (40.0 * 2.0 ** (np.arange(17) / 4.0))
+# depths sampled inside the bracket of a sup search
+_SUP_NODES = 32
 
 
-def profile_sup(
-    theorem_id: str,
-    alpha: float,
-    k_max: int = RADIAL_K_MAX,
-    memo: Optional[dict] = None,
-) -> SupEstimate:
-    """sup_over_radius of the T3.1, T4.1 or T5.1 profile, at its default tol 1e-9.
+def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> SupEstimate:
+    """Supremum of the T3.1, T4.1 or T5.1 profile, searched in L with the exact slope P'.
 
-    Each batch of radii that memo lacks (the grid, then one per zoom patch)
-    is one slice_values call on one table that lives for this call only.
-    For T5.1, extrapolated_limit and limit_fit (B alpha^2 and the largest
-    misfit) fit alpha P5 in x = 1/(alpha M), a logarithmic tail (Sidi,
-    Practical Extrapolation Methods, 2003).  memo: see sup_over_radius.
+    One table call takes the grid r_k = 1 - 2^-k, k <= k_max, plus for T4.1
+    doublings of its end up to L = 4/alpha (P4 peaks near 1.34/alpha for
+    small alpha, then falls to 0) or for T5.1 the depths of its limit fit.
+    A grid value not finite or beyond OVERFLOW_GUARD gives a diverged
+    estimate.  Unless P' >= 0 at a maximum on the last depth, one call
+    samples _SUP_NODES depths of the neighbour bracket where P' changes sign
+    and one more the root of P' interpolated inversely through the six nodes
+    around the best sub-bracket; converged means P'^2 / (2 |P''|) <= 1e-9
+    there, P'' the secant of P' over the sub-bracket.  extrapolated_limit is
+    the Aitken limit of the last five grid values, for T5.1 the A of a fit
+    of alpha P5 in x = 1/(alpha M), a logarithmic tail (Sidi, Practical
+    Extrapolation Methods, 2003), limit_fit its B alpha^2 and largest misfit.
     """
-    table = _profile_table(theorem_id, alpha)
-    est = sup_over_radius(
-        lambda radii: slice_values(theorem_id, radii, alpha, table), k_max=k_max, memo=memo
-    )
-    if theorem_id != "T5.1" or est.diverged:
-        return est
-    depths = (1.0 / _T51_FIT_X - 1.0) / alpha
-    target = alpha * _profile_at("T5.1", depths, -np.expm1(-depths), alpha, table)
-    design = np.vander(_T51_FIT_X, 4, increasing=True)
-    coef = np.linalg.lstsq(design, target, rcond=None)[0]
-    fit = (float(coef[1]), float(np.abs(design @ coef - target).max()))
-    return replace(est, extrapolated_limit=float(coef[0]) / alpha, limit_fit=fit)
+    radii = radius_grid(k_max)
+    _check_alpha_and_radii(radii, alpha)
+    table, end = _profile_table(theorem_id, alpha), -math.log1p(-radii[-1])
+
+    def sample(depths, r=None):
+        """Columns (L, r, P, P') at the depths, from one table call."""
+        r = -np.expm1(-depths) if r is None else r
+        return np.array([depths, r, *_profile_at(theorem_id, depths, r, alpha, table)])
+
+    if theorem_id == "T4.1":
+        extra = end * 2.0 ** np.arange(1.0, np.clip(np.ceil(np.log2(4.0 / (alpha * end))), 0.0, 64.0) + 1.0)
+    else:
+        extra = (1.0 / _T51_FIT_X - 1.0) / alpha if theorem_id == "T5.1" else np.empty(0)
+    cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
+    values, slopes = cols[2], cols[3]
+    bad = np.flatnonzero(~(np.isfinite(values[: k_max + 1]) & (values[: k_max + 1] <= OVERFLOW_GUARD)))
+    if bad.size:
+        return SupEstimate(float(values[bad[0]]), float(radii[bad[0]]), converged=False, diverged=True)
+    limit, fit = (extrapolate_tail(values[k_max - 4 : k_max + 1]) if k_max >= 4 else None), None
+    if theorem_id == "T5.1":
+        design, target = np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[k_max + 1 :]
+        coef = np.linalg.lstsq(design, target, rcond=None)[0]
+        limit, fit = float(coef[0]) / alpha, (float(coef[1]), float(np.abs(design @ coef - target).max()))
+    searched = values.size if theorem_id == "T4.1" else k_max + 1
+    i = int(np.argmax(values[:searched]))
+    best, converged = cols[:, i], theorem_id != "T4.1"  # P4 falls to 0: a rising end is short of its peak
+    if i < searched - 1 or slopes[i] < 0.0:
+        lo = i if slopes[i] >= 0.0 else i - 1  # P'(0) > 0, so lo >= 0
+        inner = np.linspace(cols[0, lo], cols[0, lo + 1], _SUP_NODES + 2)[1:-1]
+        cols = np.insert(cols[:, lo : lo + 2], [1], sample(inner), axis=1)
+        j = int(np.argmax(cols[2]))
+        m = min(max(j - int(cols[3, j] < 0.0), 0), _SUP_NODES)
+        (x0, x1), (d0, d1) = cols[0, m : m + 2], cols[3, m : m + 2]
+        first = min(max(m - 2, 0), _SUP_NODES - 4)
+        x, d = cols[0, first : first + 6], cols[3, first : first + 6]
+        with np.errstate(all="ignore"):  # Lagrange weights at P' = 0: [i, j] = d_j / (d_j - d_i), i != j
+            lagrange = np.where(np.eye(6, dtype=bool), 1.0, d / (d - d[:, None]))
+            root = float(lagrange.prod(axis=1) @ x)
+        cols = np.hstack([cols, sample(np.array([root if x0 <= root <= x1 else 0.5 * (x0 + x1)]))])
+        best = cols[:, int(np.argmax(cols[2]))]
+        converged = bool(cols[3, -1] ** 2 * (x1 - x0) <= 2e-9 * abs(d1 - d0))
+    depth, radius, value = (float(c) for c in best[:3])
+    return SupEstimate(value, radius, converged, limit, limit_fit=fit, argmax_depth=depth)
 
 
 def korenblum_sup(alpha: float) -> SupEstimate:
@@ -258,14 +306,14 @@ def korenblum_sup(alpha: float) -> SupEstimate:
     return profile_sup("T3.1", alpha)
 
 
-def log_to_plain_norm(alpha: float, memo: Optional[dict] = None) -> SupEstimate:
-    """T4.1 sup-integral; the maximizer sits at an interior radius.  memo: see sup_over_radius."""
-    return profile_sup("T4.1", alpha, memo=memo)
+def log_to_plain_norm(alpha: float) -> SupEstimate:
+    """T4.1 sup-integral; the maximizer sits at an interior radius."""
+    return profile_sup("T4.1", alpha)
 
 
-def log_to_log_norm(alpha: float, memo: Optional[dict] = None) -> SupEstimate:
-    """T5.1 sup-integral; extrapolated_limit estimates the boundary value.  memo as above."""
-    return profile_sup("T5.1", alpha, memo=memo)
+def log_to_log_norm(alpha: float) -> SupEstimate:
+    """T5.1 sup-integral; extrapolated_limit estimates the boundary value."""
+    return profile_sup("T5.1", alpha)
 
 
 def korenblum_norm_exact(alpha: float) -> float:
@@ -436,8 +484,11 @@ def _verdict_t41(alpha: float, tol: float) -> TheoremVerdict:
     est = log_to_plain_norm(alpha)
     lb = log_to_plain_lower_bound(alpha)
     passed = (not est.diverged) and est.value >= lb - tol
+    at = f"r = {est.argmax_radius:.6g}"
+    if at == "r = 1":  # past L = 14.5
+        at = f"1 - r = {math.exp(-est.argmax_depth):.3e}"
     notes = (
-        f"sup {est.value:.9g} at r = {est.argmax_radius:.6g} "
+        f"sup {est.value:.9g} at {at} "
         f"(interior maximizer); closed-form lower bound {lb:.9g}"
     )
     return TheoremVerdict("T4.1", alpha, (lb, None), est.value, tol, passed, notes)
@@ -454,7 +505,7 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
         b_alpha_sq, residual = est.limit_fit
         notes = (
             f"sup {est.value:.9g} at r = {est.argmax_radius:.6g}; "
-            f"boundary limit fits to {computed:.9g} (A + B/M + C/M^2 + D/M^3, "
+            f"boundary limit fits to {computed:.9g} (A + B/M + C/M^2 + D/M^3 + E/M^4, "
             f"B alpha^2 = {b_alpha_sq:.6f}, residual {residual:.1e}), theory >= {target:.9g}"
         )
     return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
@@ -511,7 +562,7 @@ class Result:
     gives its columns of the norm table.  factor is (column name, log
     factor at (r, u = e^-t, alpha), how it combines with F) for the
     log-weighted profiles.  pair is the (source, target) space types of
-    its empirical bound, which is checked against bounds(alpha, memo) =
+    its empirical bound, which is checked against bounds(alpha) =
     (low, high); radial marks the results whose witness is the radial
     profile of slice_values.
     """
@@ -526,7 +577,7 @@ class Result:
     exact_max: Optional[float] = None
     factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
-    bounds: Optional[Callable[[float, Optional[dict]], Interval]] = None
+    bounds: Optional[Callable[[float], Interval]] = None
     radial: bool = False
 
     def admits(self, alpha: float, exact_only: bool = False) -> bool:
@@ -563,7 +614,7 @@ RESULTS = MappingProxyType(
                 cells=lambda a: (korenblum_norm_exact(a),),
                 exact_max=0.5,
                 pair=(Korenblum, Korenblum),
-                bounds=lambda a, memo: (0.0, korenblum_norm_exact(a)),
+                bounds=lambda a: (0.0, korenblum_norm_exact(a)),
                 radial=True,
             ),
             Result(
@@ -576,10 +627,7 @@ RESULTS = MappingProxyType(
                 cells=lambda a: (log_to_plain_norm(a).value, log_to_plain_lower_bound(a)),
                 factor=("log_denominator", _log_factor_at_image, np.divide),
                 pair=(KorenblumLog, Korenblum),
-                bounds=lambda a, memo: (
-                    log_to_plain_lower_bound(a),
-                    log_to_plain_norm(a, memo=memo).value,
-                ),
+                bounds=lambda a: (log_to_plain_lower_bound(a), log_to_plain_norm(a).value),
                 radial=True,
             ),
             Result(
@@ -592,7 +640,7 @@ RESULTS = MappingProxyType(
                 cells=lambda a: (log_to_log_norm(a).value, 1.0 / a),
                 factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
-                bounds=lambda a, memo: (0.0, log_to_log_norm(a, memo=memo).value),
+                bounds=lambda a: (0.0, log_to_log_norm(a).value),
                 radial=True,
             ),
             Result(
@@ -604,7 +652,7 @@ RESULTS = MappingProxyType(
                 columns=("t62_upper",),
                 cells=lambda a: (bloch_upper_bound(a),),
                 pair=(BlochAlpha, BlochAlpha),
-                bounds=lambda a, memo: (1.5, bloch_upper_bound(a)),
+                bounds=lambda a: (1.5, bloch_upper_bound(a)),
             ),
             Result(
                 "T6.3",
@@ -624,7 +672,7 @@ RESULTS = MappingProxyType(
                 columns=("t71_low", "t71_high"),
                 cells=lambda a: hardy_to_bloch_bounds(a) if a >= 1.0 else (None, None),
                 pair=(HardyInf, BlochAlpha),
-                bounds=lambda a, memo: hardy_to_bloch_bounds(a),
+                bounds=lambda a: hardy_to_bloch_bounds(a),
             ),
         )
     }

@@ -18,8 +18,15 @@ computed a second time from the substitution y = log(1 + e^-t r / (1 - r)),
     P(r) = ((1 + r)^a / r) int_0^L e^(-a (L - y)) k(y) dy,   L = log(1/(1 - r)),
 
 with k(y) = (2 - e^-y)^-a for P3 and k(y) / (1/a + y - log(1 - e^-y / 2)) for
-P4, and the two must agree to 1e-20 relative.  This script never imports
-the package it checks.
+P4, and the two must agree to 1e-20 relative.
+
+The T4.1 supremum at each alpha of SUP_ALPHAS is P4 at the root L* of
+
+    dP4/dL = c'(L) I(L) + c(L) (k(L) - a I(L)),   c = (1 + r)^a / r,  dr/dL = e^-L,
+
+the y form differentiated with dI/dL = k(L) - a I(L), found by mpmath's
+findroot inside the first sign change of a geometric scan of L.  This
+script never imports the package it checks; it takes about 10 s.
 """
 
 import json
@@ -29,6 +36,7 @@ import mpmath as mp
 
 ALPHAS = (0.01, 0.2, 0.5, 0.95)  # as doubles, the values the package sees
 KS = (1, 2, 5, 20, 40)
+SUP_ALPHAS = (0.01, 0.02, 0.05, 0.2, 0.5, 0.8, 0.95)
 OUT = pathlib.Path(__file__).with_name("profile_reference.json")
 
 
@@ -53,20 +61,40 @@ def by_definition(a, r):
     return p3, p4, (c - mp.log(1 - r * r)) * p4
 
 
+def kernel(a, y, log_weighted):
+    k = (2 - mp.exp(-y)) ** (-a)
+    return k / (1 / a + y - mp.log(1 - mp.exp(-y) / 2)) if log_weighted else k
+
+
+def cumulative(a, L, log_weighted):
+    """I(L) = int_0^L e^(-a (L - y)) k(y) dy."""
+    cuts = [mp.mpf(0)] + [y for y in (mp.mpf(1), mp.mpf(4), L / 2, L - 4, L - 1) if 0 < y < L] + [L]
+    return mp.quad(lambda y: mp.exp(-a * (L - y)) * kernel(a, y, log_weighted), sorted(set(cuts)))
+
+
 def by_substitution(a, r):
     L = -mp.log(1 - r)
-
-    def kernel(y, log_weighted):
-        k = (2 - mp.exp(-y)) ** (-a)
-        return k / (1 / a + y - mp.log(1 - mp.exp(-y) / 2)) if log_weighted else k
-
-    cuts = [mp.mpf(0)] + [y for y in (mp.mpf(1), mp.mpf(4), L / 2, L - 4, L - 1) if 0 < y < L] + [L]
-    cuts = sorted(set(cuts))
     scale = (1 + r) ** a / r
-    p3 = scale * mp.quad(lambda y: mp.exp(-a * (L - y)) * kernel(y, False), cuts)
-    p4 = scale * mp.quad(lambda y: mp.exp(-a * (L - y)) * kernel(y, True), cuts)
+    p3 = scale * cumulative(a, L, False)
+    p4 = scale * cumulative(a, L, True)
     lam = 1 / a + L - mp.log(1 - mp.exp(-L) / 2)
     return p3, p4, lam * p4
+
+
+def t41_sup(a):
+    """(L*, P4(L*)): the first root of dP4/dL and the profile there."""
+
+    def profile_and_slope(L):
+        r = -mp.expm1(-L)
+        c = (1 + r) ** a / r
+        i = cumulative(a, L, True)
+        dc = c * mp.exp(-L) * (a / (1 + r) - 1 / r)
+        return c * i, dc * i + c * (kernel(a, L, True) - a * i)
+
+    scan = [mp.mpf("0.05") * mp.mpf(2) ** (j / mp.mpf(4)) for j in range(80)]
+    lo = next(L for L, hi in zip(scan, scan[1:]) if profile_and_slope(hi)[1] < 0)
+    root = mp.findroot(lambda L: profile_and_slope(L)[1], (lo, lo * mp.mpf(2) ** mp.mpf("0.25")), solver="anderson")
+    return root, profile_and_slope(root)[0]
 
 
 def main():
@@ -83,7 +111,11 @@ def main():
             rows.append(
                 {"alpha": alpha, "k": k, **{p: mp.nstr(v, 25) for p, v in zip(("P3", "P4", "P5"), defined)}}
             )
-    OUT.write_text(json.dumps({"digits": 30, "profiles": rows}, indent=1) + "\n")
+    sups = []
+    for alpha in SUP_ALPHAS:
+        L, value = t41_sup(mp.mpf(alpha))
+        sups.append({"alpha": alpha, "L": mp.nstr(L, 25), "sup": mp.nstr(value, 25)})
+    OUT.write_text(json.dumps({"digits": 30, "profiles": rows, "t41_sup": sups}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -81,9 +81,9 @@ def test_shared_table_matches_a_fresh_pass_bitwise(theorem_id):
     fresh = [slice_values(theorem_id, [r], 0.3)[0].hex() for r in radii]
     for first, second in ((radii[:50], radii[50:]), (radii[50:], radii[:50])):
         table = theorems._profile_table(theorem_id, 0.3)
-        shared = slice_values(theorem_id, first, 0.3, table) + slice_values(theorem_id, second, 0.3, table)
+        shared = [theorems._profile_at(theorem_id, -np.log1p(-part), part, 0.3, table)[0] for part in (first, second)]
         order = list(first) + list(second)
-        assert [v.hex() for v in shared] == [fresh[list(radii).index(r)] for r in order]
+        assert [v.hex() for v in np.concatenate(shared)] == [fresh[list(radii).index(r)] for r in order]
 
 
 def test_slice_values_keep_the_scalar_checks():
@@ -154,32 +154,27 @@ def test_sup_over_radius_reads_memo_first():
     assert len(asked) == calls
 
 
-def test_profile_sup_batches_only_the_radii_memo_lacks(monkeypatch):
-    asked, rows = [], []
-    batch, integrate = theorems.slice_values, numerics.integrate_rows
+@pytest.mark.parametrize(
+    "theorem_id, alpha, k_max, expected",
+    [("T3.1", 0.3, 40, 1), ("T5.1", 0.05, 40, 1), ("T4.1", 0.5, 40, 3), ("T4.1", 0.5, 30, 3), ("T4.1", 0.01, 40, 3)],
+)
+def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, k_max, expected, monkeypatch):
+    """integrate_rows calls per search: the grid, then for an interior maximum its bracket and its root.
 
-    def recorded(theorem_id, radii, *args):
-        asked.append([float(r) for r in radii])
-        return batch(theorem_id, radii, *args)
+    T3.1 at alpha = 0.3 and T5.1 at 0.05 still rise at the grid end, so the
+    grid call is the only one; T5.1 takes its fit depths and T4.1 below
+    alpha = 0.048 its doublings of the grid end in that same call.
+    """
+    calls, integrate = [], numerics.integrate_rows
 
     def counted(g, n, *args):
-        rows.append(n)
+        calls.append(n)
         return integrate(g, n, *args)
 
-    monkeypatch.setattr(theorems, "slice_values", recorded)
     monkeypatch.setattr(numerics, "integrate_rows", counted)
-    memo: dict = {}
-    witness = profile_sup("T4.1", 0.5, k_max=30, memo=memo)  # the CLI's witness scan
-    upper = profile_sup("T4.1", 0.5, memo=memo)  # and its upper end
-    # grid batches of 31 and 10 radii around 8 zoom patches of 15 radii, less
-    # the middle node when an earlier step sampled it; the upper end reuses every patch
-    assert [len(radii) for radii in asked] == [31, 14, 15, 15, 14, 14, 15, 15, 14, 10]
-    # one integrate_rows call per batch: a tail panel per radius, plus the
-    # table panels up to the deepest radius in the first batch of each search
-    assert rows == [31 + 7, 14, 15, 15, 14, 14, 15, 15, 14, 10 + 8]
-    flat = [r for radii in asked for r in radii]
-    assert len(flat) == len(set(flat))  # no radius is integrated twice
-    assert upper.value == witness.value
+    est = profile_sup(theorem_id, alpha, k_max)
+    assert len(calls) == expected
+    assert est.converged
 
 
 @pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])

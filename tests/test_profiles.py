@@ -1,4 +1,4 @@
-"""The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the T5.1 limit fit."""
+"""The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the sup search, the T5.1 limit fit."""
 
 import json
 import pathlib
@@ -8,10 +8,11 @@ import pytest
 
 from cesaronorm import log_to_log_norm, verify_theorem
 from cesaronorm.numerics import radius_grid
-from cesaronorm.theorems import profile_sup, slice_values
+from cesaronorm.theorems import _profile_at, _profile_table, profile_sup, slice_values
 
 # written by tests/make_profile_reference.py (mpmath, 30 digits)
-REFERENCE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())["profiles"]
+TABLE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())
+REFERENCE, T41_SUP = TABLE["profiles"], TABLE["t41_sup"]
 PROFILES = (("T3.1", "P3"), ("T4.1", "P4"), ("T5.1", "P5"))
 RADIAL_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -51,3 +52,39 @@ def test_t51_limit_fit_finds_reciprocal_alpha(alpha):
     assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-4)
     assert b_alpha_sq == pytest.approx(1.0, abs=1e-3)
     assert 0.0 < residual < 1e-6
+
+
+@pytest.mark.parametrize("row", T41_SUP, ids=lambda row: f"alpha={row['alpha']}")
+def test_t41_sup_matches_the_mpmath_root(row):
+    """The sup to 1e-10 relative and its depth L* to 1e-6, below alpha = 0.048 too, where L* is past the grid."""
+    alpha, depth, sup = row["alpha"], float(row["L"]), float(row["sup"])
+    est = profile_sup("T4.1", alpha)
+    assert est.value == pytest.approx(sup, rel=1e-10, abs=0.0)
+    assert est.argmax_depth == pytest.approx(depth, rel=1e-6)
+    assert est.converged
+    _, slope = _profile_at("T4.1", np.array([depth]), -np.expm1(-np.array([depth])), alpha, _profile_table("T4.1", alpha))
+    assert abs(slope[0]) < 1e-12  # the reference root is a root of the package's P' too
+    verdict = verify_theorem("T4.1", alpha)
+    assert verdict.computed == est.value
+    if depth > 14.5:  # r = 1 - e^-L prints as 1 to six digits
+        assert f"at 1 - r = {np.exp(-depth):.3e}" in verdict.notes
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+@pytest.mark.parametrize("alpha", [row["alpha"] for row in T41_SUP])
+def test_slope_matches_a_central_difference_of_slice_values(theorem_id, alpha):
+    """dP/dL from k(L) - alpha I(L) against (P(L + h) - P(L - h)) / 2h, h = 1e-4, to 1e-8 of P."""
+    depths = np.array([0.3, 1.0, 3.0, 10.0, 20.0])
+    values, slopes = _profile_at(theorem_id, depths, -np.expm1(-depths), alpha, _profile_table(theorem_id, alpha))
+    up, down = -np.expm1(-(depths + 1e-4)), -np.expm1(-(depths - 1e-4))
+    step = np.log1p(-down) - np.log1p(-up)  # the depths of the rounded radii
+    central = (np.array(slice_values(theorem_id, up, alpha)) - slice_values(theorem_id, down, alpha)) / step
+    np.testing.assert_allclose(central, slopes, rtol=0.0, atol=1e-8 * values.max())
+
+
+@pytest.mark.parametrize("alpha", RADIAL_ALPHAS)
+def test_t51_limit_fit_passes_at_tol_1e7(alpha):
+    """The five-term fit leaves A alpha - 1 = 1.4e-8, so verify passes at tol 1e-7 (the four-term fit left -2.6e-7)."""
+    verdict = verify_theorem("T5.1", alpha, tol=1e-7)
+    assert verdict.passed, verdict.notes
+    assert verdict.computed * alpha == pytest.approx(1.0, abs=1e-7)
