@@ -113,11 +113,12 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec):
     """Norm of the transformed extremal function.
 
     For the weighted-modulus sources the image has a positive radial
-    profile that dominates every other ray, and that profile is exactly
-    the half-line integral of the weighted semigroup kernel; computing
-    it that way avoids pushing huge pre-weight magnitudes through the
-    polar grid.  The remaining sources have cheap closed-form images and
-    go through the generic norm.
+    profile that dominates every other ray, and that profile is the
+    result's own, from one cumulative pass in L = log(1/(1 - r))
+    (theorems.profile_sup on GRID_K_MAX + 1 radii); computing it that way
+    avoids pushing huge pre-weight magnitudes through the polar grid.  The
+    remaining sources have cheap closed-form images and go through the
+    generic norm.
     """
     if not result.radial:
         image = cesaro_transform(extremal_for(source))

@@ -24,14 +24,12 @@ call, each mapped onto [0, 1] as its own row; the table ends depend on
 alpha alone, so a depth's value does not depend on what shares the call.
 
 sup_over_radius, for any batched profile h (theorems.profile_sup searches
-its own profiles in L), scans h over r_k = 1 - 2^-k, k = 0..40, in one
-call and refines the grid maximum by zoom patches in s = -log2(1 - r):
-each patch is one call on 15 evenly spaced interior nodes of a bracket,
-the next bracket the winner's neighbours, narrowed around the vertex of a
-concave parabola through the three (Brent, Algorithms for Minimization
-without Derivatives, 1973, ch. 5).  Iterated Aitken steps extrapolate the
-last five grid values, exact for tails like c * q^k.  golden_section_max
-is no longer called by the package; the benchmark's tracer binds it by name.
+its own profiles in L; theorems.constant_one_bloch_norm calls it), scans h
+over r_k = 1 - 2^-k, k = 0..40, in one call and refines the grid maximum
+with golden_section_max in s = -log2(1 - r) between its grid neighbours
+(Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+Iterated Aitken steps extrapolate the last five grid values, exact for
+tails like c * q^k.
 """
 
 from __future__ import annotations
@@ -370,90 +368,27 @@ def extrapolate_tail(values) -> Optional[float]:
     return level1[-1]
 
 
-# a zoom patch samples this many evenly spaced interior nodes of its
-# bracket; the zoom stops once the bracket is narrower than _ZOOM_XTOL in s.
-# A stop on the width in r ends at once near k = 39, where the whole
-# bracket is already under 1e-9 wide in r.
-_ZOOM_NODES = 15
-_ZOOM_XTOL = 1e-9
+def sup_over_radius(h: Callable, tol: float = 1e-9, k_max: int = RADIAL_K_MAX) -> SupEstimate:
+    """Supremum of h over [0, 1) via grid scan, golden-section refinement, tail limit.
 
-
-def sup_over_radius(
-    h: Callable,
-    tol: float = 1e-9,
-    k_max: int = RADIAL_K_MAX,
-    memo: Optional[dict] = None,
-) -> SupEstimate:
-    """Supremum of h over [0, 1) via grid scan, batched zoom, tail limit.
-
-    h takes one ndarray of radii and returns one value, or one exception,
-    per radius.  The grid radii go in increasing order in one call, and
-    the scan stops at the first exception, which is raised, or at the
-    first value that is not finite or beyond OVERFLOW_GUARD, which short-circuits
-    into a diverged estimate.  Each zoom patch is one more call; there an
-    exception is raised and a non-finite value raises ConvergenceError.
-    converged means the last patch raised the best value by at most tol.
-    memo, a dict shared by searches of one profile, keeps h by radius and
-    is read before h is called.
+    h takes one ndarray of radii and returns one value per radius.  The
+    grid radii go in increasing order in one call, and the first value that
+    is not finite or beyond OVERFLOW_GUARD short-circuits into a diverged
+    estimate.  golden_section_max refines the grid maximum in
+    s = -log2(1 - r) between its grid neighbours, one call of h per probe;
+    a non-finite probe raises ConvergenceError.  converged means the
+    bracket closed and its last step moved the best value by at most tol.
     """
-    memo = {} if memo is None else memo
-
-    def fill(radii, stop):
-        missing = list(dict.fromkeys(r for r in radii if r not in memo))
-        for r, v in zip(missing, h(np.array(missing)) if missing else ()):
-            memo[r] = v
-            if isinstance(v, Exception) or not (math.isfinite(v) and v <= OVERFLOW_GUARD):
-                if stop:
-                    return
-
-    def value(r):
-        if isinstance(memo[r], Exception):
-            raise memo[r]
-        return float(memo[r])
-
-    radii = [float(r) for r in radius_grid(k_max)]
-    fill(radii, stop=True)
-    vals: list[float] = []
-    for r in radii:
-        vals.append(value(r))
-        if not math.isfinite(vals[-1]) or vals[-1] > OVERFLOW_GUARD:
-            return SupEstimate(vals[-1], r, converged=False, diverged=True)
+    radii = radius_grid(k_max)
+    vals = [float(v) for v in h(radii)]
+    for r, v in zip(radii, vals):
+        if not (math.isfinite(v) and v <= OVERFLOW_GUARD):
+            return SupEstimate(v, float(r), converged=False, diverged=True)
 
     i = int(np.argmax(vals))
-    best_r, best_v = radii[i], vals[i]
-    # the bracket [a, b] in s, with the values at its ends where sampled
-    a, b = max(i - 1, 0), min(i + 1, k_max)
-    fa, fb = vals[a], vals[b]
-    while True:
-        s = a + (b - a) * np.arange(_ZOOM_NODES + 2) / (_ZOOM_NODES + 1)
-        nodes = [float(r) for r in 1.0 - 2.0**-s]
-        fill(nodes[1:-1], stop=False)
-        f = [fa]
-        for r in nodes[1:-1]:
-            f.append(value(r))
-            if not math.isfinite(f[-1]):
-                raise ConvergenceError(f"zoom node not finite at r = {r!r}")
-        f.append(fb)
-        j = 1 + int(np.argmax(f[1:-1]))
-        rise = max(f[j] - best_v, 0.0)
-        if f[j] > best_v:
-            best_r, best_v = nodes[j], f[j]
-
-        # the winner's neighbours, narrowed around the vertex of a concave
-        # parabola through the three: half-width 4 |offset|, at least spacing/64
-        lo, hi = float(s[j - 1]), float(s[j + 1])
-        if f[j - 1] is not None and f[j + 1] is not None:
-            curvature = f[j - 1] - 2.0 * f[j] + f[j + 1]
-            if curvature < 0.0:
-                spacing = (b - a) / (_ZOOM_NODES + 1)
-                offset = 0.5 * spacing * (f[j - 1] - f[j + 1]) / curvature
-                half = max(4.0 * abs(offset), spacing / 64.0)
-                lo, hi = max(lo, s[j] + offset - half), min(hi, s[j] + offset + half)
-        fa = f[j - 1] if lo == s[j - 1] else None
-        fb = f[j + 1] if hi == s[j + 1] else None
-        a, b = float(lo), float(hi)
-        if b - a < _ZOOM_XTOL:
-            break
-
+    s_best, best, residual, ok = golden_section_max(
+        lambda s: float(h(np.array([1.0 - 2.0**-s]))[0]), max(i - 1, 0), min(i + 1, k_max)
+    )
+    best_r, best_v = (1.0 - 2.0**-s_best, best) if best > vals[i] else (float(radii[i]), vals[i])
     limit = extrapolate_tail(vals[-5:]) if len(vals) >= 5 else None
-    return SupEstimate(best_v, best_r, rise <= tol, extrapolated_limit=limit)
+    return SupEstimate(best_v, best_r, ok and residual <= tol, extrapolated_limit=limit)

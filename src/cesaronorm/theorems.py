@@ -55,6 +55,7 @@ import numpy as np
 from .cesaro import cesaro_of_one
 from .errors import DomainError
 from .functions import (
+    EVAL_RADIUS_LIMIT,
     _polyval,
     check_alpha,
     derivative,
@@ -71,8 +72,9 @@ from .numerics import (
     extrapolate_tail,
     integrate_finite,
     radius_grid,
+    sup_over_radius,
 )
-from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog, space_norm
+from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog
 
 Interval = tuple[float, Optional[float]]
 
@@ -413,9 +415,16 @@ def divergence_witness(alpha: float) -> tuple[list[tuple[float, float]], bool]:
 def constant_one_bloch_norm(alpha: float) -> float:
     """Bloch-type norm of C(1), the standard witness for the lower bounds.
 
-    BlochAlpha(alpha) checks alpha.
+    Every Taylor coefficient of C(1)' is nonnegative, so |C(1)'(z)| <= C(1)'(|z|)
+    and the norm is 1 + sup_r bloch_witness_profile(r, alpha): a radial sup,
+    on radii clamped to the evaluation limit.
     """
-    return space_norm(cesaro_of_one(), BlochAlpha(alpha)).value
+    alpha = check_alpha("BlochAlpha", alpha)
+
+    def profile(radii):
+        return [bloch_witness_profile(r, alpha) for r in np.minimum(radii, EVAL_RADIUS_LIMIT)]
+
+    return 1.0 + sup_over_radius(profile).value
 
 
 def h_series_coeff(n: int) -> float:
@@ -480,15 +489,18 @@ def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
     return TheoremVerdict("T3.1", alpha, target, computed, tol, passed, notes)
 
 
+def _argmax_note(est: SupEstimate) -> str:
+    """'r = ...' to six digits, or '1 - r = ...' where r rounds to 1 there (past L = 14.5)."""
+    at = f"r = {est.argmax_radius:.6g}"
+    return f"1 - r = {math.exp(-est.argmax_depth):.3e}" if at == "r = 1" else at
+
+
 def _verdict_t41(alpha: float, tol: float) -> TheoremVerdict:
     est = log_to_plain_norm(alpha)
     lb = log_to_plain_lower_bound(alpha)
     passed = (not est.diverged) and est.value >= lb - tol
-    at = f"r = {est.argmax_radius:.6g}"
-    if at == "r = 1":  # past L = 14.5
-        at = f"1 - r = {math.exp(-est.argmax_depth):.3e}"
     notes = (
-        f"sup {est.value:.9g} at {at} "
+        f"sup {est.value:.9g} at {_argmax_note(est)} "
         f"(interior maximizer); closed-form lower bound {lb:.9g}"
     )
     return TheoremVerdict("T4.1", alpha, (lb, None), est.value, tol, passed, notes)
@@ -504,7 +516,7 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
         passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
         b_alpha_sq, residual = est.limit_fit
         notes = (
-            f"sup {est.value:.9g} at r = {est.argmax_radius:.6g}; "
+            f"sup {est.value:.9g} at {_argmax_note(est)}; "
             f"boundary limit fits to {computed:.9g} (A + B/M + C/M^2 + D/M^3 + E/M^4, "
             f"B alpha^2 = {b_alpha_sq:.6f}, residual {residual:.1e}), theory >= {target:.9g}"
         )

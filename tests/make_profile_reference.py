@@ -25,8 +25,16 @@ The T4.1 supremum at each alpha of SUP_ALPHAS is P4 at the root L* of
     dP4/dL = c'(L) I(L) + c(L) (k(L) - a I(L)),   c = (1 + r)^a / r,  dr/dL = e^-L,
 
 the y form differentiated with dI/dL = k(L) - a I(L), found by mpmath's
-findroot inside the first sign change of a geometric scan of L.  This
-script never imports the package it checks; it takes about 10 s.
+findroot inside the first sign change of a geometric scan of L.
+
+The Bloch-type norm of C(1)(z) = log(1/(1 - z)) / z at each alpha of
+BLOCH_ALPHAS is 1 + (1 - r*^2)^a C(1)'(r*), every Taylor coefficient of
+C(1)' being nonnegative, with r* the root of the derivative
+
+    (1 - r^2)^(a - 1) ((1 - r^2) C(1)''(r) - 2 a r C(1)'(r))
+
+inside the first sign change on r = 0.001, 0.002, ..., 0.999.  This
+script never imports the package it checks; it takes about 15 s.
 """
 
 import json
@@ -37,6 +45,7 @@ import mpmath as mp
 ALPHAS = (0.01, 0.2, 0.5, 0.95)  # as doubles, the values the package sees
 KS = (1, 2, 5, 20, 40)
 SUP_ALPHAS = (0.01, 0.02, 0.05, 0.2, 0.5, 0.8, 0.95)
+BLOCH_ALPHAS = (1.5, 2.0, 3.0, 10.0, 50.0)
 OUT = pathlib.Path(__file__).with_name("profile_reference.json")
 
 
@@ -97,6 +106,24 @@ def t41_sup(a):
     return root, profile_and_slope(root)[0]
 
 
+def constant_one_bloch_norm(a):
+    """(r*, 1 + max_r (1 - r^2)^a C(1)'(r))."""
+
+    def d1(r):
+        return 1 / (r * (1 - r)) + mp.log(1 - r) / r**2
+
+    def d2(r):
+        return -(1 - 2 * r) / (r**2 * (1 - r) ** 2) - 1 / (r**2 * (1 - r)) - 2 * mp.log(1 - r) / r**3
+
+    def slope(r):  # the derivative over (1 - r^2)^(a - 1)
+        return (1 - r * r) * d2(r) - 2 * a * r * d1(r)
+
+    scan = [mp.mpf(j) / 1000 for j in range(1, 1000)]
+    lo = next(r for r, hi in zip(scan, scan[1:]) if slope(hi) < 0)
+    root = mp.findroot(slope, (lo, lo + mp.mpf(1) / 1000), solver="anderson")
+    return root, 1 + (1 - root * root) ** a * d1(root)
+
+
 def main():
     mp.mp.dps = 30
     rows = []
@@ -115,7 +142,12 @@ def main():
     for alpha in SUP_ALPHAS:
         L, value = t41_sup(mp.mpf(alpha))
         sups.append({"alpha": alpha, "L": mp.nstr(L, 25), "sup": mp.nstr(value, 25)})
-    OUT.write_text(json.dumps({"digits": 30, "profiles": rows, "t41_sup": sups}, indent=1) + "\n")
+    blochs = []
+    for alpha in BLOCH_ALPHAS:
+        r, norm = constant_one_bloch_norm(mp.mpf(alpha))
+        blochs.append({"alpha": alpha, "r": mp.nstr(r, 25), "norm": mp.nstr(norm, 25)})
+    table = {"digits": 30, "profiles": rows, "t41_sup": sups, "bloch_c1": blochs}
+    OUT.write_text(json.dumps(table, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -108,50 +108,34 @@ def test_slice_values_check_alpha_once_per_call(monkeypatch, theorem_id):
     assert calls == ["integrand_F"]
 
 
-def _batch_of(values_by_index):
-    """A batched grid profile returning the given outcome at each grid index."""
-    index = {float(r): k for k, r in enumerate(radius_grid(40))}
-    asked = []
-
-    def batch(radii):
-        asked.append([index[float(r)] for r in radii])
-        return [values_by_index(index[float(r)]) for r in radii]
-
-    return batch, asked
-
-
 def test_diverged_grid_reports_the_first_radius_and_hides_later_errors():
-    batch, asked = _batch_of(lambda k: 1.0 if k < 5 else math.inf if k == 5 else ConvergenceError("x"))
-    memo: dict = {}
-    est = sup_over_radius(batch, 1e-9, memo=memo)
-    assert est.diverged
-    assert est.argmax_radius == float(radius_grid(40)[5])
-    assert asked == [list(range(41))]  # the grid in one call, in increasing radius
-    assert sorted(memo) == [float(r) for r in radius_grid(5)]  # filling stops at the divergence
-
-
-def test_grid_error_before_divergence_is_raised_in_order():
-    batch, _ = _batch_of(lambda k: math.inf if k == 7 else ConvergenceError(f"at {k}") if k >= 3 else 1.0)
-    memo: dict = {}
-    with pytest.raises(ConvergenceError, match="at 3"):
-        sup_over_radius(batch, 1e-9, memo=memo)
-    with pytest.raises(ConvergenceError, match="at 3"):  # kept in memo, raised where the scan meets it
-        sup_over_radius(_batch_of(lambda k: 1.0)[0], 1e-9, memo=memo)
-
-
-def test_sup_over_radius_reads_memo_first():
+    """inf at k = 5 and NaN after: the k = 5 radius is reported, from one grid call in increasing radius."""
     asked = []
 
     def batch(radii):
-        asked.append([float(r) for r in radii])
-        return radii  # h(r) = r
+        asked.append(radii.copy())
+        k = np.arange(radii.size)
+        return np.where(k < 5, 1.0, np.where(k == 5, math.inf, math.nan))
 
-    memo = {float(r): 0.0 for r in radius_grid(30)}
-    sup_over_radius(batch, 1e-9, memo=memo)
-    assert asked[0] == [float(r) for r in radius_grid(40)[31:]]
-    calls = len(asked)
-    sup_over_radius(batch, 1e-9, memo=memo)
-    assert len(asked) == calls
+    est = sup_over_radius(batch, 1e-9)
+    assert est.diverged and not est.converged
+    assert est.argmax_radius == float(radius_grid(40)[5]) and est.value == math.inf
+    assert len(asked) == 1
+    np.testing.assert_array_equal(asked[0], radius_grid(40))
+
+
+def test_sup_over_radius_refines_with_one_golden_section_search(monkeypatch):
+    brackets = []
+    golden = numerics.golden_section_max
+
+    def counted(f, a, b, *args, **kwargs):
+        brackets.append((a, b))
+        return golden(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "golden_section_max", counted)
+    est = sup_over_radius(lambda r: (1.0 + r) ** 2 * (1.0 - r), 1e-10)
+    assert brackets == [(0, 2)]  # the neighbours of the grid maximum at k = 1, in s = -log2(1 - r)
+    assert est.converged and est.argmax_radius == pytest.approx(1.0 / 3.0, abs=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -180,10 +164,11 @@ def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, k_max, e
 @pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
 @pytest.mark.parametrize("alpha", [round(0.05 * k, 2) for k in range(1, 20)])
 def test_profile_sup_reaches_a_dense_scan_of_its_bracket(theorem_id, alpha):
-    """The zoom ends no lower than 401 evenly spaced s-nodes of the bracket around the grid maximum.
+    """The search ends no lower than 401 evenly spaced s-nodes of the bracket around the grid maximum.
 
-    Within 1e-12 relative at every k: the zoom stops on the width of its
-    bracket in s, which does not shrink with 1 - r.
+    Within 1e-12 relative at every k: the search samples the sign-change
+    bracket of P' and its interpolated root in L, whose widths do not
+    shrink with 1 - r.
     """
     k = int(np.argmax(slice_values(theorem_id, radius_grid(40), alpha)))
     s = np.linspace(max(k - 1, 0), min(k + 1, 40), 401)

@@ -1,4 +1,7 @@
-"""The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the sup search, the T5.1 limit fit."""
+"""The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the sup search, the T5.1 limit fit.
+
+The same table holds the Bloch-type norm of C(1), a radial sup too.
+"""
 
 import json
 import pathlib
@@ -6,13 +9,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from cesaronorm import log_to_log_norm, verify_theorem
+from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
 from cesaronorm.numerics import radius_grid
 from cesaronorm.theorems import _profile_at, _profile_table, profile_sup, slice_values
 
 # written by tests/make_profile_reference.py (mpmath, 30 digits)
 TABLE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())
-REFERENCE, T41_SUP = TABLE["profiles"], TABLE["t41_sup"]
+REFERENCE, T41_SUP, BLOCH_C1 = TABLE["profiles"], TABLE["t41_sup"], TABLE["bloch_c1"]
 PROFILES = (("T3.1", "P3"), ("T4.1", "P4"), ("T5.1", "P5"))
 RADIAL_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -68,6 +71,19 @@ def test_t41_sup_matches_the_mpmath_root(row):
     assert verdict.computed == est.value
     if depth > 14.5:  # r = 1 - e^-L prints as 1 to six digits
         assert f"at 1 - r = {np.exp(-depth):.3e}" in verdict.notes
+
+
+def test_t51_notes_print_one_minus_r_where_r_rounds_to_one():
+    """At alpha = 0.05 the T5.1 sup lies deeper than L = 14.5, where r prints as 1 to six digits."""
+    est = log_to_log_norm(0.05)
+    assert est.argmax_depth > 14.5
+    assert f"at 1 - r = {np.exp(-est.argmax_depth):.3e};" in verify_theorem("T5.1", 0.05).notes
+
+
+@pytest.mark.parametrize("row", BLOCH_C1, ids=lambda row: f"alpha={row['alpha']}")
+def test_constant_one_bloch_norm_matches_the_mpmath_max(row):
+    """1 + max_r (1 - r^2)^alpha C(1)'(r) to 2e-15 relative; the 2-D disk sup was 8.9e-15 off at alpha = 10."""
+    assert constant_one_bloch_norm(row["alpha"]) == pytest.approx(float(row["norm"]), rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
