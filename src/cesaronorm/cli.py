@@ -33,7 +33,7 @@ from .empirical import SampleConfig, operator_norm_lower_bound, result_for_pair
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .numerics import DivergenceFlag
 from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog
-from .theorems import RESULTS, THEOREM_IDS, TheoremVerdict, profile_integrand, verify_theorem
+from .theorems import RESULTS, THEOREM_IDS, TheoremVerdict, argmax_note, profile_integrand, verify_theorem
 
 _SPACES = {
     "hardy": lambda alpha: HardyInf(),
@@ -236,7 +236,7 @@ def _cmd_empirical(args) -> int:
         sound = est.value <= high + slack
         passed = sound and est.value >= low - slack
         notes = (
-            f"best ratio {est.value:.9g} at r = {est.argmax_radius:.6g}, "
+            f"best ratio {est.value:.9g} at {argmax_note(est)}, "
             f"theta = {est.argmax_angle:.6g}; soundness "
             f"{'ok' if sound else 'VIOLATED'}"
         )

@@ -132,6 +132,7 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec):
         angular_points=1,
         refinement_residual=0.0,
         diverged=est.diverged,
+        argmax_depth=est.argmax_depth,
     )
 
 

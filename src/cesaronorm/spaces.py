@@ -13,10 +13,16 @@ weight applied to |f| (or to |f'| for the Bloch-type space):
 space_norm estimates the supremum over the disk on a polar grid: the
 geometric radius grid r_k = 1 - 2^-k (k = 0..40, clamped inside the
 evaluation guard) crossed with an equispaced angular grid that starts at
-256 points and doubles until the polished supremum stabilizes.  Each
-level is polished by a batched zoom in s = -log2(1 - r): whole angle
-rows at radii around the grid maximum, then joint (radius, angle)
-patches that shrink around the best point.  Every grid, row and patch
+256 points and doubles until the polished supremum stabilizes.  A level
+is polished by a batched zoom in s = -log2(1 - r): whole angle rows at
+radii around the grid maximum, then joint (radius, angle) patches that
+shrink around the best point until their half-width in s is 1e-8 or
+they are flat to rounding around it.  Each doubling evaluates only its
+new, odd angles and interleaves them with the last level's values; a
+grid maximum no higher than the polished one and in its cell (one angle
+step, one grid row) is the same peak, and the search stops there
+without polishing it again.  A peak that only the finer grid sees is
+polished and checked at the next level.  Every grid, row and patch
 is a tensor grid radii x angles, evaluated in one functions.evaluate_polar
 call: polynomials and their Cesaro images as a separable product of
 radial rows and angular powers, every other function pointwise.  The
@@ -90,7 +96,10 @@ SpaceSpec = HardyInf | Korenblum | KorenblumLog | BlochAlpha
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Norm value with the argmax location (angle in [-pi, pi)) and refinement diagnostics."""
+    """Norm value with the argmax location (angle in [-pi, pi)) and refinement diagnostics.
+
+    argmax_depth, if known, is log(1/(1 - r)) at the argmax radius.
+    """
 
     value: float
     argmax_radius: float
@@ -99,6 +108,7 @@ class NormEstimate:
     angular_points: int
     refinement_residual: float
     diverged: bool = False
+    argmax_depth: float | None = None
 
 
 def weight_at(space: SpaceSpec, r):
@@ -150,20 +160,33 @@ def _disk_sup(f, space, tol, k_max):
     each level is polished in s = -log2(1 - r): whole angle rows first,
     since the angle of the maximum moves with r, then joint patches,
     square in (r, angle) so that their angular width scales with 1 - r
-    like a peak near the circle.  The angular resolution doubles until
-    the polished supremum stops moving.
+    like a peak near the circle.  The zoom stops at a radial half-width of
+    1e-8, or once the winner's 3 x 3 neighbourhood is flat to rounding
+    (1 x 3 on the top row, onto which every row above it clips).  The
+    angular resolution doubles until the polished supremum stops moving.
+    A level after the first evaluates only its new, odd columns, and a
+    grid winner no higher than the polished best and within one angle
+    step and one grid row of it is the polished peak's own basin: the
+    search ends there without polishing it again.
     """
     radii = _clamped_radii(k_max)
     s_grid = -np.log2(1.0 - radii)
     s_top = float(s_grid[-1])
 
-    def patch(s, angles):
-        """Weighted modulus on the s x angles patch, and its best node."""
-        s = np.clip(s, 0.0, s_top)
+    def weighted(s, angles):
         r = 1.0 - np.exp2(-s)
-        vals = _weight(space, r)[:, None] * np.abs(evaluate_polar(f, r, angles))
+        return _weight(space, r)[:, None] * np.abs(evaluate_polar(f, r, angles))
+
+    def best(vals, s, angles):
+        """The best node of vals on s x angles: row, column, s, angle and value."""
         a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return vals, (a, b, float(s[a]), float(angles[b]), float(vals[a, b]))
+        return a, b, float(s[a]), float(angles[b]), float(vals[a, b])
+
+    def patch(s, angles):
+        """s clipped to the grid, the weighted modulus on s x angles, and its best node."""
+        s = np.clip(s, 0.0, s_top)
+        vals = weighted(s, angles)
+        return s, vals, best(vals, s, angles)
 
     def scan(vals, angles, m):
         # increasing radius so a blow-up reports its first witness
@@ -183,11 +206,10 @@ def _disk_sup(f, space, tol, k_max):
             diverged=True,
         )
 
-    def polish(angles, m, grid_best):
-        i, _, best_s, best_angle, best_v = grid_best
-        lo, hi = s_grid[max(i - 1, 0)], s_grid[min(i + 1, len(s_grid) - 1)]
+    def polish(angles, m, lo, hi, grid_best):
+        _, _, best_s, best_angle, best_v = grid_best
         centre, h_s = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        _, (_, _, s, angle, v) = patch(centre + h_s * _PATCH, angles)
+        _, _, (_, _, s, angle, v) = patch(centre + h_s * _PATCH, angles)
         if v > best_v:
             best_s, best_angle, best_v = s, angle, v
 
@@ -198,26 +220,45 @@ def _disk_sup(f, space, tol, k_max):
             h_s = h / (math.log(2.0) * math.exp2(-best_s))
             if h_s <= 1e-8:
                 break
-            _, (a, b, s, angle, v) = patch(best_s + h_s * _PATCH, best_angle + h * _PATCH)
+            s, vals, (a, b, s_a, angle, v) = patch(best_s + h_s * _PATCH, best_angle + h * _PATCH)
             residual = max(v - best_v, 0.0)
             if v > best_v:
-                best_s, best_angle, best_v = s, angle, v
+                best_s, best_angle, best_v = s_a, angle, v
                 # a winner on the patch edge may sit below a higher point
                 # outside: slide the patch before shrinking it
                 if {a, b} & {0, _PATCH.size - 1}:
                     continue
+            rows = vals[a : a + 1] if s_a == s_top else vals[max(a - 1, 0) : a + 2]
+            near = rows[:, max(b - 1, 0) : b + 2]
+            if near.max() - near.min() <= 4e-16 * max(1.0, v):
+                break
             h *= _SHRINK
         return best_s, _principal_angle(best_angle), best_v, residual
 
-    m, best_v, angular_delta = FIRST_ANGLES // 2, -math.inf, math.inf
+    m, best_v, angular_delta, vals = FIRST_ANGLES // 2, -math.inf, math.inf, None
     while m < MAX_ANGLES:
         m *= 2
         angles = 2.0 * np.pi * np.arange(m) / m
-        vals, grid_best = patch(s_grid, angles)
+        if vals is None:
+            vals = weighted(s_grid, angles)
+        else:
+            # the last level's angles are bitwise this level's even columns
+            odd = weighted(s_grid, angles[1::2])
+            vals = np.stack([vals, odd], axis=2).reshape(len(s_grid), m)
         flagged = scan(vals, angles, m)
         if flagged is not None:
             return flagged
-        ns, na, nv, nres = polish(angles, m, grid_best)
+        grid_best = best(vals, s_grid, angles)
+        i, _, _, angle, v = grid_best
+        lo, hi = s_grid[max(i - 1, 0)], s_grid[min(i + 1, len(s_grid) - 1)]
+        if (
+            v <= best_v
+            and lo <= best_s <= hi
+            and abs(math.remainder(angle - best_angle, 2.0 * math.pi)) <= 2.0 * math.pi / m
+        ):
+            # the polished peak's own basin: this level adds nothing to it
+            break
+        ns, na, nv, nres = polish(angles, m, lo, hi, grid_best)
         angular_delta = abs(nv - best_v)
         if nv > best_v:
             best_s, best_angle, best_v, residual = ns, na, nv, nres
@@ -232,8 +273,7 @@ def _disk_sup(f, space, tol, k_max):
 
     # a maximum flat in the angle to within rounding is reported at angle 0,
     # not at a few ulps either side of it
-    on_axis, _ = patch(np.array([best_s]), np.zeros(1))
-    v_real = float(on_axis[0, 0])
+    v_real = float(weighted(np.array([best_s]), np.zeros(1))[0, 0])
     if v_real >= best_v - 4e-16 * max(1.0, best_v):
         best_angle, best_v = 0.0, max(best_v, v_real)
 
@@ -244,6 +284,7 @@ def _disk_sup(f, space, tol, k_max):
         radial_points=len(radii),
         angular_points=m,
         refinement_residual=residual,
+        argmax_depth=best_s * math.log(2.0),
     )
 
 

@@ -489,8 +489,12 @@ def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
     return TheoremVerdict("T3.1", alpha, target, computed, tol, passed, notes)
 
 
-def _argmax_note(est: SupEstimate) -> str:
-    """'r = ...' to six digits, or '1 - r = ...' where r rounds to 1 there (past L = 14.5)."""
+def argmax_note(est) -> str:
+    """'r = ...' to six digits, or '1 - r = ...' where r rounds to 1 there (past L = 14.5).
+
+    est is a SupEstimate or a NormEstimate; only its argmax_radius and
+    argmax_depth are read.
+    """
     at = f"r = {est.argmax_radius:.6g}"
     return f"1 - r = {math.exp(-est.argmax_depth):.3e}" if at == "r = 1" else at
 
@@ -500,7 +504,7 @@ def _verdict_t41(alpha: float, tol: float) -> TheoremVerdict:
     lb = log_to_plain_lower_bound(alpha)
     passed = (not est.diverged) and est.value >= lb - tol
     notes = (
-        f"sup {est.value:.9g} at {_argmax_note(est)} "
+        f"sup {est.value:.9g} at {argmax_note(est)} "
         f"(interior maximizer); closed-form lower bound {lb:.9g}"
     )
     return TheoremVerdict("T4.1", alpha, (lb, None), est.value, tol, passed, notes)
@@ -516,7 +520,7 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
         passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
         b_alpha_sq, residual = est.limit_fit
         notes = (
-            f"sup {est.value:.9g} at {_argmax_note(est)}; "
+            f"sup {est.value:.9g} at {argmax_note(est)}; "
             f"boundary limit fits to {computed:.9g} (A + B/M + C/M^2 + D/M^3 + E/M^4, "
             f"B alpha^2 = {b_alpha_sq:.6f}, residual {residual:.1e}), theory >= {target:.9g}"
         )

@@ -10,6 +10,8 @@ from jsonschema import validate
 
 from cesaronorm import DomainError, cli, verify_theorem
 from cesaronorm.cli import UsageError, main, parse_grid
+from cesaronorm.empirical import GRID_K_MAX
+from cesaronorm.theorems import profile_sup
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -699,3 +701,39 @@ def test_empirical_theta_on_the_positive_axis_is_printed_near_zero(capsys):
     notes = json.loads(out)["verdicts"][0]["notes"]
     theta = float(notes.split("theta = ")[1].split(";")[0])
     assert abs(theta) < 1e-6, notes
+
+
+@pytest.mark.parametrize(
+    "source, target, alpha, one_minus_r",
+    [
+        # the C(1) witness peaks on the outer grid radius 1 - 2^-30
+        ("hardy", "bloch", "1", f"{2.0**-GRID_K_MAX:.3e}"),
+        # the radial witness keeps the depth of its profile's argmax
+        (
+            "korenblum-log",
+            "korenblum",
+            "0.03",
+            f"{math.exp(-profile_sup('T4.1', 0.03, GRID_K_MAX).argmax_depth):.3e}",
+        ),
+    ],
+)
+def test_empirical_argmax_near_the_circle_prints_one_minus_r(
+    capsys, source, target, alpha, one_minus_r
+):
+    """Where r rounds to 1 at six digits, the notes print 1 - r instead of 'r = 1'."""
+    code, out, err = run_cli(
+        capsys,
+        "empirical",
+        "--source",
+        source,
+        "--target",
+        target,
+        "--alpha",
+        alpha,
+        "--samples",
+        "1",
+        "--no-timestamp",
+    )
+    assert code == 0, err
+    notes = json.loads(out)["verdicts"][0]["notes"]
+    assert f" at 1 - r = {one_minus_r}, theta = " in notes, notes

@@ -1,13 +1,13 @@
 """Shared polar tables: bitwise equal to fresh per-call tables, bounded and read-only."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
 
 from cesaronorm import (
     BlochAlpha,
-    ConvergenceError,
     HardyInf,
     Korenblum,
     KorenblumExtremal,
@@ -165,15 +165,20 @@ def test_norms_do_not_depend_on_the_cache_state():
     assert cold == warm == backwards
 
 
-def test_cache_stays_within_its_bound():
+def test_cache_stays_within_its_bound(monkeypatch):
     _clear()
-    # this image stalls at tol 1e-300, so its disk sup builds every level up to MAX_ANGLES
     rng = np.random.default_rng(23)
     deg = int(rng.integers(0, 65))
     raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     image = cesaro_transform(Poly(raw / (np.arange(deg + 1) + 1.0)))
-    with pytest.raises(ConvergenceError, match=f"{spaces.MAX_ANGLES} angles"):
-        space_norm(image, Korenblum(0.25), tol=1e-300)
+    # one single-level disk sup at every angular level up to MAX_ANGLES
+    m = spaces.FIRST_ANGLES
+    while m <= spaces.MAX_ANGLES:
+        with monkeypatch.context() as patched:
+            patched.setattr(spaces, "FIRST_ANGLES", m)
+            patched.setattr(spaces, "MAX_ANGLES", m)
+            assert space_norm(image, Korenblum(0.25), tol=math.inf).angular_points == m
+        m *= 2
     f = Poly([1.0, 0.5, 0.25j])
     m = spaces.FIRST_ANGLES
     while m <= spaces.MAX_ANGLES:

@@ -174,7 +174,10 @@ def test_log_weight_dominates_plain_weight(alpha, r):
 
 
 @pytest.mark.parametrize(
-    "space", [HardyInf(), Korenblum(0.25), KorenblumLog(0.5), BlochAlpha(1.5)], ids=repr
+    "space",
+    # BlochAlpha(1.0) images peak on the outer radius, where the zoom stops on its top row
+    [HardyInf(), Korenblum(0.25), KorenblumLog(0.5), BlochAlpha(1.0), BlochAlpha(1.5)],
+    ids=repr,
 )
 def test_polished_norm_of_random_images(space, monkeypatch):
     """The polish settles at one angular level and beats a dense patch at its argmax."""
@@ -234,23 +237,80 @@ def test_polar_norms_do_the_same_work_as_the_pointwise_path():
 
 def test_space_norm_evaluation_count(monkeypatch):
     """The (radius, angle) points one disk sup evaluates, pinned for a fixed image."""
-    counted = [0]
+    calls = []
     polar = spaces.evaluate_polar
 
     def counting(f, r, angles):
-        counted[0] += np.size(r) * np.size(angles)
+        calls.append((np.size(r), np.array(angles, dtype=float)))
         return polar(f, r, angles)
 
     monkeypatch.setattr(spaces, "evaluate_polar", counting)
     image = _sampled_image(3)
     est = space_norm(image, Korenblum(0.25))
-    fast = counted[0]
-    counted[0] = 0
+    fast = sum(n * angles.size for n, angles in calls)
+    level_2 = calls[-2:]
+    calls.clear()
     space_norm(_pointwise(image), Korenblum(0.25))
-    assert counted[0] == fast
+    assert sum(n * angles.size for n, angles in calls) == fast
     assert est.angular_points == 512
-    # 60 688 grid, row and patch points, plus the one on the positive real axis
-    assert fast == 60_689
+    # level 2 is one grid call on the odd columns of 512 angles, then the
+    # point on the positive real axis: no row patch, no zoom
+    (n, odd), (n_axis, axis) = level_2
+    assert n == est.radial_points and n_axis == 1
+    np.testing.assert_array_equal(odd, (2.0 * np.pi * np.arange(512) / 512)[1::2])
+    np.testing.assert_array_equal(axis, [0.0])
+    # 32 392 grid, row and patch points, plus the one on the positive real axis
+    assert fast == 32_393
+
+
+def test_zoom_stops_once_flat_to_rounding(monkeypatch):
+    """|1 + z/2| peaks at z = 1, on the top grid row: its zoom stops once its angles are flat."""
+    patches = [0]
+    polar = spaces.evaluate_polar
+
+    def counting(f, r, angles):
+        patches[0] += np.size(r) == np.size(angles) == spaces._PATCH.size
+        return polar(f, r, angles)
+
+    monkeypatch.setattr(spaces, "evaluate_polar", counting)
+    assert space_norm(Poly([1.0, 0.5]), HardyInf()).value == pytest.approx(1.5, abs=1e-12)
+    # the half-width stop alone takes 18 patches, and 13 with a 3 x 3 test on the top row
+    assert patches[0] == 6
+
+
+_STEP = 2.0 * np.pi / 512  # the angle step of level 2
+
+
+@pytest.mark.parametrize(
+    "space, k1, k2, phi1, phi2, height2, value",
+    [
+        # the higher peak sits on an odd column: level 2 sees it above the polished one
+        (HardyInf(), 2e3, 2e3, 20 * _STEP, 101 * _STEP, 1.01, 1.00999999798),
+        # level 2 sees it below the polished peak, 81 angle steps away
+        (HardyInf(), 2e3, 2e3, 20 * _STEP + 5e-3, 101 * _STEP + 4.5e-3, 1.01, 1.00999999798),
+        # level 2 sees it below the polished peak, in its angle step but 32 grid rows out
+        (Korenblum(0.25), 20.0, 1e11, 20 * _STEP + 3e-3, 21 * _STEP, 266.0, 0.311269448447),
+    ],
+    ids=["above", "below-elsewhere", "below-in-the-step"],
+)
+def test_a_peak_only_the_finer_level_sees_is_polished(
+    monkeypatch, space, k1, k2, phi1, phi2, height2, value
+):
+    """Level 1 polishes the lower of two peaks, level 2 the higher one, and level 3 confirms it."""
+    # exp(k (z e^(-i phi) - 1)) peaks at angle phi, about k^(-1/2) wide
+    f = ClosedForm(
+        lambda z: np.exp(k1 * (z * np.exp(-1j * phi1) - 1.0))
+        + height2 * np.exp(k2 * (z * np.exp(-1j * phi2) - 1.0)),
+        label="two peaks",
+    )
+    with monkeypatch.context() as patched:
+        patched.setattr(spaces, "MAX_ANGLES", spaces.FIRST_ANGLES)
+        level_1 = space_norm(f, space, tol=math.inf).value
+    est = space_norm(f, space)
+    assert level_1 < 0.995 * est.value
+    assert est.value == pytest.approx(value, rel=1e-11)
+    assert est.argmax_angle == pytest.approx(phi2, abs=1e-7)
+    assert est.angular_points == 1024
 
 
 def test_flat_argmax_is_reported_at_angle_zero():
