@@ -149,11 +149,11 @@ def operator_norm_lower_bound(source: SpaceSpec, target: SpaceSpec, cfg: SampleC
     """
     result = result_for_pair(source, target)
     if result.theorem_id == "T7.1" and target.alpha < 1.0:
-        probe, confirmed = divergence_witness(target.alpha)
+        last, _, _, confirmed = divergence_witness(target.alpha)
         if confirmed:
-            return DivergenceFlag(*probe[-1])
+            return DivergenceFlag(*last)
         raise PreconditionError(
-            "pair is unbounded but the witness probe stayed below threshold; "
+            "pair is unbounded but the witness fit does not confirm the blow-up; "
             "use alpha further below 1"
         )
     best = None

@@ -28,8 +28,6 @@ its own profiles in L; theorems.constant_one_bloch_norm calls it), scans h
 over r_k = 1 - 2^-k, k = 0..40, in one call and refines the grid maximum
 with golden_section_max in s = -log2(1 - r) between its grid neighbours
 (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
-Iterated Aitken steps extrapolate the last five grid values, exact for
-tails like c * q^k.
 """
 
 from __future__ import annotations
@@ -76,10 +74,11 @@ class SupEstimate:
 
     value is the largest sampled value and therefore a certified lower
     bound for the supremum; argmax_depth, if known, is log(1/(1 - r)) at its
-    radius.  When the grid's tail is geometric, extrapolated_limit estimates
-    the r -> 1 limit.  diverged marks a blow-up past the overflow guard.
-    limit_fit is (B alpha^2, residual) when extrapolated_limit is instead
-    the A of a fitted model A + B/M + ..., as for the T5.1 profile.
+    radius.  diverged marks a blow-up past the overflow guard.  For the
+    T3.1 and T5.1 profiles, extrapolated_limit is the r -> 1 limit A of a
+    fitted model and limit_fit its (B, largest misfit): A + B 2^(-alpha k)
+    + C 2^(-k) on r_k = 1 - 2^-k for T3.1, A + B/M + ... with B alpha^2 in
+    place of B for T5.1.
     """
 
     value: float
@@ -336,40 +335,8 @@ def radius_grid(k_max: int = RADIAL_K_MAX) -> np.ndarray:
     return 1.0 - 2.0 ** -np.arange(k_max + 1, dtype=float)
 
 
-def _aitken(v0: float, v1: float, v2: float) -> float:
-    den = v2 - 2.0 * v1 + v0
-    if abs(den) < 1e-14 * (abs(v0) + abs(v1) + abs(v2) + 1.0):
-        return v2
-    return v2 - (v2 - v1) ** 2 / den
-
-
-def extrapolate_tail(values) -> Optional[float]:
-    """Iterated-Aitken limit of a convergent tail, or None if inconsistent.
-
-    Expects the last few values of a sequence v_k -> L sampled at radii
-    with geometrically shrinking 1 - r.  Differences must be one-signed
-    with ratios in (0, 1); otherwise no extrapolation is attempted.
-    """
-    vs = [float(v) for v in values]
-    if len(vs) < 3 or not all(math.isfinite(v) for v in vs):
-        return None
-    scale = max(1.0, max(abs(v) for v in vs))
-    d = [vs[i + 1] - vs[i] for i in range(len(vs) - 1)]
-    if max(abs(x) for x in d) <= 1e-14 * scale:
-        return vs[-1]
-    if any(x == 0.0 for x in d):
-        return vs[-1]
-    ratios = [d[i + 1] / d[i] for i in range(len(d) - 1)]
-    if not all(0.0 < q < 0.9999 for q in ratios):
-        return None
-    level1 = [_aitken(vs[i], vs[i + 1], vs[i + 2]) for i in range(len(vs) - 2)]
-    if len(level1) >= 3:
-        return _aitken(level1[-3], level1[-2], level1[-1])
-    return level1[-1]
-
-
 def sup_over_radius(h: Callable, tol: float = 1e-9, k_max: int = RADIAL_K_MAX) -> SupEstimate:
-    """Supremum of h over [0, 1) via grid scan, golden-section refinement, tail limit.
+    """Supremum of h over [0, 1) via grid scan and golden-section refinement.
 
     h takes one ndarray of radii and returns one value per radius.  The
     grid radii go in increasing order in one call, and the first value that
@@ -390,5 +357,4 @@ def sup_over_radius(h: Callable, tol: float = 1e-9, k_max: int = RADIAL_K_MAX) -
         lambda s: float(h(np.array([1.0 - 2.0**-s]))[0]), max(i - 1, 0), min(i + 1, k_max)
     )
     best_r, best_v = (1.0 - 2.0**-s_best, best) if best > vals[i] else (float(radii[i]), vals[i])
-    limit = extrapolate_tail(vals[-5:]) if len(vals) >= 5 else None
-    return SupEstimate(best_v, best_r, ok and residual <= tol, extrapolated_limit=limit)
+    return SupEstimate(best_v, best_r, ok and residual <= tol)

@@ -20,10 +20,13 @@ P4 is the same with the kernel over 1/alpha + y - log(1 - e^-y / 2), and
 P5 = Lambda(L) P4 with Lambda(L) = 1/alpha + L - log(1 - e^-L / 2).  No
 difference 1 - r is formed, and one numerics.ExpCumulative pass serves
 every depth of a search.  profile_sup finds the sup in L from the exact
-slope dP/dL, since dI/dL = k(L) - alpha I(L).  P3 tends to 1/alpha
-geometrically in L (Aitken steps on the grid tail), P5 like 1/(alpha L):
-its limit is the A of a least-squares fit A + B/M + ... + E/M^4,
-M = L + 1/alpha, at alpha M = 40..640, A free and B alpha^2 = 1 the check.
+slope dP/dL, since dI/dL = k(L) - alpha I(L).  Boundary decisions are
+least-squares fits of models with known rates (fit_model, with the largest
+misfit; Sidi, Practical Extrapolation Methods, 2003).  P3 = 1/alpha +
+B e^(-alpha L) + O(e^-L), fitted as A + B 2^(-alpha k) + C 2^(-k) on the
+grid r_k = 1 - 2^-k.  P5 tends to 1/alpha like 1/(alpha L), fitted as
+A + B/M + ... + E/M^4, M = L + 1/alpha: A free, B alpha^2 = 1 the check.
+Below alpha = 1 the log of the T7.1 witness rises with slope 1 - alpha in L.
 
 Result identifiers
 ------------------
@@ -69,7 +72,6 @@ from .numerics import (
     DivergenceFlag,
     ExpCumulative,
     SupEstimate,
-    extrapolate_tail,
     integrate_finite,
     radius_grid,
     sup_over_radius,
@@ -236,6 +238,12 @@ def log_to_log_slice(r: float, alpha: float) -> float:
     return slice_values("T5.1", [r], alpha)[0]
 
 
+def fit_model(design, target):
+    """Least-squares coefficients of target on the columns of design, and the largest misfit."""
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    return coef, float(np.abs(design @ coef - target).max())
+
+
 # x = 1/(alpha M) at alpha M = 40..640, where alpha P5 = 1 + x + 2 x^2 + 6 x^3 + 24 x^4 + O(x^5)
 _T51_FIT_X = 1.0 / (40.0 * 2.0 ** (np.arange(17) / 4.0))
 # depths sampled inside the bracket of a sup search
@@ -254,9 +262,8 @@ def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> Sup
     and one more the root of P' interpolated inversely through the six nodes
     around the best sub-bracket; converged means P'^2 / (2 |P''|) <= 1e-9
     there, P'' the secant of P' over the sub-bracket.  extrapolated_limit is
-    the Aitken limit of the last five grid values, for T5.1 the A of a fit
-    of alpha P5 in x = 1/(alpha M), a logarithmic tail (Sidi, Practical
-    Extrapolation Methods, 2003), limit_fit its B alpha^2 and largest misfit.
+    the A of a fit to the last five grid values (k_max >= 4) for T3.1, of
+    alpha P5 in x = 1/(alpha M) for T5.1; limit_fit is its B and misfit.
     """
     radii = radius_grid(k_max)
     _check_alpha_and_radii(radii, alpha)
@@ -276,11 +283,15 @@ def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> Sup
     bad = np.flatnonzero(~(np.isfinite(values[: k_max + 1]) & (values[: k_max + 1] <= OVERFLOW_GUARD)))
     if bad.size:
         return SupEstimate(float(values[bad[0]]), float(radii[bad[0]]), converged=False, diverged=True)
-    limit, fit = (extrapolate_tail(values[k_max - 4 : k_max + 1]) if k_max >= 4 else None), None
-    if theorem_id == "T5.1":
-        design, target = np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[k_max + 1 :]
-        coef = np.linalg.lstsq(design, target, rcond=None)[0]
-        limit, fit = float(coef[0]) / alpha, (float(coef[1]), float(np.abs(design @ coef - target).max()))
+    limit, fit = None, None
+    if theorem_id == "T3.1" and k_max >= 4:
+        k = np.arange(k_max - 4, k_max + 1.0)
+        design = np.column_stack([np.ones(5), 2.0 ** (-alpha * k), 2.0**-k])
+        coef, misfit = fit_model(design, values[k_max - 4 : k_max + 1])
+        limit, fit = float(coef[0]), (float(coef[1]), misfit)
+    elif theorem_id == "T5.1":
+        coef, misfit = fit_model(np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[k_max + 1 :])
+        limit, fit = float(coef[0]) / alpha, (float(coef[1]), misfit)
     searched = values.size if theorem_id == "T4.1" else k_max + 1
     i = int(np.argmax(values[:searched]))
     best, converged = cols[:, i], theorem_id != "T4.1"  # P4 falls to 0: a rising end is short of its peak
@@ -372,8 +383,7 @@ def hardy_to_bloch_bounds(alpha: float):
     """Norm interval for sup-norm -> Bloch-type, or a DivergenceFlag below 1."""
     alpha = check_alpha("hardy_to_bloch_bounds", alpha)
     if alpha < 1.0:
-        probe, _ = divergence_witness(alpha)
-        return DivergenceFlag(*probe[-1])
+        return DivergenceFlag(*divergence_witness(alpha)[0])
     if alpha == 1.0:
         return (3.0, 4.0)
     return (1.5, 4.0)
@@ -386,30 +396,38 @@ def boundary_envelope(r, alpha: float):
     return (1.0 + r) ** alpha * (1.0 - r) ** (alpha - 1.0)
 
 
-def bloch_witness_profile(r: float, alpha: float) -> float:
+def bloch_witness_profile(r, alpha: float):
     """(1 - r^2)^alpha |C(1)'(r)|, the radial witness for (un)boundedness.
 
     C(1)'(r) = 1/(r(1-r)) - log(1/(1-r))/r^2; for alpha < 1 the profile
-    grows like 2^alpha (1-r)^(alpha-1) near the boundary.
+    grows like 2^alpha (1-r)^(alpha-1) near the boundary.  One evaluate
+    call for all radii; a float for a scalar r, an ndarray for an array.
     """
     check_alpha("bloch_witness_profile", alpha)
-    if not 0.0 <= r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r < 1.0)):  # also rejects nan
         raise DomainError("radius must lie in [0, 1)")
-    d = derivative(cesaro_of_one())
-    return float((1.0 - r) ** alpha * (1.0 + r) ** alpha * abs(evaluate(d, complex(r, 0.0))))
+    # the weight one radius at a time, in libm's pow: numpy's vector pow may differ in the last bit
+    weight = np.reshape([(1.0 - x) ** alpha * (1.0 + x) ** alpha for x in r.ravel().tolist()], r.shape)
+    out = weight * np.abs(evaluate(derivative(cesaro_of_one()), r.astype(complex)))
+    return float(out) if out.ndim == 0 else out
 
 
-DIVERGENCE_PROBE_RADII = tuple(1.0 - 10.0**-k for k in range(2, 7))
-DIVERGENCE_THRESHOLD = 100.0
+def divergence_witness(alpha: float):
+    """A fit of log W = a + b L + c L 2^-k to the witness W at r_k = 1 - 2^-k, k = 30..39, L = k log 2.
 
-
-def divergence_witness(alpha: float) -> tuple[list[tuple[float, float]], bool]:
-    """The witness profile along r = 1 - 10^-k, k = 2..6, as (r, value) pairs,
-    and whether it confirms the blow-up: monotone and past the threshold."""
-    probe = [(r, bloch_witness_profile(r, alpha)) for r in DIVERGENCE_PROBE_RADII]
-    values = [v for _, v in probe]
-    monotone = all(b > a for a, b in zip(values, values[1:]))
-    return probe, monotone and values[-1] > DIVERGENCE_THRESHOLD
+    Below alpha = 1, log W = alpha log 2 + (1 - alpha) L - L (1 - r) + O(1 - r).
+    Returns (r, W) at k = 39, b, the largest misfit, and whether they confirm
+    the blow-up: b > 0 and b (L_39 - L_30) above 10 times the misfit.
+    """
+    k = np.arange(30.0, 40.0)  # r_39 is the deepest r_k inside EVAL_RADIUS_LIMIT
+    radii, depths = 1.0 - 2.0**-k, k * math.log(2.0)
+    values = bloch_witness_profile(radii, alpha)
+    design = np.column_stack([np.ones(k.size), depths, depths * 2.0**-k])
+    coef, misfit = fit_model(design, np.log(values))
+    slope = float(coef[1])
+    confirmed = bool(slope > 0.0 and slope * (depths[-1] - depths[0]) > 10.0 * misfit)
+    return (float(radii[-1]), float(values[-1])), slope, misfit, confirmed
 
 
 def constant_one_bloch_norm(alpha: float) -> float:
@@ -422,7 +440,7 @@ def constant_one_bloch_norm(alpha: float) -> float:
     alpha = check_alpha("BlochAlpha", alpha)
 
     def profile(radii):
-        return [bloch_witness_profile(r, alpha) for r in np.minimum(radii, EVAL_RADIUS_LIMIT)]
+        return bloch_witness_profile(np.minimum(radii, EVAL_RADIUS_LIMIT), alpha)
 
     return 1.0 + sup_over_radius(profile).value
 
@@ -472,20 +490,17 @@ def h_analytic(z):
 
 def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
     est = korenblum_sup(alpha)
-    computed = est.extrapolated_limit if est.extrapolated_limit is not None else est.value
-    target = 1.0 / alpha
+    target, computed = 1.0 / alpha, est.extrapolated_limit
+    if computed is None or est.diverged:
+        return TheoremVerdict("T3.1", alpha, target, None, tol, False, "boundary extrapolation unavailable")
+    residual = est.limit_fit[1]
+    fit = f"boundary limit fits to {computed:.9g} (A + B 2^(-alpha k) + C 2^(-k), residual {residual:.1e})"
     if RESULTS["T3.1"].admits(alpha, exact_only=True):
-        passed = abs(computed - target) <= tol * target and not est.diverged
-        notes = (
-            f"sup {est.value:.9g} at r = {est.argmax_radius:.12g}; "
-            f"boundary extrapolation {computed:.9g} vs exact {target:.9g}"
-        )
+        passed = abs(computed - target) <= tol * target
+        notes = f"sup {est.value:.9g} at r = {est.argmax_radius:.12g}; {fit} vs exact {target:.9g}"
     else:
-        passed = computed >= (1.0 - tol) * target and not est.diverged
-        notes = (
-            "lower bound only: exactness is established for alpha <= 1/2; "
-            f"boundary extrapolation {computed:.9g} vs limit {target:.9g}"
-        )
+        passed = computed >= (1.0 - tol) * target
+        notes = f"lower bound only: exactness is established for alpha <= 1/2; {fit} vs limit {target:.9g}"
     return TheoremVerdict("T3.1", alpha, target, computed, tol, passed, notes)
 
 
@@ -550,21 +565,12 @@ def _verdict_t71(alpha: float, tol: float) -> TheoremVerdict:
         passed = lo - tol <= witness <= hi + tol
         notes = f"constant-witness norm {witness:.9g} inside [{lo:g}, {hi:g}]"
         return TheoremVerdict("T7.1", alpha, (lo, hi), witness, tol, passed, notes)
-    probe, confirmed = divergence_witness(alpha)
-    at_radius, value = probe[-1]
-    if confirmed:
-        notes = (
-            "unbounded, divergence confirmed: witness "
-            f"{value:.6g} at r = {at_radius:.6g} "
-            "(blow-up at the boundary radius, monotone along the probe)"
-        )
-    else:
-        notes = (
-            "unbounded pair, but the probe did not cross the threshold: "
-            "the witness grows like (1-r)^(alpha-1), which is too slow to "
-            f"exceed {DIVERGENCE_THRESHOLD:g} at the probe radii for alpha "
-            "this close to 1"
-        )
+    (at_radius, value), slope, misfit, confirmed = divergence_witness(alpha)
+    notes = (
+        f"unbounded, divergence {'confirmed' if confirmed else 'not confirmed'}: log witness "
+        f"fits a + b L + c L (1 - r) with slope b = {slope:.9g} vs 1 - alpha = {1.0 - alpha:.9g} "
+        f"(residual {misfit:.1e}); witness {value:.6g} at 1 - r = {1.0 - at_radius:.3e}"
+    )
     return TheoremVerdict("T7.1", alpha, None, value, tol, confirmed, notes)
 
 

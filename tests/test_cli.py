@@ -190,9 +190,9 @@ def test_verify_unbounded_clause_passes(capsys):
 
 
 def test_verify_failed_verdict_exits_one(capsys):
-    # alpha this close to 1 keeps the witness below the divergence threshold
+    # the fitted limit is within about 1e-14 of 1/alpha, not within 1e-16
     code, out, _ = run_cli(
-        capsys, "verify", "--theorem", "T7.1", "--alpha", "0.95", "--no-timestamp"
+        capsys, "verify", "--theorem", "T3.1", "--alpha", "0.25", "--tol", "1e-16", "--no-timestamp"
     )
     assert code == 1
     report = json.loads(out)
@@ -486,6 +486,7 @@ def test_empirical_unbounded_pair(capsys):
         ("bloch", "bloch", "1.5", "T6.2"),
         ("hardy", "bloch", "1", "T7.1"),
         ("hardy", "bloch", "0.5", "T7.1"),
+        ("hardy", "bloch", "0.9", "T7.1"),
     ],
 )
 def test_empirical_reports_the_pair_result(capsys, source, target, alpha, theorem):

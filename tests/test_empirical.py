@@ -126,10 +126,12 @@ def test_hardy_to_bloch_witness():
 
 
 def test_unbounded_pair_flags_divergence():
-    flag = operator_norm_lower_bound(HardyInf(), BlochAlpha(0.5), SampleConfig(count=1))
-    assert isinstance(flag, DivergenceFlag)
-    assert flag.value > 100.0
-    assert flag.at_radius == pytest.approx(1.0 - 1e-6, abs=1e-12)
+    for alpha in (0.5, 0.9):
+        flag = operator_norm_lower_bound(HardyInf(), BlochAlpha(alpha), SampleConfig(count=1))
+        assert isinstance(flag, DivergenceFlag)
+        assert flag.at_radius == 1.0 - 2.0**-39
+        # the witness 2^alpha (1 - r)^(alpha - 1) at the deepest probe radius
+        assert flag.value == pytest.approx(2.0**alpha * 2.0 ** (39 * (1.0 - alpha)), rel=1e-9)
 
 
 def test_log_pairs_stay_sound():

@@ -4,13 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cesaronorm import ConvergenceError, DomainError, numerics, sup_over_radius
 from cesaronorm.numerics import (
     ExpCumulative,
-    extrapolate_tail,
     golden_section_max,
     integrate_finite,
     radius_grid,
@@ -147,23 +144,10 @@ def test_radius_grid_shape():
     assert np.all(np.diff(grid) > 0.0)
 
 
-def test_extrapolate_tail_geometric():
-    # v_k = L - c q^k converges geometrically; Aitken recovers L
-    L, c, q = 2.0, 0.7, 0.5
-    vals = [L - c * q**k for k in range(5)]
-    got = extrapolate_tail(vals)
-    assert got == pytest.approx(L, abs=1e-12)
-
-
-def test_extrapolate_tail_rejects_noise():
-    assert extrapolate_tail([1.0, 2.0, 1.5, 2.5]) is None
-    assert extrapolate_tail([1.0, 2.0]) is None
-
-
 def test_sup_over_radius_boundary_supremum():
     est = sup_over_radius(lambda r: r, 1e-9)
     assert est.value == pytest.approx(1.0, abs=1e-9)
-    assert est.extrapolated_limit == pytest.approx(1.0, abs=1e-9)
+    assert est.extrapolated_limit is None  # the boundary limits are fitted in theorems
     assert not est.diverged
 
 
@@ -191,24 +175,3 @@ def test_sup_dominates_uniform_probe():
     est = sup_over_radius(h, 1e-9)
     probes = np.linspace(0.0, 1.0, 1000, endpoint=False)
     assert est.value >= max(h(float(r)) for r in probes) - 1e-9
-
-
-@given(
-    st.floats(min_value=0.5, max_value=5.0),
-    st.floats(min_value=0.05, max_value=0.95),
-)
-@settings(max_examples=60, deadline=None)
-def test_extrapolation_tracks_known_limits(L, q):
-    vals = [L * (1.0 - 0.3 * q**k) for k in range(5)]
-    got = extrapolate_tail(vals)
-    assert got is not None
-    assert abs(got - L) <= 1e-6 * max(1.0, L)
-
-
-@given(st.floats(min_value=0.1, max_value=0.9))
-@settings(max_examples=40, deadline=None)
-def test_sup_monotone_profiles_extrapolate(beta):
-    """Profiles 1 - (1-r)^beta approach 1 monotonically; the limit is found."""
-    est = sup_over_radius(lambda r: 1.0 - (1.0 - r) ** beta, 1e-9)
-    assert est.extrapolated_limit is not None
-    assert abs(est.extrapolated_limit - 1.0) <= 1e-5

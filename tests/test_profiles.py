@@ -47,6 +47,14 @@ def test_every_radial_verdicts_case_passes(theorem_id, alpha):
     assert profile_sup(theorem_id, alpha).converged
 
 
+@pytest.mark.parametrize("alpha", [round(0.01 * k, 2) for k in range(1, 100)])
+def test_t31_limit_fit_finds_reciprocal_alpha(alpha):
+    """A of A + B 2^(-alpha k) + C 2^(-k) on k = 36..40 to 1e-11 relative, where the tail decays slowest too."""
+    est = profile_sup("T3.1", alpha)
+    assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-11, abs=0.0)
+    assert est.limit_fit[1] < 1e-12
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.02, 0.03] + RADIAL_ALPHAS)
 def test_t51_limit_fit_finds_reciprocal_alpha(alpha):
     """A within 1e-4 of 1/alpha although the fit leaves it free; B alpha^2 near 1 checks the model."""

@@ -240,11 +240,18 @@ def test_witness_profile_and_probe():
     # C(1)'(0) = 1/2, and every weight is 1 at the origin
     for alpha in (0.3, 1.0, 2.0):
         assert bloch_witness_profile(0.0, alpha) == pytest.approx(0.5, abs=1e-12)
-    probe = divergence_witness(0.5)[0]
-    values = [v for _, v in probe]
-    assert values == sorted(values)
-    assert values[-1] > 100.0
-    assert probe[-1][0] == pytest.approx(1.0 - 1e-6, abs=1e-12)
+    # one evaluate call for a grid, bitwise as one radius at a time
+    radii = np.array([0.0, 0.5, 1.0 - 1e-6, 1.0 - 2.0**-39])
+    values = bloch_witness_profile(radii, 0.5)
+    assert values.tolist() == [bloch_witness_profile(float(r), 0.5) for r in radii]
+    assert isinstance(bloch_witness_profile(0.5, 0.5), float)
+    # 2^alpha (1 - r)^(alpha - 1) to leading order
+    assert values[-1] == pytest.approx(2.0**0.5 * 2.0 ** (39 * 0.5), rel=1e-9)
+    for bad in (1.0, -0.1, math.nan, np.array([0.5, 1.0])):
+        with pytest.raises(DomainError):
+            bloch_witness_profile(bad, 0.5)
+    (at_radius, value), _, _, _ = divergence_witness(0.5)
+    assert (at_radius, value) == (1.0 - 2.0**-39, values[-1])
 
 
 def test_h_series_coeff_values():
@@ -312,9 +319,29 @@ def test_verify_t31_above_half_is_lower_bound_only():
 
 
 def test_verify_t71_near_one_reports_slow_witness():
+    # the witness grows only like (1 - r)^-0.05, and its fitted slope in L says so
     v = verify_theorem("T7.1", 0.95)
-    assert not v.passed
-    assert "did not cross the threshold" in v.notes
+    assert v.passed
+    assert "divergence confirmed" in v.notes
+    assert "slope b = 0.05 vs 1 - alpha = 0.05" in v.notes
+    assert "at 1 - r = 1.819e-12" in v.notes
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_t71_slope_fit_confirms_blow_up(alpha):
+    (at_radius, value), slope, misfit, confirmed = divergence_witness(alpha)
+    assert confirmed and verify_theorem("T7.1", alpha).passed
+    assert abs(slope - (1.0 - alpha)) <= 1e-9
+    assert misfit <= 1e-10
+    assert (at_radius, value) == (1.0 - 2.0**-39, bloch_witness_profile(1.0 - 2.0**-39, alpha))
+
+
+def test_t71_slope_fit_does_not_confirm_at_alpha_one():
+    # W tends to 2 at alpha = 1: the fitted slope is rounding, below 10 misfits over the window
+    (_, value), slope, misfit, confirmed = divergence_witness(1.0)
+    assert not confirmed
+    assert value == pytest.approx(2.0, abs=1e-9)
+    assert abs(slope) <= 1e-10
 
 
 def test_verify_domain_errors():
