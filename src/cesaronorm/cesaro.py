@@ -164,34 +164,6 @@ def cesaro_derivative(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
     return _unit_interval_integral(g, z, tol)
 
 
-# C(1)(z) = -log(1 - z)/z extended by 1 at the origin; series fallbacks keep
-# full precision where the closed form cancels.
-_C1_COEFFS = 1.0 / np.arange(1.0, 13.0)
-_C1_DERIV_COEFFS = np.arange(1.0, 12.0) / np.arange(2.0, 13.0)
-_SMALL = 1e-4
-
-
-def _c1_fn(z):
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SMALL
-    safe = np.where(small, 0.5, z)
-    big = -np.log(1.0 - safe) / safe
-    return np.where(small, _polyval(_C1_COEFFS, z), big)
-
-
-def _c1_deriv(z):
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SMALL
-    safe = np.where(small, 0.5, z)
-    big = 1.0 / (safe * (1.0 - safe)) + np.log(1.0 - safe) / safe**2
-    return np.where(small, _polyval(_C1_DERIV_COEFFS, z), big)
-
-
-def cesaro_of_one() -> ClosedForm:
-    """C(1) in closed form, with an explicit derivative evaluator."""
-    return ClosedForm(_c1_fn, _c1_deriv, label="cesaro(1)")
-
-
 # switchover radius and tail length for the polynomial-image series branch;
 # 0.35^48 ~ 1e-22 keeps the truncated tail far below quadrature tolerances
 _POLY_SMALL = 0.35
@@ -295,24 +267,16 @@ class _PolyImageDerivative(PolyImage):
 def cesaro_transform(f: AnalyticFunction) -> AnalyticFunction:
     """C(f) as an analytic function.
 
-    Polynomial images are closed forms built from the exact monomial
-    images (the log tail is what cesaro_coeff necessarily truncates);
-    constants scale the closed form of C(1); other closed forms are
-    wrapped as quadrature evaluators (value and derivative) at
-    DEFAULT_QUAD_TOL.
+    Polynomials and constants map to PolyImage, the closed form built
+    from the exact monomial images (the log tail is what cesaro_coeff
+    necessarily truncates); the image of a constant c is c C(1), with
+    C(1)(z) = -log(1 - z)/z.  Other closed forms are wrapped as
+    quadrature evaluators (value and derivative) at DEFAULT_QUAD_TOL.
     """
     if isinstance(f, Poly):
         return PolyImage(f.series)
     if isinstance(f, Constant):
-        c = f.value
-
-        def fn(z):
-            return c * _c1_fn(z)
-
-        def dfn(z):
-            return c * _c1_deriv(z)
-
-        return ClosedForm(fn, dfn, label=f"{c} * cesaro(1)")
+        return PolyImage(PowerSeries([f.value]))
 
     def fn(z):
         return cesaro_integral(f, np.asarray(z, dtype=complex))
@@ -321,3 +285,8 @@ def cesaro_transform(f: AnalyticFunction) -> AnalyticFunction:
         return cesaro_derivative(f, np.asarray(z, dtype=complex))
 
     return ClosedForm(fn, dfn, label=f"cesaro({f!r})")
+
+
+def cesaro_of_one() -> PolyImage:
+    """C(1)(z) = -log(1 - z)/z, the image of the constant 1."""
+    return cesaro_transform(Constant(1.0))

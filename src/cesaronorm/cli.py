@@ -226,7 +226,7 @@ def _cmd_empirical(args) -> int:
     if isinstance(est, DivergenceFlag):
         passed = True
         notes = (
-            f"unbounded, divergence confirmed: witness {est.value:.6g} at 1 - r = {1.0 - est.at_radius:.3e}"
+            f"unbounded, divergence confirmed: witness {est.value:.6g} at 1 - r = e^-{est.at_depth:g}"
         )
     elif est.diverged:
         passed = False

@@ -33,9 +33,8 @@ from .functions import (
     Poly,
     PowerSeries,
 )
-from .numerics import DivergenceFlag
 from .spaces import Korenblum, KorenblumLog, NormEstimate, SpaceSpec, space_norm
-from .theorems import RESULTS, Result, divergence_witness, profile_sup
+from .theorems import RESULTS, Result, profile_sup
 
 # depth of the radius grid of every norm measured here
 GRID_K_MAX = 30
@@ -144,18 +143,13 @@ def operator_norm_lower_bound(source: SpaceSpec, target: SpaceSpec, cfg: SampleC
     tol; the samples are normalized by sample_unit_ball on space_norm's
     default grid of 41 radii.  Returns a NormEstimate whose
     value is a certified lower bound for the operator norm (up to
-    quadrature tolerance), or a DivergenceFlag
-    for the sup-norm -> Bloch-type pair with alpha < 1.
+    quadrature tolerance).  For the sup-norm -> Bloch-type pair with
+    alpha < 1 it returns the result's bounds(alpha): a DivergenceFlag once
+    the witness fit confirms the blow-up, else a PreconditionError.
     """
     result = result_for_pair(source, target)
     if result.theorem_id == "T7.1" and target.alpha < 1.0:
-        last, _, _, confirmed = divergence_witness(target.alpha)
-        if confirmed:
-            return DivergenceFlag(*last)
-        raise PreconditionError(
-            "pair is unbounded but the witness fit does not confirm the blow-up; "
-            "use alpha further below 1"
-        )
+        return result.bounds(target.alpha)
     best = None
     for f in sample_unit_ball(source, cfg):
         image = cesaro_transform(f)

@@ -23,11 +23,11 @@ one tail panel per depth.  The new panels go through one integrate_rows
 call, each mapped onto [0, 1] as its own row; the table ends depend on
 alpha alone, so a depth's value does not depend on what shares the call.
 
-sup_over_radius, for any batched profile h (theorems.profile_sup searches
-its own profiles in L; theorems.constant_one_bloch_norm calls it), scans h
-over r_k = 1 - 2^-k, k = 0..40, in one call and refines the grid maximum
-with golden_section_max in s = -log2(1 - r) between its grid neighbours
-(Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+sup_over_radius, for a batched profile h given only on the radius (the
+package's own radial sups search in L with exact slopes, in theorems),
+scans h over r_k = 1 - 2^-k, k = 0..40, in one call and refines the grid
+maximum with golden_section_max in s = -log2(1 - r) between its grid
+neighbours (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class SupEstimate:
 
 @dataclass(frozen=True)
 class DivergenceFlag:
-    """Marker for an unbounded quantity, with the radius that witnessed it."""
+    """Marker for an unbounded quantity, with the depth L = log(1/(1 - r)) that witnessed it."""
 
-    at_radius: Optional[float] = None
+    at_depth: Optional[float] = None
     value: Optional[float] = None
 
 

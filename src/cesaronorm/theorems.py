@@ -26,7 +26,9 @@ misfit; Sidi, Practical Extrapolation Methods, 2003).  P3 = 1/alpha +
 B e^(-alpha L) + O(e^-L), fitted as A + B 2^(-alpha k) + C 2^(-k) on the
 grid r_k = 1 - 2^-k.  P5 tends to 1/alpha like 1/(alpha L), fitted as
 A + B/M + ... + E/M^4, M = L + 1/alpha: A free, B alpha^2 = 1 the check.
-Below alpha = 1 the log of the T7.1 witness rises with slope 1 - alpha in L.
+The Bloch witness W of C(1) is closed form in L: 1 + its sup, on the same
+search, is the norm of C(1), and below alpha = 1 log W rises with slope
+1 - alpha in L (T7.1).
 
 Result identifiers
 ------------------
@@ -55,17 +57,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .cesaro import cesaro_of_one
-from .errors import DomainError
-from .functions import (
-    EVAL_RADIUS_LIMIT,
-    _polyval,
-    check_alpha,
-    derivative,
-    evaluate,
-    log_weight_constant,
-    one_minus_sq,
-)
+from .errors import DomainError, PreconditionError
+from .functions import _polyval, check_alpha, log_weight_constant, one_minus_sq
 from .numerics import (
     OVERFLOW_GUARD,
     RADIAL_K_MAX,
@@ -74,7 +67,6 @@ from .numerics import (
     SupEstimate,
     integrate_finite,
     radius_grid,
-    sup_over_radius,
 )
 from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog
 
@@ -250,6 +242,33 @@ _T51_FIT_X = 1.0 / (40.0 * 2.0 ** (np.arange(17) / 4.0))
 _SUP_NODES = 32
 
 
+def _sup_search(sample, cols, searched: int, converged: bool):
+    """The best column (L, r, value, slope) of a profile sampled at cols, by increasing L, and converged.
+
+    Unless the slope is >= 0 at a maximum on column searched - 1 (converged
+    stays as given), sample(depths) takes _SUP_NODES depths of the neighbour
+    bracket where the slope changes sign, then the root of the slope
+    interpolated inversely through the six nodes around the best sub-bracket;
+    converged means slope^2 / (2 |slope'|) <= 1e-9 there, slope' the secant.
+    """
+    i = int(np.argmax(cols[2, :searched]))
+    if i == searched - 1 and not cols[3, i] < 0.0:
+        return cols[:, i], converged
+    lo = i if cols[3, i] >= 0.0 else i - 1  # a positive slope at the first column keeps lo >= 0
+    inner = np.linspace(cols[0, lo], cols[0, lo + 1], _SUP_NODES + 2)[1:-1]
+    cols = np.insert(cols[:, lo : lo + 2], [1], sample(inner), axis=1)
+    j = int(np.argmax(cols[2]))
+    m = min(max(j - int(cols[3, j] < 0.0), 0), _SUP_NODES)
+    (x0, x1), (d0, d1) = cols[0, m : m + 2], cols[3, m : m + 2]
+    first = min(max(m - 2, 0), _SUP_NODES - 4)
+    x, d = cols[0, first : first + 6], cols[3, first : first + 6]
+    with np.errstate(all="ignore"):  # Lagrange weights at slope 0: [i, j] = d_j / (d_j - d_i), i != j
+        lagrange = np.where(np.eye(6, dtype=bool), 1.0, d / (d - d[:, None]))
+        root = float(lagrange.prod(axis=1) @ x)
+    cols = np.hstack([cols, sample(np.array([root if x0 <= root <= x1 else 0.5 * (x0 + x1)]))])
+    return cols[:, int(np.argmax(cols[2]))], bool(cols[3, -1] ** 2 * (x1 - x0) <= 2e-9 * abs(d1 - d0))
+
+
 def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> SupEstimate:
     """Supremum of the T3.1, T4.1 or T5.1 profile, searched in L with the exact slope P'.
 
@@ -257,11 +276,8 @@ def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> Sup
     doublings of its end up to L = 4/alpha (P4 peaks near 1.34/alpha for
     small alpha, then falls to 0) or for T5.1 the depths of its limit fit.
     A grid value not finite or beyond OVERFLOW_GUARD gives a diverged
-    estimate.  Unless P' >= 0 at a maximum on the last depth, one call
-    samples _SUP_NODES depths of the neighbour bracket where P' changes sign
-    and one more the root of P' interpolated inversely through the six nodes
-    around the best sub-bracket; converged means P'^2 / (2 |P''|) <= 1e-9
-    there, P'' the secant of P' over the sub-bracket.  extrapolated_limit is
+    estimate; else _sup_search refines the grid maximum with P' in at most
+    two more table calls.  extrapolated_limit is
     the A of a fit to the last five grid values (k_max >= 4) for T3.1, of
     alpha P5 in x = 1/(alpha M) for T5.1; limit_fit is its B and misfit.
     """
@@ -279,7 +295,7 @@ def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> Sup
     else:
         extra = (1.0 / _T51_FIT_X - 1.0) / alpha if theorem_id == "T5.1" else np.empty(0)
     cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
-    values, slopes = cols[2], cols[3]
+    values = cols[2]
     bad = np.flatnonzero(~(np.isfinite(values[: k_max + 1]) & (values[: k_max + 1] <= OVERFLOW_GUARD)))
     if bad.size:
         return SupEstimate(float(values[bad[0]]), float(radii[bad[0]]), converged=False, diverged=True)
@@ -293,23 +309,8 @@ def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> Sup
         coef, misfit = fit_model(np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[k_max + 1 :])
         limit, fit = float(coef[0]) / alpha, (float(coef[1]), misfit)
     searched = values.size if theorem_id == "T4.1" else k_max + 1
-    i = int(np.argmax(values[:searched]))
-    best, converged = cols[:, i], theorem_id != "T4.1"  # P4 falls to 0: a rising end is short of its peak
-    if i < searched - 1 or slopes[i] < 0.0:
-        lo = i if slopes[i] >= 0.0 else i - 1  # P'(0) > 0, so lo >= 0
-        inner = np.linspace(cols[0, lo], cols[0, lo + 1], _SUP_NODES + 2)[1:-1]
-        cols = np.insert(cols[:, lo : lo + 2], [1], sample(inner), axis=1)
-        j = int(np.argmax(cols[2]))
-        m = min(max(j - int(cols[3, j] < 0.0), 0), _SUP_NODES)
-        (x0, x1), (d0, d1) = cols[0, m : m + 2], cols[3, m : m + 2]
-        first = min(max(m - 2, 0), _SUP_NODES - 4)
-        x, d = cols[0, first : first + 6], cols[3, first : first + 6]
-        with np.errstate(all="ignore"):  # Lagrange weights at P' = 0: [i, j] = d_j / (d_j - d_i), i != j
-            lagrange = np.where(np.eye(6, dtype=bool), 1.0, d / (d - d[:, None]))
-            root = float(lagrange.prod(axis=1) @ x)
-        cols = np.hstack([cols, sample(np.array([root if x0 <= root <= x1 else 0.5 * (x0 + x1)]))])
-        best = cols[:, int(np.argmax(cols[2]))]
-        converged = bool(cols[3, -1] ** 2 * (x1 - x0) <= 2e-9 * abs(d1 - d0))
+    # P4 falls to 0: a rising end is short of its peak
+    best, converged = _sup_search(sample, cols, searched, theorem_id != "T4.1")
     depth, radius, value = (float(c) for c in best[:3])
     return SupEstimate(value, radius, converged, limit, limit_fit=fit, argmax_depth=depth)
 
@@ -380,10 +381,13 @@ def bloch_lower_bound_integral() -> float:
 
 
 def hardy_to_bloch_bounds(alpha: float):
-    """Norm interval for sup-norm -> Bloch-type, or a DivergenceFlag below 1."""
+    """Norm interval for sup-norm -> Bloch-type; below 1 a DivergenceFlag if divergence_witness confirms."""
     alpha = check_alpha("hardy_to_bloch_bounds", alpha)
     if alpha < 1.0:
-        return DivergenceFlag(*divergence_witness(alpha)[0])
+        deepest, _, _, confirmed = divergence_witness(alpha)
+        if not confirmed:
+            raise PreconditionError("the witness fit does not confirm the blow-up; use alpha further below 1")
+        return DivergenceFlag(*deepest)
     if alpha == 1.0:
         return (3.0, 4.0)
     return (1.5, 4.0)
@@ -396,53 +400,80 @@ def boundary_envelope(r, alpha: float):
     return (1.0 + r) ** alpha * (1.0 - r) ** (alpha - 1.0)
 
 
-def bloch_witness_profile(r, alpha: float):
-    """(1 - r^2)^alpha |C(1)'(r)|, the radial witness for (un)boundedness.
+# e^L - 1 - L = L^2 sum_n L^n / (n + 2)! below L = 1, where the subtraction cancels; highest power first
+_EXPM1_TAIL = 1.0 / np.array([math.factorial(n + 2) for n in range(17, -1, -1)])
 
-    C(1)'(r) = 1/(r(1-r)) - log(1/(1-r))/r^2; for alpha < 1 the profile
-    grows like 2^alpha (1-r)^(alpha-1) near the boundary.  One evaluate
-    call for all radii; a float for a scalar r, an ndarray for an array.
+
+def _log_witness(depths, alpha: float):
+    """log W and d(log W)/dL at depths L in [0, inf], W = (1 - r^2)^alpha C(1)'(r) the Bloch witness.
+
+    r = 1 - e^-L gives C(1)'(r) = (e^L - 1 - L) / r^2, so with m = r - L e^-L
+    log W = alpha log(1 + r) + (1 - alpha) L + log(m / r^2), and dm/dL = L e^-L.
+    The ends take their limits: log(1/2) and 4/3 at L = 0; log 2 + (1 - alpha) L
+    and 1 - alpha at L = inf, where W = 2 exactly at alpha = 1.
     """
-    check_alpha("bloch_witness_profile", alpha)
+    depths = np.asarray(depths, dtype=float)
+    inside = (depths > 0.0) & (depths < math.inf)
+    x = np.where(inside, depths, 1.0)
+    e, r = np.exp(-x), -np.expm1(-x)
+    m = np.where(x < 1.0, e * x * x * np.polyval(_EXPM1_TAIL, x), r - x * e)
+    log_w = alpha * np.log1p(r) + (1.0 - alpha) * x + np.log(m / (r * r))
+    slope = alpha * e / (1.0 + r) + 1.0 - alpha + e * (x / m - 2.0 / r)
+    far = math.log(2.0) + (0.0 if alpha == 1.0 else (1.0 - alpha) * math.inf)
+    log_w = np.where(inside, log_w, np.where(depths > 0.0, far, -math.log(2.0)))
+    return log_w, np.where(inside, slope, np.where(depths > 0.0, 1.0 - alpha, 4.0 / 3.0))
+
+
+def bloch_witness_profile(r, alpha: float):
+    """(1 - r^2)^alpha C(1)'(r), the radial witness for (un)boundedness, from _log_witness.
+
+    For alpha < 1 the profile grows like 2^alpha (1 - r)^(alpha - 1) near
+    the boundary.  A float for a scalar r, an ndarray for an array.
+    """
+    alpha = check_alpha("bloch_witness_profile", alpha)
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):  # also rejects nan
         raise DomainError("radius must lie in [0, 1)")
-    # the weight one radius at a time, in libm's pow: numpy's vector pow may differ in the last bit
-    weight = np.reshape([(1.0 - x) ** alpha * (1.0 + x) ** alpha for x in r.ravel().tolist()], r.shape)
-    out = weight * np.abs(evaluate(derivative(cesaro_of_one()), r.astype(complex)))
+    out = np.exp(_log_witness(-np.log1p(-r), alpha)[0])
     return float(out) if out.ndim == 0 else out
 
 
-def divergence_witness(alpha: float):
-    """A fit of log W = a + b L + c L 2^-k to the witness W at r_k = 1 - 2^-k, k = 30..39, L = k log 2.
+# depths of the T7.1 slope fit, where r = 1 - e^-L rounds to 1
+_DIVERGENCE_DEPTHS = np.linspace(40.0, 700.0, 12)
 
-    Below alpha = 1, log W = alpha log 2 + (1 - alpha) L - L (1 - r) + O(1 - r).
-    Returns (r, W) at k = 39, b, the largest misfit, and whether they confirm
-    the blow-up: b > 0 and b (L_39 - L_30) above 10 times the misfit.
+
+def divergence_witness(alpha: float):
+    """A fit of log W = a + b L to the witness W at L = 40, 100, ..., 700.
+
+    Below alpha = 1, log W = alpha log 2 + (1 - alpha) L there to rounding.
+    Returns (L, W) at L = 700, b, the largest misfit, and whether they
+    confirm the blow-up: b > 0 and b (700 - 40) above 10 times the misfit.
     """
-    k = np.arange(30.0, 40.0)  # r_39 is the deepest r_k inside EVAL_RADIUS_LIMIT
-    radii, depths = 1.0 - 2.0**-k, k * math.log(2.0)
-    values = bloch_witness_profile(radii, alpha)
-    design = np.column_stack([np.ones(k.size), depths, depths * 2.0**-k])
-    coef, misfit = fit_model(design, np.log(values))
+    log_w = _log_witness(_DIVERGENCE_DEPTHS, alpha)[0]
+    coef, misfit = fit_model(np.column_stack([np.ones(log_w.size), _DIVERGENCE_DEPTHS]), log_w)
     slope = float(coef[1])
-    confirmed = bool(slope > 0.0 and slope * (depths[-1] - depths[0]) > 10.0 * misfit)
-    return (float(radii[-1]), float(values[-1])), slope, misfit, confirmed
+    confirmed = bool(slope > 0.0 and slope * (_DIVERGENCE_DEPTHS[-1] - _DIVERGENCE_DEPTHS[0]) > 10.0 * misfit)
+    return (float(_DIVERGENCE_DEPTHS[-1]), math.exp(log_w[-1])), slope, misfit, confirmed
+
+
+# L = 0, 2^(j/4) for j = -80..24, inf: the sup lies near L = 2/(3 alpha) for large alpha
+_WITNESS_DEPTHS = np.concatenate([[0.0], 2.0 ** (np.arange(-80, 25) / 4.0), [math.inf]])
 
 
 def constant_one_bloch_norm(alpha: float) -> float:
     """Bloch-type norm of C(1), the standard witness for the lower bounds.
 
     Every Taylor coefficient of C(1)' is nonnegative, so |C(1)'(z)| <= C(1)'(|z|)
-    and the norm is 1 + sup_r bloch_witness_profile(r, alpha): a radial sup,
-    on radii clamped to the evaluation limit.
+    and the norm is 1 + sup_L W: _sup_search on log W over _WITNESS_DEPTHS.
+    It is 3 at alpha = 1, where W tends to 2 at L = inf, and inf below.
     """
     alpha = check_alpha("BlochAlpha", alpha)
 
-    def profile(radii):
-        return bloch_witness_profile(np.minimum(radii, EVAL_RADIUS_LIMIT), alpha)
+    def sample(depths):
+        return np.array([depths, -np.expm1(-depths), *_log_witness(depths, alpha)])
 
-    return 1.0 + sup_over_radius(profile).value
+    best, _ = _sup_search(sample, sample(_WITNESS_DEPTHS), _WITNESS_DEPTHS.size, True)
+    return 1.0 + math.exp(best[2])
 
 
 def h_series_coeff(n: int) -> float:
@@ -565,11 +596,11 @@ def _verdict_t71(alpha: float, tol: float) -> TheoremVerdict:
         passed = lo - tol <= witness <= hi + tol
         notes = f"constant-witness norm {witness:.9g} inside [{lo:g}, {hi:g}]"
         return TheoremVerdict("T7.1", alpha, (lo, hi), witness, tol, passed, notes)
-    (at_radius, value), slope, misfit, confirmed = divergence_witness(alpha)
+    (depth, value), slope, misfit, confirmed = divergence_witness(alpha)
     notes = (
         f"unbounded, divergence {'confirmed' if confirmed else 'not confirmed'}: log witness "
-        f"fits a + b L + c L (1 - r) with slope b = {slope:.9g} vs 1 - alpha = {1.0 - alpha:.9g} "
-        f"(residual {misfit:.1e}); witness {value:.6g} at 1 - r = {1.0 - at_radius:.3e}"
+        f"fits a + b L with slope b = {slope:.9g} vs 1 - alpha = {1.0 - alpha:.9g} "
+        f"(residual {misfit:.1e}); witness {value:.6g} at 1 - r = e^-{depth:g}"
     )
     return TheoremVerdict("T7.1", alpha, None, value, tol, confirmed, notes)
 

@@ -28,16 +28,25 @@ the y form differentiated with dI/dL = k(L) - a I(L), found by mpmath's
 findroot inside the first sign change of a geometric scan of L.
 
 The Bloch-type norm of C(1)(z) = log(1/(1 - z)) / z at each alpha of
-BLOCH_ALPHAS is 1 + (1 - r*^2)^a C(1)'(r*), every Taylor coefficient of
-C(1)' being nonnegative, with r* the root of the derivative
+BLOCH_ALPHAS is 1 + W(L*), every Taylor coefficient of C(1)' being
+nonnegative, with the witness
 
-    (1 - r^2)^(a - 1) ((1 - r^2) C(1)''(r) - 2 a r C(1)'(r))
+    W = (1 - r^2)^a C(1)'(r),   C(1)'(r) = 1/(r (1 - r)) + log(1 - r) / r^2,   r = 1 - e^-L,
 
-inside the first sign change on r = 0.001, 0.002, ..., 0.999.  This
-script never imports the package it checks; it takes about 15 s.
+and L* the root of dW/dL, which is e^-L (1 - r^2)^(a - 1) times
+
+    (1 - r^2) C(1)''(r) - 2 a r C(1)'(r),
+
+found by findroot inside the first sign change of a geometric scan of L
+from 2^-20 up: the maximum lies near L = 2/(3a) for large a and near
+L = 6.5 at a = 1.01.  W is also tabulated at each alpha of WITNESS_ALPHAS
+and the double nearest L = k log 10, k = 1..15, so 1 - r = 10^-k to
+rounding.  This script never imports the package it checks; it takes
+about 15 s.
 """
 
 import json
+import math
 import pathlib
 
 import mpmath as mp
@@ -45,7 +54,8 @@ import mpmath as mp
 ALPHAS = (0.01, 0.2, 0.5, 0.95)  # as doubles, the values the package sees
 KS = (1, 2, 5, 20, 40)
 SUP_ALPHAS = (0.01, 0.02, 0.05, 0.2, 0.5, 0.8, 0.95)
-BLOCH_ALPHAS = (1.5, 2.0, 3.0, 10.0, 50.0)
+BLOCH_ALPHAS = (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 50.0, 100.0, 500.0)
+WITNESS_ALPHAS = (0.01, 0.5, 0.9, 1.0, 1.5, 2.0, 10.0)
 OUT = pathlib.Path(__file__).with_name("profile_reference.json")
 
 
@@ -106,22 +116,30 @@ def t41_sup(a):
     return root, profile_and_slope(root)[0]
 
 
+def c1_derivatives(r):
+    """C(1)'(r) and C(1)''(r)."""
+    d1 = 1 / (r * (1 - r)) + mp.log(1 - r) / r**2
+    d2 = -(1 - 2 * r) / (r**2 * (1 - r) ** 2) - 1 / (r**2 * (1 - r)) - 2 * mp.log(1 - r) / r**3
+    return d1, d2
+
+
+def witness(a, L):
+    r = -mp.expm1(-L)
+    return (1 - r * r) ** a * c1_derivatives(r)[0]
+
+
 def constant_one_bloch_norm(a):
-    """(r*, 1 + max_r (1 - r^2)^a C(1)'(r))."""
+    """(L*, 1 + max_L W(L))."""
 
-    def d1(r):
-        return 1 / (r * (1 - r)) + mp.log(1 - r) / r**2
+    def slope(L):  # dW/dL over e^-L (1 - r^2)^(a - 1)
+        r = -mp.expm1(-L)
+        d1, d2 = c1_derivatives(r)
+        return (1 - r * r) * d2 - 2 * a * r * d1
 
-    def d2(r):
-        return -(1 - 2 * r) / (r**2 * (1 - r) ** 2) - 1 / (r**2 * (1 - r)) - 2 * mp.log(1 - r) / r**3
-
-    def slope(r):  # the derivative over (1 - r^2)^(a - 1)
-        return (1 - r * r) * d2(r) - 2 * a * r * d1(r)
-
-    scan = [mp.mpf(j) / 1000 for j in range(1, 1000)]
-    lo = next(r for r, hi in zip(scan, scan[1:]) if slope(hi) < 0)
-    root = mp.findroot(slope, (lo, lo + mp.mpf(1) / 1000), solver="anderson")
-    return root, 1 + (1 - root * root) ** a * d1(root)
+    scan = [mp.mpf(2) ** (j / mp.mpf(4)) for j in range(-80, 33)]
+    lo = next(L for L, hi in zip(scan, scan[1:]) if slope(hi) < 0)
+    root = mp.findroot(slope, (lo, lo * mp.mpf(2) ** mp.mpf("0.25")), solver="anderson")
+    return root, 1 + witness(a, root)
 
 
 def main():
@@ -144,9 +162,14 @@ def main():
         sups.append({"alpha": alpha, "L": mp.nstr(L, 25), "sup": mp.nstr(value, 25)})
     blochs = []
     for alpha in BLOCH_ALPHAS:
-        r, norm = constant_one_bloch_norm(mp.mpf(alpha))
-        blochs.append({"alpha": alpha, "r": mp.nstr(r, 25), "norm": mp.nstr(norm, 25)})
-    table = {"digits": 30, "profiles": rows, "t41_sup": sups, "bloch_c1": blochs}
+        L, norm = constant_one_bloch_norm(mp.mpf(alpha))
+        blochs.append({"alpha": alpha, "L": mp.nstr(L, 25), "norm": mp.nstr(norm, 25)})
+    witnesses = []
+    for alpha in WITNESS_ALPHAS:
+        for k in range(1, 16):
+            L = k * math.log(10.0)  # the double the package sees
+            witnesses.append({"alpha": alpha, "k": k, "L": L, "W": mp.nstr(witness(mp.mpf(alpha), mp.mpf(L)), 25)})
+    table = {"digits": 30, "profiles": rows, "t41_sup": sups, "bloch_c1": blochs, "c1_witness": witnesses}
     OUT.write_text(json.dumps(table, indent=1) + "\n")
 
 

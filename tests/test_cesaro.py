@@ -279,6 +279,28 @@ def test_forms_raise_where_the_integrand_is_not_finite(form):
         form(f, np.array([0.1, 0.9, 0.2j]))
 
 
+def test_cesaro_of_one_and_its_derivative_match_mpmath():
+    """C(1) = -log(1 - z)/z and C(1)' to 4e-15 relative, |z| = 1e-6..1 - 1e-6 on random angles.
+
+    C(1) is PolyImage's image of the constant 1; the closed form it
+    replaced was 1.2e-8 off in C(1)' near |z| = 1e-4.
+    """
+    import mpmath as mp
+
+    rng = np.random.default_rng(1)
+    moduli = np.concatenate([np.geomspace(1e-6, 0.5, 60), 1.0 - np.geomspace(0.5, 1e-6, 60)])
+    z = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, moduli.size))
+    image = cesaro_of_one()
+    got_value, got_slope = evaluate(image, z), evaluate(derivative(image), z)
+    with mp.workdps(30):
+        for w, value, slope in zip(z, got_value, got_slope):
+            x = mp.mpc(w)
+            want_value = -mp.log(1 - x) / x
+            want_slope = 1 / (x * (1 - x)) + mp.log(1 - x) / x**2
+            assert abs(value - want_value) <= 4e-15 * abs(want_value), w
+            assert abs(slope - want_slope) <= 4e-15 * abs(want_slope), w
+
+
 def _log_extremal_derivative_image(alpha, z):
     """C(f)'(z) = (f(z)/(1 - z) - C(f)(z)) / z for the log extremal f, in mpmath."""
     import mpmath as mp

@@ -187,6 +187,7 @@ def test_verify_unbounded_clause_passes(capsys):
     assert code == 0
     report = json.loads(out)
     assert "unbounded, divergence confirmed" in report["verdicts"][0]["notes"]
+    assert report["verdicts"][0]["notes"].endswith(" at 1 - r = e^-700")
 
 
 def test_verify_failed_verdict_exits_one(capsys):
@@ -410,7 +411,13 @@ def test_empirical_seeds_with_narrow_peaks(capsys, source, target, alpha, sample
 
 @pytest.mark.parametrize(
     "source, alpha, samples, seed",
-    [("hardy", "1", "3", "144810252"), ("bloch", "1.2", "4", "9")],
+    [
+        ("hardy", "1", "3", "144810252"),
+        ("bloch", "1.2", "4", "9"),
+        # the C(1) witness wins: its image and derivative are PolyImage's, on the shared polar tables
+        ("hardy", "2", "8", "0"),
+        ("bloch", "50", "8", "0"),
+    ],
 )
 def test_empirical_flat_argmax_reports_theta_zero(capsys, source, alpha, samples, seed):
     """Maxima on the positive real axis print theta = 0, not a few ulps off it or 2 pi."""
@@ -475,6 +482,8 @@ def test_empirical_unbounded_pair(capsys):
     assert v["theoretical"] is None
     assert v["passed"]
     assert "divergence confirmed" in v["notes"]
+    # the fit's deepest depth, where r rounds to 1
+    assert v["notes"].endswith(" at 1 - r = e^-700")
 
 
 @pytest.mark.parametrize(

@@ -129,9 +129,9 @@ def test_unbounded_pair_flags_divergence():
     for alpha in (0.5, 0.9):
         flag = operator_norm_lower_bound(HardyInf(), BlochAlpha(alpha), SampleConfig(count=1))
         assert isinstance(flag, DivergenceFlag)
-        assert flag.at_radius == 1.0 - 2.0**-39
-        # the witness 2^alpha (1 - r)^(alpha - 1) at the deepest probe radius
-        assert flag.value == pytest.approx(2.0**alpha * 2.0 ** (39 * (1.0 - alpha)), rel=1e-9)
+        assert flag.at_depth == 700.0
+        # the witness 2^alpha (1 - r)^(alpha - 1) at the fit's deepest depth, 1 - r = e^-700
+        assert flag.value == pytest.approx(2.0**alpha * math.exp(700.0 * (1.0 - alpha)), rel=1e-13)
 
 
 def test_log_pairs_stay_sound():

@@ -1,9 +1,10 @@
 """The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the sup search, the T5.1 limit fit.
 
-The same table holds the Bloch-type norm of C(1), a radial sup too.
+The same table holds the Bloch-type norm of C(1), a radial sup too, and its witness W.
 """
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 
 from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
 from cesaronorm.numerics import radius_grid
-from cesaronorm.theorems import _profile_at, _profile_table, profile_sup, slice_values
+from cesaronorm.theorems import _log_witness, _profile_at, _profile_table, profile_sup, slice_values
 
 # written by tests/make_profile_reference.py (mpmath, 30 digits)
 TABLE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())
 REFERENCE, T41_SUP, BLOCH_C1 = TABLE["profiles"], TABLE["t41_sup"], TABLE["bloch_c1"]
+C1_WITNESS = TABLE["c1_witness"]
 PROFILES = (("T3.1", "P3"), ("T4.1", "P4"), ("T5.1", "P5"))
 RADIAL_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -90,8 +92,24 @@ def test_t51_notes_print_one_minus_r_where_r_rounds_to_one():
 
 @pytest.mark.parametrize("row", BLOCH_C1, ids=lambda row: f"alpha={row['alpha']}")
 def test_constant_one_bloch_norm_matches_the_mpmath_max(row):
-    """1 + max_r (1 - r^2)^alpha C(1)'(r) to 2e-15 relative; the 2-D disk sup was 8.9e-15 off at alpha = 10."""
-    assert constant_one_bloch_norm(row["alpha"]) == pytest.approx(float(row["norm"]), rel=2e-15, abs=0.0)
+    """1 + max_L W(L) to 2e-15 relative, from L* = 6.2 at alpha = 1.01 to L* = 0.0013 at alpha = 500.
+
+    The reference argmax is a root of the package's d(log W)/dL too, to the
+    eps / L* that its cancellation of L / m against 2 / r leaves.
+    """
+    alpha, depth = row["alpha"], float(row["L"])
+    assert constant_one_bloch_norm(alpha) == pytest.approx(float(row["norm"]), rel=2e-15, abs=0.0)
+    _, (slope,) = _log_witness(np.array([depth]), alpha)
+    assert abs(slope) < 1e-15 / depth
+
+
+@pytest.mark.parametrize("row", C1_WITNESS, ids=lambda row: f"alpha={row['alpha']}-k={row['k']}")
+def test_c1_witness_matches_the_mpmath_table(row):
+    """W at 1 - r = 10^-k, to a few ulps of its exponent alpha log 2 + (1 - alpha) L."""
+    alpha, depth = row["alpha"], row["L"]
+    (log_w,), _ = _log_witness(np.array([depth]), alpha)
+    rel = 4e-16 * (4.0 + abs(1.0 - alpha) * depth)
+    assert math.exp(log_w) == pytest.approx(float(row["W"]), rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])

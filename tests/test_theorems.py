@@ -11,11 +11,14 @@ from cesaronorm import (
     ClosedForm,
     DivergenceFlag,
     DomainError,
+    HardyInf,
     Korenblum,
     KorenblumExtremal,
     KorenblumLog,
     LogKorenblumExtremal,
     THEOREM_IDS,
+    PreconditionError,
+    SampleConfig,
     TheoremVerdict,
     bloch_upper_bound,
     bloch_witness_profile,
@@ -28,11 +31,14 @@ from cesaronorm import (
     log_to_log_norm,
     log_to_plain_norm,
     log_weight_constant,
+    operator_norm_lower_bound,
     sup_over_radius,
     taylor_truncate,
     verify_theorem,
 )
+from cesaronorm import theorems
 from cesaronorm.theorems import (
+    RESULTS,
     bloch_lower_bound,
     bloch_lower_bound_integral,
     divergence_witness,
@@ -240,7 +246,7 @@ def test_witness_profile_and_probe():
     # C(1)'(0) = 1/2, and every weight is 1 at the origin
     for alpha in (0.3, 1.0, 2.0):
         assert bloch_witness_profile(0.0, alpha) == pytest.approx(0.5, abs=1e-12)
-    # one evaluate call for a grid, bitwise as one radius at a time
+    # one closed-form call for a grid, bitwise as one radius at a time
     radii = np.array([0.0, 0.5, 1.0 - 1e-6, 1.0 - 2.0**-39])
     values = bloch_witness_profile(radii, 0.5)
     assert values.tolist() == [bloch_witness_profile(float(r), 0.5) for r in radii]
@@ -250,8 +256,9 @@ def test_witness_profile_and_probe():
     for bad in (1.0, -0.1, math.nan, np.array([0.5, 1.0])):
         with pytest.raises(DomainError):
             bloch_witness_profile(bad, 0.5)
-    (at_radius, value), _, _, _ = divergence_witness(0.5)
-    assert (at_radius, value) == (1.0 - 2.0**-39, values[-1])
+    # the fit's deepest witness, at L = 700, where r rounds to 1: 2^alpha e^((1 - alpha) L)
+    (depth, value), _, _, _ = divergence_witness(0.5)
+    assert (depth, value) == (700.0, pytest.approx(2.0**0.5 * math.exp(0.5 * 700.0), rel=1e-13))
 
 
 def test_h_series_coeff_values():
@@ -324,24 +331,44 @@ def test_verify_t71_near_one_reports_slow_witness():
     assert v.passed
     assert "divergence confirmed" in v.notes
     assert "slope b = 0.05 vs 1 - alpha = 0.05" in v.notes
-    assert "at 1 - r = 1.819e-12" in v.notes
+    assert "at 1 - r = e^-700" in v.notes
 
 
-@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+# 1 - 10^-j for j = 1..15, the last float below 1, and 0.01..0.99
+T71_SWEEP = [1.0 - 10.0**-j for j in range(1, 16)] + [float(np.nextafter(1.0, 0.0))]
+T71_SWEEP = sorted(set(T71_SWEEP + [round(0.01 * k, 2) for k in range(1, 100)]))
+
+
+@pytest.mark.parametrize("alpha", T71_SWEEP)
 def test_t71_slope_fit_confirms_blow_up(alpha):
-    (at_radius, value), slope, misfit, confirmed = divergence_witness(alpha)
+    """The fit sees the slope 1 - alpha at L = 40..700, down to 1.1e-16 at the last float below 1."""
+    (depth, value), slope, misfit, confirmed = divergence_witness(alpha)
     assert confirmed and verify_theorem("T7.1", alpha).passed
-    assert abs(slope - (1.0 - alpha)) <= 1e-9
-    assert misfit <= 1e-10
-    assert (at_radius, value) == (1.0 - 2.0**-39, bloch_witness_profile(1.0 - 2.0**-39, alpha))
+    assert isinstance(RESULTS["T7.1"].bounds(alpha), DivergenceFlag)
+    assert abs(slope - (1.0 - alpha)) <= 1e-15
+    assert misfit <= 1e-12
+    # log W = alpha log 2 + (1 - alpha) L to rounding where r rounds to 1
+    assert (depth, value) == (700.0, pytest.approx(2.0**alpha * math.exp((1.0 - alpha) * 700.0), rel=1e-13))
 
 
 def test_t71_slope_fit_does_not_confirm_at_alpha_one():
     # W tends to 2 at alpha = 1: the fitted slope is rounding, below 10 misfits over the window
     (_, value), slope, misfit, confirmed = divergence_witness(1.0)
     assert not confirmed
-    assert value == pytest.approx(2.0, abs=1e-9)
-    assert abs(slope) <= 1e-10
+    assert value == 2.0
+    assert abs(slope) <= 1e-17
+    # the norm is 1 + W at L = inf, exactly
+    verdict = verify_theorem("T7.1", 1.0)
+    assert verdict.passed and verdict.computed == 3.0
+
+
+def test_unconfirmed_blow_up_is_a_precondition_error(monkeypatch):
+    """bounds, and so the empirical pair, flag divergence only on a confirmed fit."""
+    monkeypatch.setattr(theorems, "divergence_witness", lambda alpha: ((700.0, 2.0), 0.0, 1.0, False))
+    with pytest.raises(PreconditionError, match="does not confirm"):
+        hardy_to_bloch_bounds(0.5)
+    with pytest.raises(PreconditionError, match="does not confirm"):
+        operator_norm_lower_bound(HardyInf(), BlochAlpha(0.5), SampleConfig(count=1))
 
 
 def test_verify_domain_errors():
