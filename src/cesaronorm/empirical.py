@@ -33,10 +33,11 @@ from .functions import (
     Poly,
     PowerSeries,
 )
+from .numerics import RADIAL_K_MAX
 from .spaces import Korenblum, KorenblumLog, NormEstimate, SpaceSpec, space_norm
 from .theorems import RESULTS, Result, profile_sup
 
-# depth of the radius grid of every norm measured here
+# depth of the radius grid of every sampled image measured here
 GRID_K_MAX = 30
 
 
@@ -113,21 +114,21 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec):
 
     For the weighted-modulus sources the image has a positive radial
     profile that dominates every other ray, and that profile is the
-    result's own, from one cumulative pass in L = log(1/(1 - r))
-    (theorems.profile_sup on GRID_K_MAX + 1 radii); computing it that way
-    avoids pushing huge pre-weight magnitudes through the polar grid.  The
-    remaining sources have cheap closed-form images and go through the
-    generic norm.
+    result's own: its sup is theorems.profile_sup's, the same search as
+    the result's bounds(alpha), so the witness never exceeds them.
+    Computing it in L = log(1/(1 - r)) avoids pushing huge pre-weight
+    magnitudes through the polar grid.  The remaining sources have cheap
+    closed-form images and go through the generic norm on the GRID_K_MAX grid.
     """
     if not result.radial:
         image = cesaro_transform(extremal_for(source))
         return space_norm(image, target, k_max=GRID_K_MAX)
-    est = profile_sup(result.theorem_id, source.alpha, GRID_K_MAX)
+    est = profile_sup(result.theorem_id, source.alpha)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
         argmax_angle=0.0,
-        radial_points=GRID_K_MAX + 1,
+        radial_points=RADIAL_K_MAX + 1,
         angular_points=1,
         refinement_residual=0.0,
         diverged=est.diverged,
@@ -138,12 +139,12 @@ def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec):
 def operator_norm_lower_bound(source: SpaceSpec, target: SpaceSpec, cfg: SampleConfig):
     """Best observed norm ratio over the sample plus the extremal witness.
 
-    Every image, and the witness, is measured on the radius grid
-    r_k = 1 - 2^-k, k <= GRID_K_MAX (31 radii), at space_norm's default
-    tol; the samples are normalized by sample_unit_ball on space_norm's
-    default grid of 41 radii.  Returns a NormEstimate whose
-    value is a certified lower bound for the operator norm (up to
-    quadrature tolerance).  For the sup-norm -> Bloch-type pair with
+    Every sampled image, and a closed-form witness, is measured on the
+    radius grid r_k = 1 - 2^-k, k <= GRID_K_MAX (31 radii), at space_norm's
+    default tol; a radial witness is its result's profile_sup.  The samples
+    are normalized on space_norm's default grid of 41 radii.  Returns a
+    NormEstimate whose value is a certified lower bound for the operator
+    norm (up to quadrature tolerance).  For the sup-norm -> Bloch-type pair with
     alpha < 1 it returns the result's bounds(alpha): a DivergenceFlag once
     the witness fit confirms the blow-up, else a PreconditionError.
     """

@@ -75,10 +75,9 @@ class SupEstimate:
     value is the largest sampled value and therefore a certified lower
     bound for the supremum; argmax_depth, if known, is log(1/(1 - r)) at its
     radius.  diverged marks a blow-up past the overflow guard.  For the
-    T3.1 and T5.1 profiles, extrapolated_limit is the r -> 1 limit A of a
-    fitted model and limit_fit its (B, largest misfit): A + B 2^(-alpha k)
-    + C 2^(-k) on r_k = 1 - 2^-k for T3.1, A + B/M + ... with B alpha^2 in
-    place of B for T5.1.
+    T3.1 and T5.1 profiles, extrapolated_limit is the r -> 1 limit: the
+    T3.1 profile at L = 40/alpha (limit_fit None), and for T5.1 the A of a
+    fitted A + B/M + ..., limit_fit its (B alpha^2, largest misfit).
     """
 
     value: float
@@ -234,7 +233,7 @@ def integrate_finite(
     return QuadratureResult(values[0], float(totals[0]), int(counts[0]))
 
 
-# Per panel, so that the few dozen panels of a profile sum to within DEFAULT_QUAD_TOL.
+# Per unit width, as a panel integrates its integrand's mean: I(L) is within about PANEL_TOL / alpha.
 # Ends 0, 1/4, 1/2, 1, 2, ...: a panel as wide as its left end keeps a kernel
 # singularity left of 0 three half-widths away; at most 4 / alpha wide.
 PANEL_TOL = 1e-12
@@ -256,6 +255,8 @@ class ExpCumulative:
         depths = np.asarray(depths, dtype=float)
         ends, alpha = self.ends, self.alpha
         top = float(depths.max(initial=0.0))
+        if not top < math.inf:
+            raise DomainError(f"depth L must be finite, got {top!r}")
         while ends[-1] <= top:
             ends.append(ends[-1] + min(max(ends[-1], _FIRST_PANEL), _PANEL_DECAY / alpha))
         y = np.array(ends)
@@ -266,9 +267,9 @@ class ExpCumulative:
 
         def g(s, rows):
             w = width[rows]
-            return w * np.exp(-alpha * w * (1.0 - s)) * self.k(lo[rows] + w * s)
+            return np.exp(-alpha * w * (1.0 - s)) * self.k(lo[rows] + w * s)
 
-        pieces = integrate_rows(g, lo.size, 0.0, 1.0, PANEL_TOL)[0]
+        pieces = width * integrate_rows(g, lo.size, 0.0, 1.0, PANEL_TOL)[0]
         for w, piece in zip(width[: new.size].tolist(), pieces[: new.size].tolist()):
             self.at_ends.append(math.exp(-alpha * w) * self.at_ends[-1] + piece)
         tail = slice(new.size, None)

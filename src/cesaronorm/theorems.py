@@ -19,13 +19,13 @@ maps t >= 0 onto [0, L] and gives 1 - phi_t(r)^2 = e^-y (2 - e^-y), so
 P4 is the same with the kernel over 1/alpha + y - log(1 - e^-y / 2), and
 P5 = Lambda(L) P4 with Lambda(L) = 1/alpha + L - log(1 - e^-L / 2).  No
 difference 1 - r is formed, and one numerics.ExpCumulative pass serves
-every depth of a search.  profile_sup finds the sup in L from the exact
-slope dP/dL, since dI/dL = k(L) - alpha I(L).  Boundary decisions are
-least-squares fits of models with known rates (fit_model, with the largest
-misfit; Sidi, Practical Extrapolation Methods, 2003).  P3 = 1/alpha +
-B e^(-alpha L) + O(e^-L), fitted as A + B 2^(-alpha k) + C 2^(-k) on the
-grid r_k = 1 - 2^-k.  P5 tends to 1/alpha like 1/(alpha L), fitted as
-A + B/M + ... + E/M^4, M = L + 1/alpha: A free, B alpha^2 = 1 the check.
+every depth of a search.  profile_sup samples each profile past the peaks
+of P4 and P5 and finds the sup in L from the exact slope dP/dL, since
+dI/dL = k(L) - alpha I(L).  P3 = 1/alpha + B e^(-alpha L) + O(e^-L) is
+read at L = 40/alpha, where e^(-alpha L) < 5e-18.  P5 tends to 1/alpha
+like 1/(alpha L), which no depth reaches: its limit is a least-squares fit
+(fit_model, with the largest misfit; Sidi, Practical Extrapolation Methods,
+2003) of A + B/M + ... + E/M^4, M = L + 1/alpha: A free, B alpha^2 = 1 the check.
 The Bloch witness W of C(1) is closed form in L: 1 + its sup, on the same
 search, is the norm of C(1), and below alpha = 1 log W rises with slope
 1 - alpha in L (T7.1).
@@ -61,7 +61,6 @@ from .errors import DomainError, PreconditionError
 from .functions import _polyval, check_alpha, log_weight_constant, one_minus_sq
 from .numerics import (
     OVERFLOW_GUARD,
-    RADIAL_K_MAX,
     DivergenceFlag,
     ExpCumulative,
     SupEstimate,
@@ -242,18 +241,18 @@ _T51_FIT_X = 1.0 / (40.0 * 2.0 ** (np.arange(17) / 4.0))
 _SUP_NODES = 32
 
 
-def _sup_search(sample, cols, searched: int, converged: bool):
+def _sup_search(sample, cols):
     """The best column (L, r, value, slope) of a profile sampled at cols, by increasing L, and converged.
 
-    Unless the slope is >= 0 at a maximum on column searched - 1 (converged
-    stays as given), sample(depths) takes _SUP_NODES depths of the neighbour
+    Unless the slope is >= 0 at a maximum on the last column, which counts
+    as converged, sample(depths) takes _SUP_NODES depths of the neighbour
     bracket where the slope changes sign, then the root of the slope
     interpolated inversely through the six nodes around the best sub-bracket;
     converged means slope^2 / (2 |slope'|) <= 1e-9 there, slope' the secant.
     """
-    i = int(np.argmax(cols[2, :searched]))
-    if i == searched - 1 and not cols[3, i] < 0.0:
-        return cols[:, i], converged
+    i = int(np.argmax(cols[2]))
+    if i == cols.shape[1] - 1 and not cols[3, i] < 0.0:
+        return cols[:, i], True
     lo = i if cols[3, i] >= 0.0 else i - 1  # a positive slope at the first column keeps lo >= 0
     inner = np.linspace(cols[0, lo], cols[0, lo + 1], _SUP_NODES + 2)[1:-1]
     cols = np.insert(cols[:, lo : lo + 2], [1], sample(inner), axis=1)
@@ -269,19 +268,20 @@ def _sup_search(sample, cols, searched: int, converged: bool):
     return cols[:, int(np.argmax(cols[2]))], bool(cols[3, -1] ** 2 * (x1 - x0) <= 2e-9 * abs(d1 - d0))
 
 
-def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> SupEstimate:
+def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     """Supremum of the T3.1, T4.1 or T5.1 profile, searched in L with the exact slope P'.
 
-    One table call takes the grid r_k = 1 - 2^-k, k <= k_max, plus for T4.1
-    doublings of its end up to L = 4/alpha (P4 peaks near 1.34/alpha for
-    small alpha, then falls to 0) or for T5.1 the depths of its limit fit.
-    A grid value not finite or beyond OVERFLOW_GUARD gives a diverged
-    estimate; else _sup_search refines the grid maximum with P' in at most
-    two more table calls.  extrapolated_limit is
-    the A of a fit to the last five grid values (k_max >= 4) for T3.1, of
-    alpha P5 in x = 1/(alpha M) for T5.1; limit_fit is its B and misfit.
+    One table call samples every profile on the grid r_k = 1 - 2^-k,
+    k <= 40, then in steps of sqrt(2) in L from the grid end up to
+    L = 4/alpha, past the peaks of P4 and P5 (at alpha L = 0.48..1.34 and
+    2.13..3.30), then at the depths of the boundary limit.  A grid value not
+    finite or beyond OVERFLOW_GUARD gives a diverged estimate; else
+    _sup_search refines the maximum with P' in at most two more table calls.
+    extrapolated_limit is P3 at L = 40/alpha for T3.1 (limit_fit None), and
+    for T5.1 the A of a fit of alpha P5 at alpha M = 40..640 in x = 1/(alpha M),
+    limit_fit its B and misfit.
     """
-    radii = radius_grid(k_max)
+    radii = radius_grid()
     _check_alpha_and_radii(radii, alpha)
     table, end = _profile_table(theorem_id, alpha), -math.log1p(-radii[-1])
 
@@ -290,27 +290,22 @@ def profile_sup(theorem_id: str, alpha: float, k_max: int = RADIAL_K_MAX) -> Sup
         r = -np.expm1(-depths) if r is None else r
         return np.array([depths, r, *_profile_at(theorem_id, depths, r, alpha, table)])
 
-    if theorem_id == "T4.1":
-        extra = end * 2.0 ** np.arange(1.0, np.clip(np.ceil(np.log2(4.0 / (alpha * end))), 0.0, 64.0) + 1.0)
-    else:
-        extra = (1.0 / _T51_FIT_X - 1.0) / alpha if theorem_id == "T5.1" else np.empty(0)
+    # steps of sqrt(2), as steps of 2 left P5's sup 7e-14 short; 2100 steps pass the float range
+    steps = np.arange(1.0, np.clip(np.ceil(2.0 * np.log2(4.0 / (alpha * end))), 0.0, 2100.0) + 1.0)
+    limit_depths = [40.0] if theorem_id == "T3.1" else 1.0 / _T51_FIT_X - 1.0 if theorem_id == "T5.1" else []
+    extra = np.concatenate([end * 2.0 ** (steps / 2.0), np.divide(limit_depths, alpha)])
     cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
     values = cols[2]
-    bad = np.flatnonzero(~(np.isfinite(values[: k_max + 1]) & (values[: k_max + 1] <= OVERFLOW_GUARD)))
+    bad = np.flatnonzero(~(np.isfinite(values[: radii.size]) & (values[: radii.size] <= OVERFLOW_GUARD)))
     if bad.size:
         return SupEstimate(float(values[bad[0]]), float(radii[bad[0]]), converged=False, diverged=True)
     limit, fit = None, None
-    if theorem_id == "T3.1" and k_max >= 4:
-        k = np.arange(k_max - 4, k_max + 1.0)
-        design = np.column_stack([np.ones(5), 2.0 ** (-alpha * k), 2.0**-k])
-        coef, misfit = fit_model(design, values[k_max - 4 : k_max + 1])
-        limit, fit = float(coef[0]), (float(coef[1]), misfit)
+    if theorem_id == "T3.1":
+        limit = float(values[-1])
     elif theorem_id == "T5.1":
-        coef, misfit = fit_model(np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[k_max + 1 :])
+        coef, misfit = fit_model(np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[-_T51_FIT_X.size :])
         limit, fit = float(coef[0]) / alpha, (float(coef[1]), misfit)
-    searched = values.size if theorem_id == "T4.1" else k_max + 1
-    # P4 falls to 0: a rising end is short of its peak
-    best, converged = _sup_search(sample, cols, searched, theorem_id != "T4.1")
+    best, converged = _sup_search(sample, cols)
     depth, radius, value = (float(c) for c in best[:3])
     return SupEstimate(value, radius, converged, limit, limit_fit=fit, argmax_depth=depth)
 
@@ -472,7 +467,7 @@ def constant_one_bloch_norm(alpha: float) -> float:
     def sample(depths):
         return np.array([depths, -np.expm1(-depths), *_log_witness(depths, alpha)])
 
-    best, _ = _sup_search(sample, sample(_WITNESS_DEPTHS), _WITNESS_DEPTHS.size, True)
+    best, _ = _sup_search(sample, sample(_WITNESS_DEPTHS))
     return 1.0 + math.exp(best[2])
 
 
@@ -524,25 +519,26 @@ def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
     target, computed = 1.0 / alpha, est.extrapolated_limit
     if computed is None or est.diverged:
         return TheoremVerdict("T3.1", alpha, target, None, tol, False, "boundary extrapolation unavailable")
-    residual = est.limit_fit[1]
-    fit = f"boundary limit fits to {computed:.9g} (A + B 2^(-alpha k) + C 2^(-k), residual {residual:.1e})"
+    read = f"boundary value {computed:.9g} at 1 - r = e^-{40.0 / alpha:g}"
     if RESULTS["T3.1"].admits(alpha, exact_only=True):
         passed = abs(computed - target) <= tol * target
-        notes = f"sup {est.value:.9g} at r = {est.argmax_radius:.12g}; {fit} vs exact {target:.9g}"
+        notes = f"sup {est.value:.9g} at {argmax_note(est)}; {read} vs exact {target:.9g}"
     else:
         passed = computed >= (1.0 - tol) * target
-        notes = f"lower bound only: exactness is established for alpha <= 1/2; {fit} vs limit {target:.9g}"
+        notes = f"lower bound only: exactness is established for alpha <= 1/2; {read} vs limit {target:.9g}"
     return TheoremVerdict("T3.1", alpha, target, computed, tol, passed, notes)
 
 
 def argmax_note(est) -> str:
-    """'r = ...' to six digits, or '1 - r = ...' where r rounds to 1 there (past L = 14.5).
+    """'r = ...' to six digits, or '1 - r = ...' where r rounds to 1 there (past L = 14.5), as e^-L past L = 700.
 
     est is a SupEstimate or a NormEstimate; only its argmax_radius and
     argmax_depth are read.
     """
-    at = f"r = {est.argmax_radius:.6g}"
-    return f"1 - r = {math.exp(-est.argmax_depth):.3e}" if at == "r = 1" else at
+    at, depth = f"r = {est.argmax_radius:.6g}", est.argmax_depth
+    if at != "r = 1":
+        return at
+    return f"1 - r = {math.exp(-depth):.3e}" if depth <= 700.0 else f"1 - r = e^-{depth:g}"
 
 
 def _verdict_t41(alpha: float, tol: float) -> TheoremVerdict:

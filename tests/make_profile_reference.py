@@ -25,7 +25,12 @@ The T4.1 supremum at each alpha of SUP_ALPHAS is P4 at the root L* of
     dP4/dL = c'(L) I(L) + c(L) (k(L) - a I(L)),   c = (1 + r)^a / r,  dr/dL = e^-L,
 
 the y form differentiated with dI/dL = k(L) - a I(L), found by mpmath's
-findroot inside the first sign change of a geometric scan of L.
+findroot inside the first sign change of a geometric scan of L.  The T5.1
+supremum at each alpha of T51_SUP_ALPHAS is P5 = Lambda P4 at the root of
+
+    dP5/dL = Lambda'(L) P4 + Lambda(L) dP4/dL,   Lambda = 1/a + L - log(1 - e^-L / 2),
+
+found the same way; it lies near L = 3.3/a for small a, far past r = 1 - 2^-40.
 
 The Bloch-type norm of C(1)(z) = log(1/(1 - z)) / z at each alpha of
 BLOCH_ALPHAS is 1 + W(L*), every Taylor coefficient of C(1)' being
@@ -42,7 +47,7 @@ from 2^-20 up: the maximum lies near L = 2/(3a) for large a and near
 L = 6.5 at a = 1.01.  W is also tabulated at each alpha of WITNESS_ALPHAS
 and the double nearest L = k log 10, k = 1..15, so 1 - r = 10^-k to
 rounding.  This script never imports the package it checks; it takes
-about 15 s.
+about 20 s.
 """
 
 import json
@@ -54,6 +59,7 @@ import mpmath as mp
 ALPHAS = (0.01, 0.2, 0.5, 0.95)  # as doubles, the values the package sees
 KS = (1, 2, 5, 20, 40)
 SUP_ALPHAS = (0.01, 0.02, 0.05, 0.2, 0.5, 0.8, 0.95)
+T51_SUP_ALPHAS = (0.01, 0.05, 0.1, 0.5)
 BLOCH_ALPHAS = (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 50.0, 100.0, 500.0)
 WITNESS_ALPHAS = (0.01, 0.5, 0.9, 1.0, 1.5, 2.0, 10.0)
 OUT = pathlib.Path(__file__).with_name("profile_reference.json")
@@ -100,15 +106,20 @@ def by_substitution(a, r):
     return p3, p4, lam * p4
 
 
-def t41_sup(a):
-    """(L*, P4(L*)): the first root of dP4/dL and the profile there."""
+def radial_sup(a, times_lambda):
+    """(L*, P(L*)): the first root of dP/dL and the profile there, P = P4 or, times_lambda, P5."""
 
     def profile_and_slope(L):
         r = -mp.expm1(-L)
         c = (1 + r) ** a / r
         i = cumulative(a, L, True)
         dc = c * mp.exp(-L) * (a / (1 + r) - 1 / r)
-        return c * i, dc * i + c * (kernel(a, L, True) - a * i)
+        p4, dp4 = c * i, dc * i + c * (kernel(a, L, True) - a * i)
+        if not times_lambda:
+            return p4, dp4
+        e = mp.exp(-L)
+        lam = 1 / a + L - mp.log(1 - e / 2)
+        return lam * p4, (1 - e / (2 - e)) * p4 + lam * dp4
 
     scan = [mp.mpf("0.05") * mp.mpf(2) ** (j / mp.mpf(4)) for j in range(80)]
     lo = next(L for L, hi in zip(scan, scan[1:]) if profile_and_slope(hi)[1] < 0)
@@ -158,8 +169,12 @@ def main():
             )
     sups = []
     for alpha in SUP_ALPHAS:
-        L, value = t41_sup(mp.mpf(alpha))
+        L, value = radial_sup(mp.mpf(alpha), False)
         sups.append({"alpha": alpha, "L": mp.nstr(L, 25), "sup": mp.nstr(value, 25)})
+    t51_sups = []
+    for alpha in T51_SUP_ALPHAS:
+        L, value = radial_sup(mp.mpf(alpha), True)
+        t51_sups.append({"alpha": alpha, "L": mp.nstr(L, 25), "sup": mp.nstr(value, 25)})
     blochs = []
     for alpha in BLOCH_ALPHAS:
         L, norm = constant_one_bloch_norm(mp.mpf(alpha))
@@ -169,7 +184,14 @@ def main():
         for k in range(1, 16):
             L = k * math.log(10.0)  # the double the package sees
             witnesses.append({"alpha": alpha, "k": k, "L": L, "W": mp.nstr(witness(mp.mpf(alpha), mp.mpf(L)), 25)})
-    table = {"digits": 30, "profiles": rows, "t41_sup": sups, "bloch_c1": blochs, "c1_witness": witnesses}
+    table = {
+        "digits": 30,
+        "profiles": rows,
+        "t41_sup": sups,
+        "t51_sup": t51_sups,
+        "bloch_c1": blochs,
+        "c1_witness": witnesses,
+    }
     OUT.write_text(json.dumps(table, indent=1) + "\n")
 
 

@@ -723,7 +723,7 @@ def test_empirical_theta_on_the_positive_axis_is_printed_near_zero(capsys):
             "korenblum-log",
             "korenblum",
             "0.03",
-            f"{math.exp(-profile_sup('T4.1', 0.03, GRID_K_MAX).argmax_depth):.3e}",
+            f"{math.exp(-profile_sup('T4.1', 0.03).argmax_depth):.3e}",
         ),
     ],
 )

@@ -139,15 +139,17 @@ def test_sup_over_radius_refines_with_one_golden_section_search(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "theorem_id, alpha, k_max, expected",
-    [("T3.1", 0.3, 40, 1), ("T5.1", 0.05, 40, 1), ("T4.1", 0.5, 40, 3), ("T4.1", 0.5, 30, 3), ("T4.1", 0.01, 40, 3)],
+    "theorem_id, alpha, expected",
+    [("T3.1", 0.3, 1), ("T5.1", 0.05, 3), ("T4.1", 0.5, 3), ("T4.1", 0.01, 3)],
 )
-def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, k_max, expected, monkeypatch):
+def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, expected, monkeypatch):
     """integrate_rows calls per search: the grid, then for an interior maximum its bracket and its root.
 
-    T3.1 at alpha = 0.3 and T5.1 at 0.05 still rise at the grid end, so the
-    grid call is the only one; T5.1 takes its fit depths and T4.1 below
-    alpha = 0.048 its doublings of the grid end in that same call.
+    T3.1 at alpha = 0.3 peaks on its last depth, L = 40/alpha, where it is
+    1/alpha to rounding, so the grid call is the only one.  Below
+    alpha = 0.144 every profile takes steps of sqrt(2) in L from the grid
+    end up to L = 4/alpha in that same call, and T5.1 its fit depths; T5.1
+    at 0.05 peaks among those steps, near L = 66.
     """
     calls, integrate = [], numerics.integrate_rows
 
@@ -156,7 +158,7 @@ def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, k_max, e
         return integrate(g, n, *args)
 
     monkeypatch.setattr(numerics, "integrate_rows", counted)
-    est = profile_sup(theorem_id, alpha, k_max)
+    est = profile_sup(theorem_id, alpha)
     assert len(calls) == expected
     assert est.converged
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
+from cesaronorm.errors import DomainError
 from cesaronorm.numerics import radius_grid
 from cesaronorm.theorems import _log_witness, _profile_at, _profile_table, profile_sup, slice_values
 
 # written by tests/make_profile_reference.py (mpmath, 30 digits)
 TABLE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())
-REFERENCE, T41_SUP, BLOCH_C1 = TABLE["profiles"], TABLE["t41_sup"], TABLE["bloch_c1"]
+REFERENCE, T41_SUP, T51_SUP, BLOCH_C1 = TABLE["profiles"], TABLE["t41_sup"], TABLE["t51_sup"], TABLE["bloch_c1"]
 C1_WITNESS = TABLE["c1_witness"]
 PROFILES = (("T3.1", "P3"), ("T4.1", "P4"), ("T5.1", "P5"))
 RADIAL_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
@@ -49,12 +50,13 @@ def test_every_radial_verdicts_case_passes(theorem_id, alpha):
     assert profile_sup(theorem_id, alpha).converged
 
 
-@pytest.mark.parametrize("alpha", [round(0.01 * k, 2) for k in range(1, 100)])
+@pytest.mark.parametrize("alpha", [round(0.01 * k, 2) for k in range(1, 100)] + [1e-9, 1e-6, 1e-4, 1e-3])
 def test_t31_limit_fit_finds_reciprocal_alpha(alpha):
-    """A of A + B 2^(-alpha k) + C 2^(-k) on k = 36..40 to 1e-11 relative, where the tail decays slowest too."""
+    """P3 at L = 40/alpha, where e^(-alpha L) < 5e-18, is 1/alpha to 1e-14 relative, with no model fitted."""
     est = profile_sup("T3.1", alpha)
-    assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-11, abs=0.0)
-    assert est.limit_fit[1] < 1e-12
+    assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-14, abs=0.0)
+    assert est.limit_fit is None
+    assert est.converged
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.02, 0.03] + RADIAL_ALPHAS)
@@ -83,11 +85,45 @@ def test_t41_sup_matches_the_mpmath_root(row):
         assert f"at 1 - r = {np.exp(-depth):.3e}" in verdict.notes
 
 
+@pytest.mark.parametrize("row", T51_SUP, ids=lambda row: f"alpha={row['alpha']}")
+def test_t51_sup_matches_the_mpmath_root(row):
+    """The sup to 1e-14 relative and its depth L* to 1e-6, below alpha = 0.11 too, where L* is past the grid."""
+    alpha, depth, sup = row["alpha"], float(row["L"]), float(row["sup"])
+    est = profile_sup("T5.1", alpha)
+    assert est.value == pytest.approx(sup, rel=1e-14, abs=0.0)
+    assert est.argmax_depth == pytest.approx(depth, rel=1e-6)
+    assert est.converged
+
+
+@pytest.mark.parametrize("alpha", [round(0.01 * k, 2) for k in range(1, 100)])
+def test_t41_and_t51_peak_before_four_over_alpha(alpha):
+    """Both sups lie inside the sampled depths, and the T5.1 sup is no lower than its boundary limit."""
+    for theorem_id in ("T4.1", "T5.1"):
+        est = profile_sup(theorem_id, alpha)
+        assert est.argmax_depth < 4.0 / alpha, theorem_id
+        assert est.converged, theorem_id
+    assert est.value >= est.extrapolated_limit
+
+
 def test_t51_notes_print_one_minus_r_where_r_rounds_to_one():
     """At alpha = 0.05 the T5.1 sup lies deeper than L = 14.5, where r prints as 1 to six digits."""
     est = log_to_log_norm(0.05)
     assert est.argmax_depth > 14.5
     assert f"at 1 - r = {np.exp(-est.argmax_depth):.3e};" in verify_theorem("T5.1", 0.05).notes
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("theorem_id, alpha", [("T3.1", 1e-307), ("T5.1", 1e-307), ("T4.1", 5e-324)])
+def test_a_depth_past_the_float_range_is_a_domain_error(theorem_id, alpha):
+    """40/alpha, 639/alpha or the steps up to 4/alpha overflow: the table refuses L = inf instead of growing forever."""
+    with pytest.raises(DomainError, match="depth L must be finite"):
+        profile_sup(theorem_id, alpha)
+
+
+def test_t31_notes_name_the_depth_of_the_read():
+    """At alpha = 0.05 the sup and the read lie at L = 800, where 1 - r = e^-L underflows: the notes print e^-800."""
+    notes = verify_theorem("T3.1", 0.05).notes
+    assert notes == "sup 20 at 1 - r = e^-800; boundary value 20 at 1 - r = e^-800 vs exact 20"
 
 
 @pytest.mark.parametrize("row", BLOCH_C1, ids=lambda row: f"alpha={row['alpha']}")
