@@ -74,10 +74,8 @@ class SupEstimate:
 
     value is the largest sampled value and therefore a certified lower
     bound for the supremum; argmax_depth, if known, is log(1/(1 - r)) at its
-    radius.  diverged marks a blow-up past the overflow guard.  For the
-    T3.1 and T5.1 profiles, extrapolated_limit is the r -> 1 limit: the
-    T3.1 profile at L = 40/alpha (limit_fit None), and for T5.1 the A of a
-    fitted A + B/M + ..., limit_fit its (B alpha^2, largest misfit).
+    radius.  diverged marks a blow-up past the overflow guard.
+    extrapolated_limit is the r -> 1 limit, if the caller knows one.
     """
 
     value: float
@@ -85,7 +83,6 @@ class SupEstimate:
     converged: bool
     extrapolated_limit: Optional[float] = None
     diverged: bool = False
-    limit_fit: Optional[tuple[float, float]] = None
     argmax_depth: Optional[float] = None
 
 

@@ -21,11 +21,12 @@ P5 = Lambda(L) P4 with Lambda(L) = 1/alpha + L - log(1 - e^-L / 2).  No
 difference 1 - r is formed, and one numerics.ExpCumulative pass serves
 every depth of a search.  profile_sup samples each profile past the peaks
 of P4 and P5 and finds the sup in L from the exact slope dP/dL, since
-dI/dL = k(L) - alpha I(L).  P3 = 1/alpha + B e^(-alpha L) + O(e^-L) is
-read at L = 40/alpha, where e^(-alpha L) < 5e-18.  P5 tends to 1/alpha
-like 1/(alpha L), which no depth reaches: its limit is a least-squares fit
-(fit_model, with the largest misfit; Sidi, Practical Extrapolation Methods,
-2003) of A + B/M + ... + E/M^4, M = L + 1/alpha: A free, B alpha^2 = 1 the check.
+dI/dL = k(L) - alpha I(L).  Both boundary limits 1/alpha are read at
+L = 40/alpha, where e^(-alpha L) < 5e-18.  P3 = 1/alpha + B e^(-alpha L)
++ O(e^-L) is its limit there.  With M = L + 1/alpha, P5 tends to
+Q = M e^(-alpha M) (Ei(alpha M) - Ei(1)), P5 with k3 -> 2^-alpha and
+Lambda -> M, as P5 - Q = O(alpha M e^(-alpha L)); at alpha M = 41,
+alpha Q - 1 is one constant c, and the limit is P5 - c/alpha.
 The Bloch witness W of C(1) is closed form in L: 1 + its sup, on the same
 search, is the norm of C(1), and below alpha = 1 log W rises with slope
 1 - alpha in L (T7.1).
@@ -229,14 +230,10 @@ def log_to_log_slice(r: float, alpha: float) -> float:
     return slice_values("T5.1", [r], alpha)[0]
 
 
-def fit_model(design, target):
-    """Least-squares coefficients of target on the columns of design, and the largest misfit."""
-    coef = np.linalg.lstsq(design, target, rcond=None)[0]
-    return coef, float(np.abs(design @ coef - target).max())
-
-
-# x = 1/(alpha M) at alpha M = 40..640, where alpha P5 = 1 + x + 2 x^2 + 6 x^3 + 24 x^4 + O(x^5)
-_T51_FIT_X = 1.0 / (40.0 * 2.0 ** (np.arange(17) / 4.0))
+# alpha L of the boundary-limit reads, and alpha P - 1 there: 0 for P3, and for P5
+# c = 41 e^-41 (Ei(41) - Ei(1)) - 1 (mpmath), alpha Q - 1 at alpha M = 41
+_LIMIT_DEPTH = 40.0
+_LIMIT_TAILS = {"T3.1": 0.0, "T5.1": 0.025676781133384993}
 # depths sampled inside the bracket of a sup search
 _SUP_NODES = 32
 
@@ -248,7 +245,8 @@ def _sup_search(sample, cols):
     as converged, sample(depths) takes _SUP_NODES depths of the neighbour
     bracket where the slope changes sign, then the root of the slope
     interpolated inversely through the six nodes around the best sub-bracket;
-    converged means slope^2 / (2 |slope'|) <= 1e-9 there, slope' the secant.
+    converged means slope^2 / (2 |slope'|) <= 1e-9 max(1, |value|) there,
+    slope' the secant.
     """
     i = int(np.argmax(cols[2]))
     if i == cols.shape[1] - 1 and not cols[3, i] < 0.0:
@@ -265,7 +263,8 @@ def _sup_search(sample, cols):
         lagrange = np.where(np.eye(6, dtype=bool), 1.0, d / (d - d[:, None]))
         root = float(lagrange.prod(axis=1) @ x)
     cols = np.hstack([cols, sample(np.array([root if x0 <= root <= x1 else 0.5 * (x0 + x1)]))])
-    return cols[:, int(np.argmax(cols[2]))], bool(cols[3, -1] ** 2 * (x1 - x0) <= 2e-9 * abs(d1 - d0))
+    shortfall_bound = 2e-9 * abs(d1 - d0) * max(1.0, abs(cols[2, -1]))
+    return cols[:, int(np.argmax(cols[2]))], bool(cols[3, -1] ** 2 * (x1 - x0) <= shortfall_bound)
 
 
 def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
@@ -274,12 +273,11 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     One table call samples every profile on the grid r_k = 1 - 2^-k,
     k <= 40, then in steps of sqrt(2) in L from the grid end up to
     L = 4/alpha, past the peaks of P4 and P5 (at alpha L = 0.48..1.34 and
-    2.13..3.30), then at the depths of the boundary limit.  A grid value not
+    2.13..3.30), then, for T3.1 and T5.1, at L = 40/alpha.  A grid value not
     finite or beyond OVERFLOW_GUARD gives a diverged estimate; else
     _sup_search refines the maximum with P' in at most two more table calls.
-    extrapolated_limit is P3 at L = 40/alpha for T3.1 (limit_fit None), and
-    for T5.1 the A of a fit of alpha P5 at alpha M = 40..640 in x = 1/(alpha M),
-    limit_fit its B and misfit.
+    extrapolated_limit is the profile at L = 40/alpha less its tail
+    _LIMIT_TAILS / alpha there: 0 for T3.1, c / alpha for T5.1.
     """
     radii = radius_grid()
     _check_alpha_and_radii(radii, alpha)
@@ -292,22 +290,17 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
 
     # steps of sqrt(2), as steps of 2 left P5's sup 7e-14 short; 2100 steps pass the float range
     steps = np.arange(1.0, np.clip(np.ceil(2.0 * np.log2(4.0 / (alpha * end))), 0.0, 2100.0) + 1.0)
-    limit_depths = [40.0] if theorem_id == "T3.1" else 1.0 / _T51_FIT_X - 1.0 if theorem_id == "T5.1" else []
-    extra = np.concatenate([end * 2.0 ** (steps / 2.0), np.divide(limit_depths, alpha)])
+    tail = _LIMIT_TAILS.get(theorem_id)
+    extra = np.concatenate([end * 2.0 ** (steps / 2.0), [] if tail is None else [_LIMIT_DEPTH / alpha]])
     cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
     values = cols[2]
     bad = np.flatnonzero(~(np.isfinite(values[: radii.size]) & (values[: radii.size] <= OVERFLOW_GUARD)))
     if bad.size:
         return SupEstimate(float(values[bad[0]]), float(radii[bad[0]]), converged=False, diverged=True)
-    limit, fit = None, None
-    if theorem_id == "T3.1":
-        limit = float(values[-1])
-    elif theorem_id == "T5.1":
-        coef, misfit = fit_model(np.vander(_T51_FIT_X, 5, increasing=True), alpha * values[-_T51_FIT_X.size :])
-        limit, fit = float(coef[0]) / alpha, (float(coef[1]), misfit)
+    limit = None if tail is None else float(values[-1] - tail / alpha)
     best, converged = _sup_search(sample, cols)
     depth, radius, value = (float(c) for c in best[:3])
-    return SupEstimate(value, radius, converged, limit, limit_fit=fit, argmax_depth=depth)
+    return SupEstimate(value, radius, converged, limit, argmax_depth=depth)
 
 
 def korenblum_sup(alpha: float) -> SupEstimate:
@@ -321,7 +314,7 @@ def log_to_plain_norm(alpha: float) -> SupEstimate:
 
 
 def log_to_log_norm(alpha: float) -> SupEstimate:
-    """T5.1 sup-integral; extrapolated_limit estimates the boundary value."""
+    """T5.1 sup-integral; extrapolated_limit is the boundary value, read at L = 40/alpha."""
     return profile_sup("T5.1", alpha)
 
 
@@ -445,8 +438,9 @@ def divergence_witness(alpha: float):
     confirm the blow-up: b > 0 and b (700 - 40) above 10 times the misfit.
     """
     log_w = _log_witness(_DIVERGENCE_DEPTHS, alpha)[0]
-    coef, misfit = fit_model(np.column_stack([np.ones(log_w.size), _DIVERGENCE_DEPTHS]), log_w)
-    slope = float(coef[1])
+    design = np.column_stack([np.ones(log_w.size), _DIVERGENCE_DEPTHS])
+    coef = np.linalg.lstsq(design, log_w, rcond=None)[0]
+    slope, misfit = float(coef[1]), float(np.abs(design @ coef - log_w).max())
     confirmed = bool(slope > 0.0 and slope * (_DIVERGENCE_DEPTHS[-1] - _DIVERGENCE_DEPTHS[0]) > 10.0 * misfit)
     return (float(_DIVERGENCE_DEPTHS[-1]), math.exp(log_w[-1])), slope, misfit, confirmed
 
@@ -519,7 +513,7 @@ def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
     target, computed = 1.0 / alpha, est.extrapolated_limit
     if computed is None or est.diverged:
         return TheoremVerdict("T3.1", alpha, target, None, tol, False, "boundary extrapolation unavailable")
-    read = f"boundary value {computed:.9g} at 1 - r = e^-{40.0 / alpha:g}"
+    read = f"boundary value {computed:.9g} at 1 - r = e^-{_LIMIT_DEPTH / alpha:g}"
     if RESULTS["T3.1"].admits(alpha, exact_only=True):
         passed = abs(computed - target) <= tol * target
         notes = f"sup {est.value:.9g} at {argmax_note(est)}; {read} vs exact {target:.9g}"
@@ -560,11 +554,10 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
         computed, passed, notes = None, False, "boundary extrapolation unavailable"
     else:
         passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
-        b_alpha_sq, residual = est.limit_fit
         notes = (
-            f"sup {est.value:.9g} at {argmax_note(est)}; "
-            f"boundary limit fits to {computed:.9g} (A + B/M + C/M^2 + D/M^3 + E/M^4, "
-            f"B alpha^2 = {b_alpha_sq:.6f}, residual {residual:.1e}), theory >= {target:.9g}"
+            f"sup {est.value:.9g} at {argmax_note(est)}; boundary limit {computed:.9g}: the profile "
+            f"at 1 - r = e^-{_LIMIT_DEPTH / alpha:g} less its tail {_LIMIT_TAILS['T5.1'] / alpha:.9g}, "
+            f"theory >= {target:.9g}"
         )
     return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
 

@@ -32,6 +32,15 @@ supremum at each alpha of T51_SUP_ALPHAS is P5 = Lambda P4 at the root of
 
 found the same way; it lies near L = 3.3/a for small a, far past r = 1 - 2^-40.
 
+The T5.1 boundary limit is read at L = 40/a.  With M = L + 1/a, P5 tends to
+
+    Q(L) = M e^(-a M) (Ei(a M) - Ei(1)),
+
+P5 with k3 -> 2^-a and Lambda -> M, and at a M = 41 the tail a Q - 1 is one
+constant, written as t51_tail.  P5 itself is tabulated at L = 40/a, as the
+double the package sees, for each alpha of T51_READ_ALPHAS, and must lie
+within 1e-15 of Q there, relative to 1/a.
+
 The Bloch-type norm of C(1)(z) = log(1/(1 - z)) / z at each alpha of
 BLOCH_ALPHAS is 1 + W(L*), every Taylor coefficient of C(1)' being
 nonnegative, with the witness
@@ -47,7 +56,7 @@ from 2^-20 up: the maximum lies near L = 2/(3a) for large a and near
 L = 6.5 at a = 1.01.  W is also tabulated at each alpha of WITNESS_ALPHAS
 and the double nearest L = k log 10, k = 1..15, so 1 - r = 10^-k to
 rounding.  This script never imports the package it checks; it takes
-about 20 s.
+about 25 s.
 """
 
 import json
@@ -60,6 +69,7 @@ ALPHAS = (0.01, 0.2, 0.5, 0.95)  # as doubles, the values the package sees
 KS = (1, 2, 5, 20, 40)
 SUP_ALPHAS = (0.01, 0.02, 0.05, 0.2, 0.5, 0.8, 0.95)
 T51_SUP_ALPHAS = (0.01, 0.05, 0.1, 0.5)
+T51_READ_ALPHAS = (0.01, 0.5)
 BLOCH_ALPHAS = (1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 50.0, 100.0, 500.0)
 WITNESS_ALPHAS = (0.01, 0.5, 0.9, 1.0, 1.5, 2.0, 10.0)
 OUT = pathlib.Path(__file__).with_name("profile_reference.json")
@@ -127,6 +137,19 @@ def radial_sup(a, times_lambda):
     return root, profile_and_slope(root)[0]
 
 
+def t51_tail():
+    """a Q - 1 at a M = 41."""
+    m = mp.mpf(41)
+    return m * mp.exp(-m) * (mp.ei(m) - mp.ei(1)) - 1
+
+
+def t51_read(a, L):
+    """P5 at depth L, from the y form."""
+    r = -mp.expm1(-L)
+    lam = 1 / a + L - mp.log(1 - mp.exp(-L) / 2)
+    return lam * (1 + r) ** a / r * cumulative(a, L, True)
+
+
 def c1_derivatives(r):
     """C(1)'(r) and C(1)''(r)."""
     d1 = 1 / (r * (1 - r)) + mp.log(1 - r) / r**2
@@ -175,6 +198,13 @@ def main():
     for alpha in T51_SUP_ALPHAS:
         L, value = radial_sup(mp.mpf(alpha), True)
         t51_sups.append({"alpha": alpha, "L": mp.nstr(L, 25), "sup": mp.nstr(value, 25)})
+    tail = t51_tail()
+    reads = []
+    for alpha in T51_READ_ALPHAS:
+        L = 40.0 / alpha  # the double the package sees
+        value = t51_read(mp.mpf(alpha), mp.mpf(L))
+        assert abs(alpha * value - 1 - tail) < mp.mpf("1e-15"), (alpha, value)
+        reads.append({"alpha": alpha, "L": L, "P5": mp.nstr(value, 25)})
     blochs = []
     for alpha in BLOCH_ALPHAS:
         L, norm = constant_one_bloch_norm(mp.mpf(alpha))
@@ -189,6 +219,8 @@ def main():
         "profiles": rows,
         "t41_sup": sups,
         "t51_sup": t51_sups,
+        "t51_tail": mp.nstr(tail, 30),
+        "t51_read": reads,
         "bloch_c1": blochs,
         "c1_witness": witnesses,
     }

@@ -191,7 +191,7 @@ def test_verify_unbounded_clause_passes(capsys):
 
 
 def test_verify_failed_verdict_exits_one(capsys):
-    # the fitted limit is within about 1e-14 of 1/alpha, not within 1e-16
+    # the read limit is within about 1e-14 of 1/alpha, not within 1e-16
     code, out, _ = run_cli(
         capsys, "verify", "--theorem", "T3.1", "--alpha", "0.25", "--tol", "1e-16", "--no-timestamp"
     )

@@ -148,8 +148,8 @@ def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, expected
     T3.1 at alpha = 0.3 peaks on its last depth, L = 40/alpha, where it is
     1/alpha to rounding, so the grid call is the only one.  Below
     alpha = 0.144 every profile takes steps of sqrt(2) in L from the grid
-    end up to L = 4/alpha in that same call, and T5.1 its fit depths; T5.1
-    at 0.05 peaks among those steps, near L = 66.
+    end up to L = 4/alpha in that same call, then T3.1 and T5.1 the depth
+    L = 40/alpha of their limit; T5.1 at 0.05 peaks among the steps, near L = 66.
     """
     calls, integrate = [], numerics.integrate_rows
 

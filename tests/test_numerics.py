@@ -147,7 +147,7 @@ def test_radius_grid_shape():
 def test_sup_over_radius_boundary_supremum():
     est = sup_over_radius(lambda r: r, 1e-9)
     assert est.value == pytest.approx(1.0, abs=1e-9)
-    assert est.extrapolated_limit is None  # the boundary limits are fitted in theorems
+    assert est.extrapolated_limit is None  # only theorems.profile_sup knows a boundary limit
     assert not est.diverged
 
 

@@ -1,4 +1,4 @@
-"""The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the sup search, the T5.1 limit fit.
+"""The radial profiles in L = log(1/(1 - r)): an mpmath table, the radial verdicts, the sup search, the boundary limits.
 
 The same table holds the Bloch-type norm of C(1), a radial sup too, and its witness W.
 """
@@ -13,12 +13,12 @@ import pytest
 from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
 from cesaronorm.errors import DomainError
 from cesaronorm.numerics import radius_grid
-from cesaronorm.theorems import _log_witness, _profile_at, _profile_table, profile_sup, slice_values
+from cesaronorm.theorems import _LIMIT_TAILS, _log_witness, _profile_at, _profile_table, profile_sup, slice_values
 
 # written by tests/make_profile_reference.py (mpmath, 30 digits)
 TABLE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())
 REFERENCE, T41_SUP, T51_SUP, BLOCH_C1 = TABLE["profiles"], TABLE["t41_sup"], TABLE["t51_sup"], TABLE["bloch_c1"]
-C1_WITNESS = TABLE["c1_witness"]
+C1_WITNESS, T51_TAIL, T51_READ = TABLE["c1_witness"], TABLE["t51_tail"], TABLE["t51_read"]
 PROFILES = (("T3.1", "P3"), ("T4.1", "P4"), ("T5.1", "P5"))
 RADIAL_ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
 
@@ -55,18 +55,34 @@ def test_t31_limit_fit_finds_reciprocal_alpha(alpha):
     """P3 at L = 40/alpha, where e^(-alpha L) < 5e-18, is 1/alpha to 1e-14 relative, with no model fitted."""
     est = profile_sup("T3.1", alpha)
     assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-14, abs=0.0)
-    assert est.limit_fit is None
     assert est.converged
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.03] + RADIAL_ALPHAS)
+@pytest.mark.parametrize("alpha", [round(0.01 * k, 2) for k in range(1, 100)] + [1e-9, 1e-6, 1e-4, 1e-3])
 def test_t51_limit_fit_finds_reciprocal_alpha(alpha):
-    """A within 1e-4 of 1/alpha although the fit leaves it free; B alpha^2 near 1 checks the model."""
+    """P5 at L = 40/alpha less its exact tail c/alpha is 1/alpha to 1e-14 relative, with no model fitted."""
     est = log_to_log_norm(alpha)
-    b_alpha_sq, residual = est.limit_fit
-    assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-4)
-    assert b_alpha_sq == pytest.approx(1.0, abs=1e-3)
-    assert 0.0 < residual < 1e-6
+    assert est.extrapolated_limit == pytest.approx(1.0 / alpha, rel=1e-14, abs=0.0)
+
+
+def test_t51_tail_is_the_mpmath_constant():
+    """c = 41 e^-41 (Ei(41) - Ei(1)) - 1, alpha Q - 1 at the read, as the package rounds it."""
+    assert _LIMIT_TAILS["T5.1"] == float(T51_TAIL)
+
+
+@pytest.mark.parametrize("row", T51_READ, ids=lambda row: f"alpha={row['alpha']}")
+def test_t51_read_matches_the_mpmath_profile(row):
+    """P5 at L = 40/alpha, the depth of the limit read, to 1e-14 relative."""
+    alpha, depths = row["alpha"], np.array([row["L"]])
+    (value,), _ = _profile_at("T5.1", depths, -np.expm1(-depths), alpha, _profile_table("T5.1", alpha))
+    assert value == pytest.approx(float(row["P5"]), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+@pytest.mark.parametrize("alpha", [10.0**-j for j in range(1, 16)] + [1e-300])
+def test_sups_converge_at_small_alpha(theorem_id, alpha):
+    """converged is relative to the value: P5 near 3.3 / alpha is found to rounding down to alpha = 1e-300."""
+    assert profile_sup(theorem_id, alpha).converged
 
 
 @pytest.mark.parametrize("row", T41_SUP, ids=lambda row: f"alpha={row['alpha']}")
@@ -115,7 +131,7 @@ def test_t51_notes_print_one_minus_r_where_r_rounds_to_one():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("theorem_id, alpha", [("T3.1", 1e-307), ("T5.1", 1e-307), ("T4.1", 5e-324)])
 def test_a_depth_past_the_float_range_is_a_domain_error(theorem_id, alpha):
-    """40/alpha, 639/alpha or the steps up to 4/alpha overflow: the table refuses L = inf instead of growing forever."""
+    """40/alpha or the steps up to 4/alpha overflow: the table refuses L = inf instead of growing forever."""
     with pytest.raises(DomainError, match="depth L must be finite"):
         profile_sup(theorem_id, alpha)
 
@@ -162,7 +178,7 @@ def test_slope_matches_a_central_difference_of_slice_values(theorem_id, alpha):
 
 @pytest.mark.parametrize("alpha", RADIAL_ALPHAS)
 def test_t51_limit_fit_passes_at_tol_1e7(alpha):
-    """The five-term fit leaves A alpha - 1 = 1.4e-8, so verify passes at tol 1e-7 (the four-term fit left -2.6e-7)."""
-    verdict = verify_theorem("T5.1", alpha, tol=1e-7)
+    """The read leaves A alpha - 1 within 1e-14, so verify passes at tol 1e-13, and at 1e-7 with it."""
+    verdict = verify_theorem("T5.1", alpha, tol=1e-13)
     assert verdict.passed, verdict.notes
-    assert verdict.computed * alpha == pytest.approx(1.0, abs=1e-7)
+    assert verdict.computed * alpha == pytest.approx(1.0, rel=0.0, abs=1e-14)
