@@ -2,16 +2,18 @@
 
 Draws random polynomials in the unit ball of the source space, applies
 the averaging operator, measures the image in the target space, and
-keeps the best ratio.  Each run appends the known extremal function of
-the source space so the reported bound is never worse than the witness
-value.  The supported pairs are those of theorems.RESULTS, each checked
-against the bounds of its result, with the same alpha on both sides:
+keeps the best ratio.  Each run also takes the witness of the pair's
+result in theorems.RESULTS, the norm of the image of the source's
+norm-one extremal function as a sup in L = log(1/(1 - r)), so the
+reported bound is never worse than the witness value.  The supported
+pairs are the results' space pairs, each checked against the bounds of
+its result, with the same alpha on both sides:
 
-    T3.1  plain weighted -> plain weighted  (alpha <= 1/2; bound 1/alpha)
-    T4.1  log weighted   -> plain weighted  (sup-integral bound)
-    T5.1  log weighted   -> log weighted    (sup-integral bound)
-    T6.2  Bloch-type     -> Bloch-type      (alpha > 1; closed-form bound)
-    T7.1  sup-norm       -> Bloch-type      (alpha >= 1 bounded; alpha < 1 flagged)
+    plain weighted -> plain weighted  (alpha <= 1/2; bound 1/alpha)
+    log weighted   -> plain weighted  (sup-integral bound)
+    log weighted   -> log weighted    (sup-integral bound)
+    Bloch-type     -> Bloch-type      (alpha > 1; closed-form bound)
+    sup-norm       -> Bloch-type      (alpha >= 1 bounded; alpha < 1 flagged)
 
 Results are bit-identical across runs for a fixed seed: sampling uses
 numpy's default_rng and every downstream computation is deterministic.
@@ -19,23 +21,16 @@ numpy's default_rng and every downstream computation is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cesaro import cesaro_transform
 from .errors import DomainError, PreconditionError
-from .functions import (
-    AnalyticFunction,
-    Constant,
-    KorenblumExtremal,
-    LogKorenblumExtremal,
-    Poly,
-    PowerSeries,
-)
-from .numerics import RADIAL_K_MAX
-from .spaces import Korenblum, KorenblumLog, NormEstimate, SpaceSpec, space_norm
-from .theorems import RESULTS, Result, profile_sup
+from .functions import AnalyticFunction, Poly, PowerSeries
+from .spaces import NormEstimate, SpaceSpec, space_norm
+from .theorems import RESULTS, Result
 
 # depth of the radius grid of every sampled image measured here
 GRID_K_MAX = 30
@@ -58,15 +53,6 @@ class SampleConfig:
             raise DomainError("sample count must be at least 1")
         if self.max_degree < 0:
             raise DomainError("max_degree must be nonnegative")
-
-
-def extremal_for(space: SpaceSpec) -> AnalyticFunction:
-    """The known norm-one extremizer attached to each space."""
-    if isinstance(space, Korenblum):
-        return KorenblumExtremal(space.alpha)
-    if isinstance(space, KorenblumLog):
-        return LogKorenblumExtremal(space.alpha)
-    return Constant(1.0)
 
 
 def sample_unit_ball(space: SpaceSpec, cfg: SampleConfig) -> list[AnalyticFunction]:
@@ -109,59 +95,51 @@ def result_for_pair(source: SpaceSpec, target: SpaceSpec) -> Result:
     return result
 
 
-def _witness_estimate(result: Result, source: SpaceSpec, target: SpaceSpec):
-    """Norm of the transformed extremal function.
+def _witness_estimate(result: Result, alpha: float) -> NormEstimate:
+    """result.witness(alpha), the norm of the transformed extremal function, as a NormEstimate.
 
-    For the weighted-modulus sources the image has a positive radial
-    profile that dominates every other ray, and that profile is the
-    result's own: its sup is theorems.profile_sup's, the same search as
-    the result's bounds(alpha), so the witness never exceeds them.
-    Computing it in L = log(1/(1 - r)) avoids pushing huge pre-weight
-    magnitudes through the polar grid.  The remaining sources have cheap
-    closed-form images and go through the generic norm on the GRID_K_MAX grid.
+    Every witness image has a nonnegative radial profile that dominates
+    every other ray, so its sup is a 1-D search in L on the positive
+    real axis: theorems.profile_sup's for the weighted-modulus sources,
+    the same search as the result's bounds(alpha), and
+    theorems.constant_one_bloch_sup's, for C(1), for the others.  It
+    counts one radial and one angular point: one ray, searched in L.
     """
-    if not result.radial:
-        image = cesaro_transform(extremal_for(source))
-        return space_norm(image, target, k_max=GRID_K_MAX)
-    est = profile_sup(result.theorem_id, source.alpha)
+    est = result.witness(alpha)
     return NormEstimate(
         value=est.value,
         argmax_radius=est.argmax_radius,
         argmax_angle=0.0,
-        radial_points=RADIAL_K_MAX + 1,
+        radial_points=1,
         angular_points=1,
         refinement_residual=0.0,
-        diverged=est.diverged,
         argmax_depth=est.argmax_depth,
     )
 
 
 def operator_norm_lower_bound(source: SpaceSpec, target: SpaceSpec, cfg: SampleConfig):
-    """Best observed norm ratio over the sample plus the extremal witness.
+    """Best observed norm ratio over the sample plus the result's witness.
 
-    Every sampled image, and a closed-form witness, is measured on the
-    radius grid r_k = 1 - 2^-k, k <= GRID_K_MAX (31 radii), at space_norm's
-    default tol; a radial witness is its result's profile_sup.  The samples
-    are normalized on space_norm's default grid of 41 radii.  Returns a
-    NormEstimate whose value is a certified lower bound for the operator
-    norm (up to quadrature tolerance).  For the sup-norm -> Bloch-type pair with
-    alpha < 1 it returns the result's bounds(alpha): a DivergenceFlag once
-    the witness fit confirms the blow-up, else a PreconditionError.
+    Every sampled image is measured on the radius grid r_k = 1 - 2^-k,
+    k <= GRID_K_MAX (31 radii), at space_norm's default tol; the samples
+    are normalized on space_norm's default grid of 41 radii.  The witness
+    is its result's 1-D sup in L.  Returns a NormEstimate whose value is
+    a certified lower bound for the operator norm (up to quadrature
+    tolerance), the first sample of the largest value unless the witness
+    beats them all.  Where the witness is infinite, as for sup-norm ->
+    Bloch-type with alpha < 1, the pair is unbounded: no sample is drawn
+    and the result's bounds(alpha) is returned, a DivergenceFlag once the
+    witness fit confirms the blow-up, else a PreconditionError.
     """
     result = result_for_pair(source, target)
-    if result.theorem_id == "T7.1" and target.alpha < 1.0:
+    witness = _witness_estimate(result, target.alpha)
+    if math.isinf(witness.value):
         return result.bounds(target.alpha)
     best = None
     for f in sample_unit_ball(source, cfg):
-        image = cesaro_transform(f)
-        est = space_norm(image, target, k_max=GRID_K_MAX)
+        est = space_norm(cesaro_transform(f), target, k_max=GRID_K_MAX)
         if est.diverged:
             return est
         if best is None or est.value > best.value:
             best = est
-    witness = _witness_estimate(result, source, target)
-    if witness.diverged:
-        return witness
-    if best is None or witness.value > best.value:
-        best = witness
-    return best
+    return witness if witness.value > best.value else best

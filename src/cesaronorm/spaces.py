@@ -166,8 +166,9 @@ def _disk_sup(f, space, tol, k_max):
     angular resolution doubles until the polished supremum stops moving.
     A level after the first evaluates only its new, odd columns, and a
     grid winner no higher than the polished best and within one angle
-    step and one grid row of it is the polished peak's own basin: the
-    search ends there without polishing it again.
+    step (any angle on the r = 0 row) and one grid row of it is the
+    polished peak's own basin: the search ends there without polishing
+    it again.
     """
     radii = _clamped_radii(k_max)
     s_grid = -np.log2(1.0 - radii)
@@ -254,9 +255,10 @@ def _disk_sup(f, space, tol, k_max):
         if (
             v <= best_v
             and lo <= best_s <= hi
-            and abs(math.remainder(angle - best_angle, 2.0 * math.pi)) <= 2.0 * math.pi / m
+            and (i == 0 or abs(math.remainder(angle - best_angle, 2.0 * math.pi)) <= 2.0 * math.pi / m)
         ):
-            # the polished peak's own basin: this level adds nothing to it
+            # the polished peak's own basin: this level adds nothing to it;
+            # the r = 0 row ties at every angle, so a winner there has no angle of its own
             break
         ns, na, nv, nres = polish(angles, m, lo, hi, grid_best)
         angular_delta = abs(nv - best_v)

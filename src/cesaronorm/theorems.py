@@ -61,7 +61,6 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .functions import _polyval, check_alpha, log_weight_constant, one_minus_sq
 from .numerics import (
-    OVERFLOW_GUARD,
     DivergenceFlag,
     ExpCumulative,
     SupEstimate,
@@ -273,9 +272,10 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     One table call samples every profile on the grid r_k = 1 - 2^-k,
     k <= 40, then in steps of sqrt(2) in L from the grid end up to
     L = 4/alpha, past the peaks of P4 and P5 (at alpha L = 0.48..1.34 and
-    2.13..3.30), then, for T3.1 and T5.1, at L = 40/alpha.  A grid value not
-    finite or beyond OVERFLOW_GUARD gives a diverged estimate; else
-    _sup_search refines the maximum with P' in at most two more table calls.
+    2.13..3.30), then, for T3.1 and T5.1, at L = 40/alpha.  _sup_search
+    refines the maximum with P' in at most two more table calls.  On the
+    grid P3 and P5 stay below 27.73 (about 40 log 2, the grid's end depth)
+    and P4 below 0.65 for every alpha, so no estimate is diverged.
     extrapolated_limit is the profile at L = 40/alpha less its tail
     _LIMIT_TAILS / alpha there: 0 for T3.1, c / alpha for T5.1.
     """
@@ -293,11 +293,7 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     tail = _LIMIT_TAILS.get(theorem_id)
     extra = np.concatenate([end * 2.0 ** (steps / 2.0), [] if tail is None else [_LIMIT_DEPTH / alpha]])
     cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
-    values = cols[2]
-    bad = np.flatnonzero(~(np.isfinite(values[: radii.size]) & (values[: radii.size] <= OVERFLOW_GUARD)))
-    if bad.size:
-        return SupEstimate(float(values[bad[0]]), float(radii[bad[0]]), converged=False, diverged=True)
-    limit = None if tail is None else float(values[-1] - tail / alpha)
+    limit = None if tail is None else float(cols[2, -1] - tail / alpha)
     best, converged = _sup_search(sample, cols)
     depth, radius, value = (float(c) for c in best[:3])
     return SupEstimate(value, radius, converged, limit, argmax_depth=depth)
@@ -449,8 +445,8 @@ def divergence_witness(alpha: float):
 _WITNESS_DEPTHS = np.concatenate([[0.0], 2.0 ** (np.arange(-80, 25) / 4.0), [math.inf]])
 
 
-def constant_one_bloch_norm(alpha: float) -> float:
-    """Bloch-type norm of C(1), the standard witness for the lower bounds.
+def constant_one_bloch_sup(alpha: float) -> SupEstimate:
+    """Bloch-type norm of C(1), the standard witness for the lower bounds, at its argmax depth.
 
     Every Taylor coefficient of C(1)' is nonnegative, so |C(1)'(z)| <= C(1)'(|z|)
     and the norm is 1 + sup_L W: _sup_search on log W over _WITNESS_DEPTHS.
@@ -461,8 +457,13 @@ def constant_one_bloch_norm(alpha: float) -> float:
     def sample(depths):
         return np.array([depths, -np.expm1(-depths), *_log_witness(depths, alpha)])
 
-    best, _ = _sup_search(sample, sample(_WITNESS_DEPTHS))
-    return 1.0 + math.exp(best[2])
+    (depth, radius, log_w, _), converged = _sup_search(sample, sample(_WITNESS_DEPTHS))
+    return SupEstimate(1.0 + math.exp(log_w), float(radius), converged, argmax_depth=float(depth))
+
+
+def constant_one_bloch_norm(alpha: float) -> float:
+    """The value of constant_one_bloch_sup(alpha)."""
+    return constant_one_bloch_sup(alpha).value
 
 
 def h_series_coeff(n: int) -> float:
@@ -511,8 +512,6 @@ def h_analytic(z):
 def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
     est = korenblum_sup(alpha)
     target, computed = 1.0 / alpha, est.extrapolated_limit
-    if computed is None or est.diverged:
-        return TheoremVerdict("T3.1", alpha, target, None, tol, False, "boundary extrapolation unavailable")
     read = f"boundary value {computed:.9g} at 1 - r = e^-{_LIMIT_DEPTH / alpha:g}"
     if RESULTS["T3.1"].admits(alpha, exact_only=True):
         passed = abs(computed - target) <= tol * target
@@ -538,7 +537,7 @@ def argmax_note(est) -> str:
 def _verdict_t41(alpha: float, tol: float) -> TheoremVerdict:
     est = log_to_plain_norm(alpha)
     lb = log_to_plain_lower_bound(alpha)
-    passed = (not est.diverged) and est.value >= lb - tol
+    passed = est.value >= lb - tol
     notes = (
         f"sup {est.value:.9g} at {argmax_note(est)} "
         f"(interior maximizer); closed-form lower bound {lb:.9g}"
@@ -550,15 +549,12 @@ def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
     est = log_to_log_norm(alpha)
     target = 1.0 / alpha
     computed = est.extrapolated_limit
-    if computed is None or est.diverged:
-        computed, passed, notes = None, False, "boundary extrapolation unavailable"
-    else:
-        passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
-        notes = (
-            f"sup {est.value:.9g} at {argmax_note(est)}; boundary limit {computed:.9g}: the profile "
-            f"at 1 - r = e^-{_LIMIT_DEPTH / alpha:g} less its tail {_LIMIT_TAILS['T5.1'] / alpha:.9g}, "
-            f"theory >= {target:.9g}"
-        )
+    passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
+    notes = (
+        f"sup {est.value:.9g} at {argmax_note(est)}; boundary limit {computed:.9g}: the profile "
+        f"at 1 - r = e^-{_LIMIT_DEPTH / alpha:g} less its tail {_LIMIT_TAILS['T5.1'] / alpha:.9g}, "
+        f"theory >= {target:.9g}"
+    )
     return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
 
 
@@ -605,8 +601,10 @@ class Result:
     factor at (r, u = e^-t, alpha), how it combines with F) for the
     log-weighted profiles.  pair is the (source, target) space types of
     its empirical bound, which is checked against bounds(alpha) =
-    (low, high); radial marks the results whose witness is the radial
-    profile of slice_values.
+    (low, high); witness(alpha) is the SupEstimate, a sup in L, of the
+    image of the source's norm-one extremal function, infinite where the
+    pair is unbounded.  radial marks the ids whose integrand
+    dump-integrand writes, the profiles of slice_values.
     """
 
     theorem_id: str
@@ -620,6 +618,7 @@ class Result:
     factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
     bounds: Optional[Callable[[float], Interval]] = None
+    witness: Optional[Callable[[float], SupEstimate]] = None
     radial: bool = False
 
     def admits(self, alpha: float, exact_only: bool = False) -> bool:
@@ -657,6 +656,7 @@ RESULTS = MappingProxyType(
                 exact_max=0.5,
                 pair=(Korenblum, Korenblum),
                 bounds=lambda a: (0.0, korenblum_norm_exact(a)),
+                witness=lambda a: korenblum_sup(a),
                 radial=True,
             ),
             Result(
@@ -670,6 +670,7 @@ RESULTS = MappingProxyType(
                 factor=("log_denominator", _log_factor_at_image, np.divide),
                 pair=(KorenblumLog, Korenblum),
                 bounds=lambda a: (log_to_plain_lower_bound(a), log_to_plain_norm(a).value),
+                witness=lambda a: log_to_plain_norm(a),
                 radial=True,
             ),
             Result(
@@ -683,6 +684,7 @@ RESULTS = MappingProxyType(
                 factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
                 bounds=lambda a: (0.0, log_to_log_norm(a).value),
+                witness=lambda a: log_to_log_norm(a),
                 radial=True,
             ),
             Result(
@@ -695,6 +697,7 @@ RESULTS = MappingProxyType(
                 cells=lambda a: (bloch_upper_bound(a),),
                 pair=(BlochAlpha, BlochAlpha),
                 bounds=lambda a: (1.5, bloch_upper_bound(a)),
+                witness=lambda a: constant_one_bloch_sup(a),
             ),
             Result(
                 "T6.3",
@@ -715,6 +718,7 @@ RESULTS = MappingProxyType(
                 cells=lambda a: hardy_to_bloch_bounds(a) if a >= 1.0 else (None, None),
                 pair=(HardyInf, BlochAlpha),
                 bounds=lambda a: hardy_to_bloch_bounds(a),
+                witness=lambda a: constant_one_bloch_sup(a),
             ),
         )
     }

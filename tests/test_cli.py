@@ -10,8 +10,7 @@ from jsonschema import validate
 
 from cesaronorm import DomainError, cli, verify_theorem
 from cesaronorm.cli import UsageError, main, parse_grid
-from cesaronorm.empirical import GRID_K_MAX
-from cesaronorm.theorems import profile_sup
+from cesaronorm.theorems import constant_one_bloch_sup, profile_sup
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -414,7 +413,7 @@ def test_empirical_seeds_with_narrow_peaks(capsys, source, target, alpha, sample
     [
         ("hardy", "1", "3", "144810252"),
         ("bloch", "1.2", "4", "9"),
-        # the C(1) witness wins: its image and derivative are PolyImage's, on the shared polar tables
+        # the C(1) witness wins: its sup in L lies on the positive real axis
         ("hardy", "2", "8", "0"),
         ("bloch", "50", "8", "0"),
     ],
@@ -716,9 +715,8 @@ def test_empirical_theta_on_the_positive_axis_is_printed_near_zero(capsys):
 @pytest.mark.parametrize(
     "source, target, alpha, one_minus_r",
     [
-        # the C(1) witness peaks on the outer grid radius 1 - 2^-30
-        ("hardy", "bloch", "1", f"{2.0**-GRID_K_MAX:.3e}"),
-        # the radial witness keeps the depth of its profile's argmax
+        # each witness keeps the depth of its argmax in L; C(1)'s log W first rounds to log 2 at L = 2^5.5
+        ("hardy", "bloch", "1", f"{math.exp(-constant_one_bloch_sup(1.0).argmax_depth):.3e}"),
         (
             "korenblum-log",
             "korenblum",

@@ -7,14 +7,11 @@ import pytest
 
 from cesaronorm import (
     BlochAlpha,
-    Constant,
     DivergenceFlag,
     DomainError,
     HardyInf,
     Korenblum,
-    KorenblumExtremal,
     KorenblumLog,
-    LogKorenblumExtremal,
     Poly,
     PreconditionError,
     SampleConfig,
@@ -22,7 +19,8 @@ from cesaronorm import (
     operator_norm_lower_bound,
     space_norm,
 )
-from cesaronorm.empirical import GRID_K_MAX, extremal_for, sample_unit_ball
+from cesaronorm.empirical import GRID_K_MAX, result_for_pair, sample_unit_ball
+from cesaronorm.theorems import RESULTS
 
 
 def test_sample_config_validation():
@@ -43,14 +41,6 @@ def test_sample_config_validation():
         with pytest.raises(DomainError):
             SampleConfig(**bad)
     assert SampleConfig(seed=np.int64(3), count=np.int32(2)).seed == 3
-
-
-def test_extremal_for_mapping():
-    assert isinstance(extremal_for(Korenblum(0.3)), KorenblumExtremal)
-    assert isinstance(extremal_for(KorenblumLog(0.3)), LogKorenblumExtremal)
-    assert isinstance(extremal_for(HardyInf()), Constant)
-    assert isinstance(extremal_for(BlochAlpha(2.0)), Constant)
-    assert extremal_for(Korenblum(0.3)).alpha == 0.3
 
 
 def test_samples_are_normalized():
@@ -120,9 +110,34 @@ def test_plain_pair_reaches_near_exact_norm():
 
 
 def test_hardy_to_bloch_witness():
+    """At alpha = 1 the C(1) witness is the exact norm 3 of C(1), the lower end of T7.1's bounds."""
     est = operator_norm_lower_bound(HardyInf(), BlochAlpha(1.0), SampleConfig(seed=1, count=2))
-    assert est.value >= 3.0 - 1e-3
-    assert est.value <= 4.0 + 1e-3
+    assert est.value == 3.0
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (Korenblum(0.25), Korenblum(0.25)),
+        (KorenblumLog(0.5), Korenblum(0.5)),
+        (KorenblumLog(0.05), KorenblumLog(0.05)),
+        (BlochAlpha(1.5), BlochAlpha(1.5)),
+        (HardyInf(), BlochAlpha(1.0)),
+        (HardyInf(), BlochAlpha(2.0)),
+    ],
+    ids=repr,
+)
+def test_a_winning_witness_is_its_results_sup_in_l(source, target):
+    """The witness is RESULTS[id].witness(alpha), bitwise, with its argmax on the positive real axis."""
+    result = result_for_pair(source, target)
+    est = operator_norm_lower_bound(source, target, SampleConfig(seed=0, count=2, max_degree=8))
+    witness = RESULTS[result.theorem_id].witness(target.alpha)
+    assert (est.value, est.argmax_radius, est.argmax_depth) == (
+        witness.value,
+        witness.argmax_radius,
+        witness.argmax_depth,
+    )
+    assert (est.argmax_angle, est.angular_points) == (0.0, 1)
 
 
 def test_unbounded_pair_flags_divergence():
@@ -132,6 +147,8 @@ def test_unbounded_pair_flags_divergence():
         assert flag.at_depth == 700.0
         # the witness 2^alpha (1 - r)^(alpha - 1) at the fit's deepest depth, 1 - r = e^-700
         assert flag.value == pytest.approx(2.0**alpha * math.exp(700.0 * (1.0 - alpha)), rel=1e-13)
+        # the witness itself is infinite: the pair is unbounded
+        assert RESULTS["T7.1"].witness(alpha).value == math.inf
 
 
 def test_log_pairs_stay_sound():

@@ -13,7 +13,15 @@ import pytest
 from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
 from cesaronorm.errors import DomainError
 from cesaronorm.numerics import radius_grid
-from cesaronorm.theorems import _LIMIT_TAILS, _log_witness, _profile_at, _profile_table, profile_sup, slice_values
+from cesaronorm.theorems import (
+    _LIMIT_TAILS,
+    _log_witness,
+    _profile_at,
+    _profile_table,
+    constant_one_bloch_sup,
+    profile_sup,
+    slice_values,
+)
 
 # written by tests/make_profile_reference.py (mpmath, 30 digits)
 TABLE = json.loads(pathlib.Path(__file__).with_name("profile_reference.json").read_text())
@@ -153,6 +161,27 @@ def test_constant_one_bloch_norm_matches_the_mpmath_max(row):
     assert constant_one_bloch_norm(alpha) == pytest.approx(float(row["norm"]), rel=2e-15, abs=0.0)
     _, (slope,) = _log_witness(np.array([depth]), alpha)
     assert abs(slope) < 1e-15 / depth
+
+
+@pytest.mark.parametrize("row", BLOCH_C1, ids=lambda row: f"alpha={row['alpha']}")
+def test_constant_one_bloch_sup_reports_the_mpmath_argmax(row):
+    """The sup's value is constant_one_bloch_norm's, bitwise, at its depth L* to 1e-6 relative."""
+    est = constant_one_bloch_sup(row["alpha"])
+    assert est.value == constant_one_bloch_norm(row["alpha"]) and est.converged
+    assert est.argmax_depth == pytest.approx(float(row["L"]), rel=1e-6)
+    assert est.argmax_radius == -math.expm1(-est.argmax_depth)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-15, 0.5, 1.0 - 1e-15], ids=repr)
+def test_grid_profiles_stay_far_below_the_overflow_guard(alpha):
+    """On the radius grid P3 and P5 stay below 27.73 (about 40 log 2, the grid's end depth) and P4 below 0.65.
+
+    So profile_sup, which no longer checks its grid against
+    numerics.OVERFLOW_GUARD, never meets a value past it.
+    """
+    for theorem_id, bound in (("T3.1", 27.73), ("T4.1", 0.65), ("T5.1", 27.73)):
+        values = np.array(slice_values(theorem_id, radius_grid(), alpha))
+        assert np.all(np.isfinite(values) & (values > 0.0) & (values <= bound)), theorem_id
 
 
 @pytest.mark.parametrize("row", C1_WITNESS, ids=lambda row: f"alpha={row['alpha']}-k={row['k']}")

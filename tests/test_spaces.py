@@ -20,6 +20,7 @@ from cesaronorm import (
     Poly,
     cesaro_of_one,
     cesaro_transform,
+    constant_one_bloch_norm,
     log_weight_constant,
     space_norm,
 )
@@ -324,6 +325,41 @@ def test_flat_argmax_is_reported_at_angle_zero():
 def test_argmax_on_the_positive_axis_is_reported_near_zero(a):
     """C(1)' peaks on the positive real axis; its angle is reported in [-pi, pi), not just below 2 pi."""
     assert abs(space_norm(cesaro_of_one(), BlochAlpha(a)).argmax_angle) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "a, rel",
+    [(1.01, 1e-15), (1.5, 1e-15), (2.0, 1e-15), (3.0, 1e-15), (10.0, 1e-15), (50.0, 1e-15), (500.0, 2.5e-14)],
+)
+def test_disk_sup_of_c1_matches_its_sup_in_l(a, rel):
+    """The 2-D sup of C(1) in the Bloch-type space is constant_one_bloch_norm's 1-D sup in L, to rounding."""
+    disk = space_norm(cesaro_of_one(), BlochAlpha(a)).value
+    assert disk == pytest.approx(constant_one_bloch_norm(a), rel=rel, abs=0.0)
+
+
+def test_disk_sup_of_c1_at_alpha_one_stays_just_below_three():
+    """At alpha = 1 the sup 3 is a limit at the circle: the grid's last radius leaves the disk sup 1.8e-11 short."""
+    assert 3.0 * (1.0 - 2e-11) <= space_norm(cesaro_of_one(), BlochAlpha(1.0)).value < constant_one_bloch_norm(1.0)
+
+
+def test_a_grid_winner_on_the_origin_row_is_in_the_polished_peaks_basin():
+    """Every angle ties on the r = 0 row, where argmax picks angle 0; such a winner does not restart the polish.
+
+    The 63rd polynomial that the empirical sampler draws at seed 0 (degree 21) has
+    its grid maximum in BlochAlpha(50) on that row and its polished peak at
+    r = 0.012, angle 1.24; it stalled at 8192 angles, polishing again at every level.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(63):
+        deg = int(rng.integers(0, 65))
+        raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+    f = Poly(raw * (np.arange(deg + 1) + 1.0) ** -1.0)
+    est = space_norm(f, BlochAlpha(50.0))
+    assert est.angular_points == 512
+    r, angles = np.linspace(0.0, 0.05, 501)[:, None], 2.0 * np.pi * np.arange(4096) / 4096
+    weighted = (1.0 - r * r) ** 50 * np.abs(evaluate(derivative(f), r * np.exp(1j * angles)))
+    dense = abs(f.series.coeffs[0]) + weighted.max()
+    assert 0.0 <= est.value - dense <= 1e-7
 
 
 def test_argmax_angle_lies_in_the_principal_range():
