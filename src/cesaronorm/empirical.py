@@ -9,9 +9,9 @@ reported bound is never worse than the witness value.  The supported
 pairs are the results' space pairs, each checked against the bounds of
 its result, with the same alpha on both sides:
 
-    plain weighted -> plain weighted  (alpha <= 1/2; bound 1/alpha)
-    log weighted   -> plain weighted  (sup-integral bound)
-    log weighted   -> log weighted    (sup-integral bound)
+    plain weighted -> plain weighted  (alpha <= 1/2; ends [1/alpha, 1/alpha])
+    log weighted   -> plain weighted  (ends [closed-form bound, sup-integral])
+    log weighted   -> log weighted    (ends [1/alpha, sup-integral])
     Bloch-type     -> Bloch-type      (alpha > 1; closed-form bound)
     sup-norm       -> Bloch-type      (alpha >= 1 bounded; alpha < 1 flagged)
 

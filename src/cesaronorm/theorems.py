@@ -45,7 +45,8 @@ Result identifiers
 
 The identifiers are the package's stable vocabulary; the CLI accepts
 them verbatim.  RESULTS, at the end of this module, is the one table of
-what verify, table, empirical and dump-integrand need about each.
+what verify, table, empirical and dump-integrand need about each, the
+paper's claim included, against which one _verdict judges every witness.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 from .functions import _polyval, check_alpha, log_weight_constant, one_minus_sq
 from .numerics import (
     DivergenceFlag,
@@ -170,8 +171,8 @@ def profile_integrand(theorem_id: str, r: float, t, alpha: float):
 
 
 def _profile_table(theorem_id: str, alpha: float) -> ExpCumulative:
-    """An empty cumulative pass of the T3.1 kernel, or of the T4.1 kernel for T4.1 and T5.1."""
-    log_weighted = theorem_id != "T3.1"
+    """An empty cumulative pass of the T3.1 kernel, over the log factor where the result's source is log-weighted."""
+    log_weighted = RESULTS[theorem_id].pair[0] is KorenblumLog
 
     def k(y):
         e = np.exp(-y)
@@ -186,14 +187,14 @@ def _profile_at(theorem_id: str, depths, r, alpha: float, table: ExpCumulative):
 
     P' = c' I + c (k - alpha I) for P = c I, c = (1 + r)^alpha / r, dr/dL = e^-L;
     at r = 0, P = k(0) and P' = k(0) / 2, as k'(0) = -alpha k(0) for both
-    kernels.  T5.1 multiplies by Lambda, and Lambda' = 1 - e^-L / (2 - e^-L).
+    kernels.  A log-weighted target multiplies by Lambda, and Lambda' = 1 - e^-L / (2 - e^-L).
     """
     cumulative, k, e, safe_r = table(depths), table.k(depths), np.exp(-depths), np.where(r > 0.0, r, 1.0)
     scale = (1.0 + r) ** alpha / safe_r
     values = np.where(r > 0.0, scale * cumulative, k)
     slopes = scale * (e * (alpha / (1.0 + r) - 1.0 / safe_r) * cumulative + k - alpha * cumulative)
     slopes = np.where(r > 0.0, slopes, 0.5 * k)
-    if theorem_id == "T5.1":
+    if RESULTS[theorem_id].pair[1] is KorenblumLog:
         log_factor = 1.0 / alpha + depths - np.log1p(-0.5 * e)
         slopes = log_factor * slopes + (1.0 - e / (2.0 - e)) * values
         values = log_factor * values
@@ -229,10 +230,8 @@ def log_to_log_slice(r: float, alpha: float) -> float:
     return slice_values("T5.1", [r], alpha)[0]
 
 
-# alpha L of the boundary-limit reads, and alpha P - 1 there: 0 for P3, and for P5
-# c = 41 e^-41 (Ei(41) - Ei(1)) - 1 (mpmath), alpha Q - 1 at alpha M = 41
+# alpha L of the boundary-limit reads
 _LIMIT_DEPTH = 40.0
-_LIMIT_TAILS = {"T3.1": 0.0, "T5.1": 0.025676781133384993}
 # depths sampled inside the bracket of a sup search
 _SUP_NODES = 32
 
@@ -276,8 +275,8 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     refines the maximum with P' in at most two more table calls.  On the
     grid P3 and P5 stay below 27.73 (about 40 log 2, the grid's end depth)
     and P4 below 0.65 for every alpha, so no estimate is diverged.
-    extrapolated_limit is the profile at L = 40/alpha less its tail
-    _LIMIT_TAILS / alpha there: 0 for T3.1, c / alpha for T5.1.
+    extrapolated_limit is the profile at L = 40/alpha less the result's
+    limit_tail / alpha there: 0 for T3.1, c / alpha for T5.1.
     """
     radii = radius_grid()
     _check_alpha_and_radii(radii, alpha)
@@ -290,7 +289,7 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
 
     # steps of sqrt(2), as steps of 2 left P5's sup 7e-14 short; 2100 steps pass the float range
     steps = np.arange(1.0, np.clip(np.ceil(2.0 * np.log2(4.0 / (alpha * end))), 0.0, 2100.0) + 1.0)
-    tail = _LIMIT_TAILS.get(theorem_id)
+    tail = RESULTS[theorem_id].limit_tail
     extra = np.concatenate([end * 2.0 ** (steps / 2.0), [] if tail is None else [_LIMIT_DEPTH / alpha]])
     cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
     limit = None if tail is None else float(cols[2, -1] - tail / alpha)
@@ -354,8 +353,11 @@ def bloch_upper_bound(alpha: float) -> float:
 
 
 def bloch_lower_bound(alpha: float) -> float:
-    """Lower bound 3/2 for the Bloch-type operator norm, alpha > 1."""
+    """Lower bound 3/2 for the Bloch-type operator norm, alpha > 1, once bloch_lower_bound_integral gives it to 1e-9."""
     check_alpha("bloch_lower_bound", alpha, 1.0)
+    defining = bloch_lower_bound_integral()
+    if abs(defining - 1.5) > 1e-9:
+        raise ConvergenceError(f"the defining integral of the 3/2 bound gives {defining:.12g}")
     return 1.5
 
 
@@ -509,19 +511,6 @@ def h_analytic(z):
     return np.where(small, _polyval(_H_SERIES_PREFIX, z), big)
 
 
-def _verdict_t31(alpha: float, tol: float) -> TheoremVerdict:
-    est = korenblum_sup(alpha)
-    target, computed = 1.0 / alpha, est.extrapolated_limit
-    read = f"boundary value {computed:.9g} at 1 - r = e^-{_LIMIT_DEPTH / alpha:g}"
-    if RESULTS["T3.1"].admits(alpha, exact_only=True):
-        passed = abs(computed - target) <= tol * target
-        notes = f"sup {est.value:.9g} at {argmax_note(est)}; {read} vs exact {target:.9g}"
-    else:
-        passed = computed >= (1.0 - tol) * target
-        notes = f"lower bound only: exactness is established for alpha <= 1/2; {read} vs limit {target:.9g}"
-    return TheoremVerdict("T3.1", alpha, target, computed, tol, passed, notes)
-
-
 def argmax_note(est) -> str:
     """'r = ...' to six digits, or '1 - r = ...' where r rounds to 1 there (past L = 14.5), as e^-L past L = 700.
 
@@ -534,76 +523,53 @@ def argmax_note(est) -> str:
     return f"1 - r = {math.exp(-depth):.3e}" if depth <= 700.0 else f"1 - r = e^-{depth:g}"
 
 
-def _verdict_t41(alpha: float, tol: float) -> TheoremVerdict:
-    est = log_to_plain_norm(alpha)
-    lb = log_to_plain_lower_bound(alpha)
-    passed = est.value >= lb - tol
-    notes = (
-        f"sup {est.value:.9g} at {argmax_note(est)} "
-        f"(interior maximizer); closed-form lower bound {lb:.9g}"
-    )
-    return TheoremVerdict("T4.1", alpha, (lb, None), est.value, tol, passed, notes)
+def _verdict(result: Result, alpha: float, tol: float) -> TheoremVerdict:
+    """Judge result's witness against its paper_ends(alpha): the one verdict rule for every id.
 
-
-def _verdict_t51(alpha: float, tol: float) -> TheoremVerdict:
-    est = log_to_log_norm(alpha)
-    target = 1.0 / alpha
-    computed = est.extrapolated_limit
-    passed = math.isfinite(est.value) and computed >= (1.0 - tol) * target
-    notes = (
-        f"sup {est.value:.9g} at {argmax_note(est)}; boundary limit {computed:.9g}: the profile "
-        f"at 1 - r = e^-{_LIMIT_DEPTH / alpha:g} less its tail {_LIMIT_TAILS['T5.1'] / alpha:.9g}, "
-        f"theory >= {target:.9g}"
-    )
-    return TheoremVerdict("T5.1", alpha, (target, None), computed, tol, passed, notes)
-
-
-def _verdict_t62(alpha: float, tol: float) -> TheoremVerdict:
-    ub = bloch_upper_bound(alpha)
-    witness = constant_one_bloch_norm(alpha)
-    passed = 1.5 - tol <= witness <= ub + tol
-    notes = f"constant-witness norm {witness:.9g} inside [3/2, {ub:.9g}]"
-    return TheoremVerdict("T6.2", alpha, (1.5, ub), witness, tol, passed, notes)
-
-
-def _verdict_t63(alpha: float, tol: float) -> TheoremVerdict:
-    defining = bloch_lower_bound_integral()
-    witness = constant_one_bloch_norm(alpha)
-    passed = witness >= 1.5 - tol and abs(defining - 1.5) <= 1e-9
-    notes = f"defining integral gives {defining:.12g}; constant-witness norm {witness:.9g} >= 3/2"
-    return TheoremVerdict("T6.3", alpha, (1.5, None), witness, tol, passed, notes)
-
-
-def _verdict_t71(alpha: float, tol: float) -> TheoremVerdict:
-    if alpha >= 1.0:
-        lo, hi = hardy_to_bloch_bounds(alpha)
-        witness = constant_one_bloch_norm(alpha)
-        passed = lo - tol <= witness <= hi + tol
-        notes = f"constant-witness norm {witness:.9g} inside [{lo:g}, {hi:g}]"
-        return TheoremVerdict("T7.1", alpha, (lo, hi), witness, tol, passed, notes)
-    (depth, value), slope, misfit, confirmed = divergence_witness(alpha)
-    notes = (
-        f"unbounded, divergence {'confirmed' if confirmed else 'not confirmed'}: log witness "
-        f"fits a + b L with slope b = {slope:.9g} vs 1 - alpha = {1.0 - alpha:.9g} "
-        f"(residual {misfit:.1e}); witness {value:.6g} at 1 - r = e^-{depth:g}"
-    )
-    return TheoremVerdict("T7.1", alpha, None, value, tol, confirmed, notes)
+    An infinite witness goes to divergence_witness.  The value read is the
+    boundary limit, tol relative, where limit_tail is set, else the sup,
+    tol absolute; it must clear low, and it and the sup a claimed high.
+    """
+    est = result.witness(alpha)
+    if math.isinf(est.value):
+        (depth, value), slope, misfit, confirmed = divergence_witness(alpha)
+        notes = (
+            f"unbounded, divergence {'confirmed' if confirmed else 'not confirmed'}: log witness "
+            f"fits a + b L with slope b = {slope:.9g} vs 1 - alpha = {1.0 - alpha:.9g} "
+            f"(residual {misfit:.1e}); witness {value:.6g} at 1 - r = e^-{depth:g}"
+        )
+        return TheoremVerdict(result.theorem_id, alpha, None, value, tol, confirmed, notes)
+    low, high = result.paper_ends(alpha)
+    read = f"sup {est.value:.9g} at {argmax_note(est)}"
+    value, slack = est.value, tol
+    if result.limit_tail is not None:
+        value, slack = est.extrapolated_limit, tol * low
+        tail = f" less its tail {result.limit_tail / alpha:.9g}" if result.limit_tail else ""
+        read += f"; boundary limit {value:.9g} at 1 - r = e^-{_LIMIT_DEPTH / alpha:g}{tail}"
+    passed = low - slack <= value and (high is None or max(value, est.value) <= high + slack)
+    paper = f"paper >= {low:.9g}" if high is None else f"paper [{low:.9g}, {high:.9g}]"
+    if not result.admits(alpha, exact_only=True):
+        paper += f", exact only for alpha <= {result.exact_max:g}"
+    theoretical = low if low == high else (low, high)
+    return TheoremVerdict(result.theorem_id, alpha, theoretical, value, tol, passed, f"{read}; {paper}")
 
 
 @dataclass(frozen=True)
 class Result:
     """One catalogued result, as verify, table, empirical and dump-integrand read it.
 
-    domain is the open alpha interval of the result; exact_max, when set,
-    caps the alpha range where the value is exact rather than a bound.
-    verdict(alpha, tol) checks the result; cells(alpha)
-    gives its columns of the norm table.  factor is (column name, log
-    factor at (r, u = e^-t, alpha), how it combines with F) for the
-    log-weighted profiles.  pair is the (source, target) space types of
-    its empirical bound, which is checked against bounds(alpha) =
-    (low, high); witness(alpha) is the SupEstimate, a sup in L, of the
+    domain is the open alpha interval; exact_max, when set, caps the alpha
+    range where the value is exact rather than a bound.  claim(alpha) is
+    the paper's (low, high), high None where only low is claimed, or a
+    DivergenceFlag where T7.1 is unbounded; past exact_max, paper_ends
+    drops high.  witness(alpha) is the SupEstimate, a sup in L, of the
     image of the source's norm-one extremal function, infinite where the
-    pair is unbounded.  radial marks the ids whose integrand
+    pair is unbounded; _verdict reads its boundary limit less limit_tail /
+    alpha where limit_tail is set.  cells(alpha) gives its columns of the
+    norm table.  factor is (column name, log factor at (r, u = e^-t,
+    alpha), how it combines with F) for the log-weighted profiles.  pair is
+    the (source, target) space types of its empirical bound, checked
+    against bounds(alpha).  radial marks the ids whose integrand
     dump-integrand writes, the profiles of slice_values.
     """
 
@@ -611,15 +577,29 @@ class Result:
     label: str
     tol: float
     domain: tuple[float, float]
-    verdict: Callable[[float, float], TheoremVerdict]
+    claim: Callable[[float], Union[Interval, DivergenceFlag]]
+    witness: Callable[[float], SupEstimate]
     columns: tuple[str, ...]
     cells: Callable[[float], tuple]
     exact_max: Optional[float] = None
+    limit_tail: Optional[float] = None
     factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
-    bounds: Optional[Callable[[float], Interval]] = None
-    witness: Optional[Callable[[float], SupEstimate]] = None
     radial: bool = False
+
+    def paper_ends(self, alpha: float) -> Union[Interval, DivergenceFlag]:
+        """claim(alpha), with high None past exact_max; a DivergenceFlag as it is."""
+        claim = self.claim(alpha)
+        if isinstance(claim, DivergenceFlag) or self.admits(alpha, exact_only=True):
+            return claim
+        return claim[0], None
+
+    def bounds(self, alpha: float) -> Union[Interval, DivergenceFlag]:
+        """paper_ends(alpha), with the witness sup as high where none is claimed; a DivergenceFlag as it is."""
+        ends = self.paper_ends(alpha)
+        if isinstance(ends, DivergenceFlag) or ends[1] is not None:
+            return ends
+        return ends[0], self.witness(alpha).value
 
     def admits(self, alpha: float, exact_only: bool = False) -> bool:
         """alpha lies in the domain, or with exact_only where the value is exact."""
@@ -650,13 +630,13 @@ RESULTS = MappingProxyType(
                 "exact norm 1/alpha on the plain weighted space (alpha <= 1/2)",
                 1e-2,
                 (0.0, 1.0),
-                verdict=_verdict_t31,
+                claim=lambda a: (1.0 / a, 1.0 / a),
+                witness=lambda a: korenblum_sup(a),
                 columns=("t31_exact",),
                 cells=lambda a: (korenblum_norm_exact(a),),
                 exact_max=0.5,
+                limit_tail=0.0,
                 pair=(Korenblum, Korenblum),
-                bounds=lambda a: (0.0, korenblum_norm_exact(a)),
-                witness=lambda a: korenblum_sup(a),
                 radial=True,
             ),
             Result(
@@ -664,13 +644,12 @@ RESULTS = MappingProxyType(
                 "log-weighted to plain-weighted norm via the sup-integral",
                 1e-6,
                 (0.0, 1.0),
-                verdict=_verdict_t41,
+                claim=lambda a: (log_to_plain_lower_bound(a), None),
+                witness=lambda a: log_to_plain_norm(a),
                 columns=("t41_sup", "t41_lower_bound"),
                 cells=lambda a: (log_to_plain_norm(a).value, log_to_plain_lower_bound(a)),
                 factor=("log_denominator", _log_factor_at_image, np.divide),
                 pair=(KorenblumLog, Korenblum),
-                bounds=lambda a: (log_to_plain_lower_bound(a), log_to_plain_norm(a).value),
-                witness=lambda a: log_to_plain_norm(a),
                 radial=True,
             ),
             Result(
@@ -678,13 +657,14 @@ RESULTS = MappingProxyType(
                 "log-weighted norm via the sup-integral, boundary limit 1/alpha",
                 1e-2,
                 (0.0, 1.0),
-                verdict=_verdict_t51,
+                claim=lambda a: (1.0 / a, None),
+                witness=lambda a: log_to_log_norm(a),
                 columns=("t51_sup", "t51_reciprocal_alpha"),
                 cells=lambda a: (log_to_log_norm(a).value, 1.0 / a),
+                # c = 41 e^-41 (Ei(41) - Ei(1)) - 1 (mpmath), alpha Q - 1 at alpha M = 41
+                limit_tail=0.025676781133384993,
                 factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
-                bounds=lambda a: (0.0, log_to_log_norm(a).value),
-                witness=lambda a: log_to_log_norm(a),
                 radial=True,
             ),
             Result(
@@ -692,19 +672,19 @@ RESULTS = MappingProxyType(
                 "Bloch-type norm upper bound (alpha > 1)",
                 1e-3,
                 (1.0, math.inf),
-                verdict=_verdict_t62,
+                claim=lambda a: (bloch_lower_bound(a), bloch_upper_bound(a)),
+                witness=lambda a: constant_one_bloch_sup(a),
                 columns=("t62_upper",),
                 cells=lambda a: (bloch_upper_bound(a),),
                 pair=(BlochAlpha, BlochAlpha),
-                bounds=lambda a: (1.5, bloch_upper_bound(a)),
-                witness=lambda a: constant_one_bloch_sup(a),
             ),
             Result(
                 "T6.3",
                 "Bloch-type norm lower bound 3/2 (alpha > 1)",
                 1e-3,
                 (1.0, math.inf),
-                verdict=_verdict_t63,
+                claim=lambda a: (bloch_lower_bound(a), None),
+                witness=lambda a: constant_one_bloch_sup(a),
                 columns=("t63_lower",),
                 cells=lambda a: (bloch_lower_bound(a),),
             ),
@@ -713,12 +693,11 @@ RESULTS = MappingProxyType(
                 "sup-norm to Bloch-type bounds; unbounded below alpha = 1",
                 1e-3,
                 (0.0, math.inf),
-                verdict=_verdict_t71,
+                claim=lambda a: hardy_to_bloch_bounds(a),
+                witness=lambda a: constant_one_bloch_sup(a),
                 columns=("t71_low", "t71_high"),
                 cells=lambda a: hardy_to_bloch_bounds(a) if a >= 1.0 else (None, None),
                 pair=(HardyInf, BlochAlpha),
-                bounds=lambda a: hardy_to_bloch_bounds(a),
-                witness=lambda a: constant_one_bloch_sup(a),
             ),
         )
     }
@@ -742,4 +721,4 @@ def verify_theorem(theorem_id: str, alpha: float, tol: Optional[float] = None) -
         tol = result.tol
     elif isinstance(tol, bool) or not 0.0 < float(tol) < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    return result.verdict(alpha, float(tol))
+    return _verdict(result, alpha, float(tol))

@@ -136,7 +136,8 @@ def test_verify_t31_above_half_is_a_lower_bound(capsys):
     assert code == 0
     (verdict,) = json.loads(out)["verdicts"]
     assert verdict["passed"]
-    assert verdict["notes"].startswith("lower bound only")
+    assert verdict["theoretical"] == [1.0 / 0.6, None]
+    assert verdict["notes"].endswith("; paper >= 1.66666667, exact only for alpha <= 0.5")
     assert verdict == verify_theorem("T3.1", 0.6).to_dict()
 
 
@@ -375,7 +376,7 @@ def test_empirical_plain_pair(capsys):
     validate(report, REPORT_SCHEMA)
     v = report["verdicts"][0]
     assert v["theorem_id"] == "T3.1"
-    assert v["theoretical"] == [0.0, 4.0]
+    assert v["theoretical"] == [4.0, 4.0]
     assert v["computed"] >= 3.8
     assert "soundness ok" in v["notes"]
 

@@ -14,7 +14,7 @@ from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
 from cesaronorm.errors import DomainError
 from cesaronorm.numerics import radius_grid
 from cesaronorm.theorems import (
-    _LIMIT_TAILS,
+    RESULTS,
     _log_witness,
     _profile_at,
     _profile_table,
@@ -75,7 +75,7 @@ def test_t51_limit_fit_finds_reciprocal_alpha(alpha):
 
 def test_t51_tail_is_the_mpmath_constant():
     """c = 41 e^-41 (Ei(41) - Ei(1)) - 1, alpha Q - 1 at the read, as the package rounds it."""
-    assert _LIMIT_TAILS["T5.1"] == float(T51_TAIL)
+    assert RESULTS["T5.1"].limit_tail == float(T51_TAIL)
 
 
 @pytest.mark.parametrize("row", T51_READ, ids=lambda row: f"alpha={row['alpha']}")
@@ -147,7 +147,7 @@ def test_a_depth_past_the_float_range_is_a_domain_error(theorem_id, alpha):
 def test_t31_notes_name_the_depth_of_the_read():
     """At alpha = 0.05 the sup and the read lie at L = 800, where 1 - r = e^-L underflows: the notes print e^-800."""
     notes = verify_theorem("T3.1", 0.05).notes
-    assert notes == "sup 20 at 1 - r = e^-800; boundary value 20 at 1 - r = e^-800 vs exact 20"
+    assert notes == "sup 20 at 1 - r = e^-800; boundary limit 20 at 1 - r = e^-800; paper [20, 20]"
 
 
 @pytest.mark.parametrize("row", BLOCH_C1, ids=lambda row: f"alpha={row['alpha']}")

@@ -321,7 +321,8 @@ def test_verify_fast_subset_passes():
 def test_verify_t31_above_half_is_lower_bound_only():
     v = verify_theorem("T3.1", 0.6)
     assert v.passed
-    assert "lower bound only" in v.notes
+    assert v.theoretical == (1.0 / 0.6, None)
+    assert v.notes.endswith("; paper >= 1.66666667, exact only for alpha <= 0.5")
 
 
 def test_verify_t71_near_one_reports_slow_witness():
@@ -437,3 +438,61 @@ ALPHA_ENTRY_POINTS = {
 def test_alpha_rejects_bool_and_non_finite(entry, alpha):
     with pytest.raises(DomainError, match="alpha"):
         ALPHA_ENTRY_POINTS[entry](alpha)
+
+
+def _per_id_verdict(theorem_id, alpha, tol):
+    """(theoretical, computed, passed) by the six per-id rules that the one verdict replaced.
+
+    T3.1's exact case also bounds the sup: sup P3 <= (1 + tol)/alpha.
+    """
+    if theorem_id in ("T3.1", "T5.1"):
+        est, target = (korenblum_sup if theorem_id == "T3.1" else log_to_log_norm)(alpha), 1.0 / alpha
+        limit = est.extrapolated_limit
+        if theorem_id == "T3.1" and alpha <= 0.5:
+            return target, limit, abs(limit - target) <= tol * target and est.value <= (1.0 + tol) * target
+        theoretical = target if theorem_id == "T3.1" else (target, None)
+        return theoretical, limit, math.isfinite(est.value) and limit >= (1.0 - tol) * target
+    if theorem_id == "T4.1":
+        value, lb = log_to_plain_norm(alpha).value, log_to_plain_lower_bound(alpha)
+        return (lb, None), value, value >= lb - tol
+    if theorem_id == "T7.1" and alpha < 1.0:
+        (_, value), _, _, confirmed = divergence_witness(alpha)
+        return None, value, confirmed
+    witness = constant_one_bloch_norm(alpha)
+    if theorem_id == "T6.3":
+        return (1.5, None), witness, witness >= 1.5 - tol and abs(bloch_lower_bound_integral() - 1.5) <= 1e-9
+    lo, hi = (1.5, bloch_upper_bound(alpha)) if theorem_id == "T6.2" else hardy_to_bloch_bounds(alpha)
+    return (lo, hi), witness, lo - tol <= witness <= hi + tol
+
+
+_RADIAL_GRID = [1e-6, 0.01] + [round(0.05 * k, 2) for k in range(1, 20)] + [0.999]
+_BLOCH_GRID = [1.0001, 1.01, 1.1, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0]
+ORACLE_GRIDS = {
+    "T3.1": _RADIAL_GRID,
+    "T4.1": _RADIAL_GRID,
+    "T5.1": _RADIAL_GRID + [1e-9],
+    "T6.2": _BLOCH_GRID,
+    "T6.3": _BLOCH_GRID,
+    "T7.1": [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.9999999999999, 1.0] + _BLOCH_GRID[3::2],
+}
+
+
+@pytest.mark.parametrize("tol", [None, 1e-13, 1e-16], ids=lambda tol: f"tol={tol}")
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_one_verdict_matches_the_per_id_rules(theorem_id, tol):
+    """passed, theoretical and computed as the per-id rules give them, on a dense alpha grid.
+
+    The one change: T3.1 past alpha = 1/2 claims only its low end, so its
+    theoretical is (1/alpha, None) where the per-id rule gave 1/alpha.
+    """
+    tol = RESULTS[theorem_id].tol if tol is None else tol
+    outcomes = set()
+    for alpha in ORACLE_GRIDS[theorem_id]:
+        verdict = verify_theorem(theorem_id, alpha, tol)
+        theoretical, computed, passed = _per_id_verdict(theorem_id, alpha, tol)
+        if theorem_id == "T3.1" and alpha > 0.5:
+            theoretical = (theoretical, None)
+        assert (verdict.theoretical, verdict.computed, verdict.passed) == (theoretical, computed, passed), alpha
+        outcomes.add(passed)
+    # both outcomes occur: at tol 1e-16 the boundary limits, a few ulps off 1/alpha, fail
+    assert outcomes == ({False} if tol == 1e-16 and RESULTS[theorem_id].limit_tail is not None else {True})
