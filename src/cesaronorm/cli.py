@@ -53,7 +53,7 @@ _VERDICT_COLUMNS = (
     "notes",
 )
 
-_TABLE_COLUMNS = ("alpha",) + tuple(c for r in RESULTS.values() for c in r.columns)
+_TABLE_COLUMNS = ("alpha",) + tuple(name for r in RESULTS.values() for name, _ in r.columns)
 
 
 @dataclass
@@ -192,10 +192,8 @@ def _cmd_verify(args) -> int:
 def _table_row(alpha: float) -> dict:
     row = {"alpha": alpha}
     for result in RESULTS.values():
-        if result.admits(alpha, exact_only=True):
-            row.update(zip(result.columns, result.cells(alpha)))
-        else:
-            row.update(dict.fromkeys(result.columns))
+        cells = result.cells(alpha) if result.admits(alpha, exact_only=True) else [None] * len(result.columns)
+        row.update(zip((name for name, _ in result.columns), cells))
     return row
 
 
@@ -250,7 +248,8 @@ def _cmd_empirical(args) -> int:
 
 def _cmd_dump(args) -> int:
     started = time.monotonic()
-    dump_ids = tuple(tid for tid, r in RESULTS.items() if r.radial)
+    # the radial profiles: both spaces of the pair weight |f|, not |f'|
+    dump_ids = tuple(tid for tid, r in RESULTS.items() if r.pair and BlochAlpha not in r.pair)
     if args.theorem not in dump_ids:
         raise UsageError(f"dump-integrand supports {dump_ids}")
     result = RESULTS[args.theorem]

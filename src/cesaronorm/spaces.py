@@ -21,11 +21,12 @@ they are flat to rounding around it.  Each doubling evaluates only its
 new, odd angles and interleaves them with the last level's values; a
 grid maximum no higher than the polished one and in its cell (one angle
 step, one grid row) is the same peak, and the search stops there
-without polishing it again.  A peak that only the finer grid sees is
-polished and checked at the next level.  Every grid, row and patch
-is a tensor grid radii x angles, evaluated in one functions.evaluate_polar
-call: polynomials and their Cesaro images as a separable product of
-radial rows and angular powers, every other function pointwise.  The
+without polishing it again.  A peak only the finer grid sees is
+polished: a rise past tol / 2 is checked at the next level, and a lower
+peak, no rise, ends the search.  Every grid, row and patch is a tensor
+grid radii x angles, evaluated in one functions.evaluate_polar call:
+polynomials and their Cesaro images as a separable product of radial
+rows and angular powers, every other function pointwise.  The
 grids and whole-row patches repeat across the functions measured, so
 their tables come from functions.polar_tables, bitwise as built afresh.  The
 argmax angle is reported in [-pi, pi), and a maximum that is flat in the
@@ -261,7 +262,7 @@ def _disk_sup(f, space, tol, k_max):
             # the r = 0 row ties at every angle, so a winner there has no angle of its own
             break
         ns, na, nv, nres = polish(angles, m, lo, hi, grid_best)
-        angular_delta = abs(nv - best_v)
+        angular_delta = max(nv - best_v, 0.0)
         if nv > best_v:
             best_s, best_angle, best_v, residual = ns, na, nv, nres
         # the first level has no level to compare with, even at tol = inf

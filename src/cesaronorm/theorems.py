@@ -44,9 +44,10 @@ Result identifiers
           [3/2, 4] for alpha > 1, unbounded for 0 < alpha < 1
 
 The identifiers are the package's stable vocabulary; the CLI accepts
-them verbatim.  RESULTS, at the end of this module, is the one table of
-what verify, table, empirical and dump-integrand need about each, the
-paper's claim included, against which one _verdict judges every witness.
+them verbatim.  RESULTS, at the end of this module, states each result's
+claim and witness once; one _verdict judges the witness against the
+claim, each norm-table column names the end of either that it shows, and
+the CLI reads nothing else about a result.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class TheoremVerdict:
         }
 
 
-def _check_alpha_and_radii(r, alpha: float, who: str = "integrand_F") -> None:
+def _check_alpha_and_radii(r, alpha: float, who: str) -> None:
     check_alpha(who, alpha, 0.0, 1.0)
     if not np.all((0.0 <= r) & (r < 1.0)):  # also rejects nan
         raise DomainError("radius must lie in [0, 1)")
@@ -210,7 +211,7 @@ def slice_values(theorem_id: str, radii, alpha: float) -> list:
     alpha and the radii are checked once, before any integration.
     """
     radii = np.asarray(radii, dtype=float)
-    _check_alpha_and_radii(radii, alpha)
+    _check_alpha_and_radii(radii, alpha, "slice_values")
     table = _profile_table(theorem_id, alpha)
     return _profile_at(theorem_id, -np.log1p(-radii), radii, alpha, table)[0].tolist()
 
@@ -279,7 +280,7 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     limit_tail / alpha there: 0 for T3.1, c / alpha for T5.1.
     """
     radii = radius_grid()
-    _check_alpha_and_radii(radii, alpha)
+    _check_alpha_and_radii(radii, alpha, "profile_sup")
     table, end = _profile_table(theorem_id, alpha), -math.log1p(-radii[-1])
 
     def sample(depths, r=None):
@@ -311,12 +312,6 @@ def log_to_plain_norm(alpha: float) -> SupEstimate:
 def log_to_log_norm(alpha: float) -> SupEstimate:
     """T5.1 sup-integral; extrapolated_limit is the boundary value, read at L = 40/alpha."""
     return profile_sup("T5.1", alpha)
-
-
-def korenblum_norm_exact(alpha: float) -> float:
-    """Exact operator norm 1/alpha on the plain weighted space, alpha <= 1/2."""
-    RESULTS["T3.1"].check_alpha(alpha, exact_only=True)
-    return 1.0 / alpha
 
 
 def log_to_plain_lower_bound(alpha: float) -> float:
@@ -565,27 +560,24 @@ class Result:
     drops high.  witness(alpha) is the SupEstimate, a sup in L, of the
     image of the source's norm-one extremal function, infinite where the
     pair is unbounded; _verdict reads its boundary limit less limit_tail /
-    alpha where limit_tail is set.  cells(alpha) gives its columns of the
-    norm table.  factor is (column name, log factor at (r, u = e^-t,
-    alpha), how it combines with F) for the log-weighted profiles.  pair is
-    the (source, target) space types of its empirical bound, checked
-    against bounds(alpha).  radial marks the ids whose integrand
-    dump-integrand writes, the profiles of slice_values.
+    alpha where limit_tail is set.  columns are its (name, end) in the
+    norm table: end "low" or "high" of claim(alpha), or "sup", the witness
+    value.  factor is (column name, log factor at (r, u = e^-t, alpha), how
+    it combines with F) for the log-weighted profiles.  pair is the
+    (source, target) space types of its empirical bound, checked against
+    bounds(alpha); dump-integrand writes the profile where both weight |f|.
     """
 
     theorem_id: str
-    label: str
     tol: float
     domain: tuple[float, float]
     claim: Callable[[float], Union[Interval, DivergenceFlag]]
     witness: Callable[[float], SupEstimate]
-    columns: tuple[str, ...]
-    cells: Callable[[float], tuple]
+    columns: tuple[tuple[str, str], ...]
     exact_max: Optional[float] = None
     limit_tail: Optional[float] = None
     factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
-    radial: bool = False
 
     def paper_ends(self, alpha: float) -> Union[Interval, DivergenceFlag]:
         """claim(alpha), with high None past exact_max; a DivergenceFlag as it is."""
@@ -600,6 +592,14 @@ class Result:
         if isinstance(ends, DivergenceFlag) or ends[1] is not None:
             return ends
         return ends[0], self.witness(alpha).value
+
+    def cells(self, alpha: float) -> tuple:
+        """Its norm-table cells: each column's end of claim(alpha), or the witness value; None for a DivergenceFlag."""
+        claim = self.claim(alpha)
+        if isinstance(claim, DivergenceFlag):
+            return (None,) * len(self.columns)
+        ends = {"low": claim[0], "high": claim[1]}
+        return tuple(self.witness(alpha).value if end == "sup" else ends[end] for _, end in self.columns)
 
     def admits(self, alpha: float, exact_only: bool = False) -> bool:
         """alpha lies in the domain, or with exact_only where the value is exact."""
@@ -627,76 +627,61 @@ RESULTS = MappingProxyType(
         for r in (
             Result(
                 "T3.1",
-                "exact norm 1/alpha on the plain weighted space (alpha <= 1/2)",
                 1e-2,
                 (0.0, 1.0),
                 claim=lambda a: (1.0 / a, 1.0 / a),
                 witness=lambda a: korenblum_sup(a),
-                columns=("t31_exact",),
-                cells=lambda a: (korenblum_norm_exact(a),),
+                columns=(("t31_exact", "low"),),
                 exact_max=0.5,
                 limit_tail=0.0,
                 pair=(Korenblum, Korenblum),
-                radial=True,
             ),
             Result(
                 "T4.1",
-                "log-weighted to plain-weighted norm via the sup-integral",
                 1e-6,
                 (0.0, 1.0),
                 claim=lambda a: (log_to_plain_lower_bound(a), None),
                 witness=lambda a: log_to_plain_norm(a),
-                columns=("t41_sup", "t41_lower_bound"),
-                cells=lambda a: (log_to_plain_norm(a).value, log_to_plain_lower_bound(a)),
+                columns=(("t41_sup", "sup"), ("t41_lower_bound", "low")),
                 factor=("log_denominator", _log_factor_at_image, np.divide),
                 pair=(KorenblumLog, Korenblum),
-                radial=True,
             ),
             Result(
                 "T5.1",
-                "log-weighted norm via the sup-integral, boundary limit 1/alpha",
                 1e-2,
                 (0.0, 1.0),
                 claim=lambda a: (1.0 / a, None),
                 witness=lambda a: log_to_log_norm(a),
-                columns=("t51_sup", "t51_reciprocal_alpha"),
-                cells=lambda a: (log_to_log_norm(a).value, 1.0 / a),
+                columns=(("t51_sup", "sup"), ("t51_reciprocal_alpha", "low")),
                 # c = 41 e^-41 (Ei(41) - Ei(1)) - 1 (mpmath), alpha Q - 1 at alpha M = 41
                 limit_tail=0.025676781133384993,
                 factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
-                radial=True,
             ),
             Result(
                 "T6.2",
-                "Bloch-type norm upper bound (alpha > 1)",
                 1e-3,
                 (1.0, math.inf),
                 claim=lambda a: (bloch_lower_bound(a), bloch_upper_bound(a)),
                 witness=lambda a: constant_one_bloch_sup(a),
-                columns=("t62_upper",),
-                cells=lambda a: (bloch_upper_bound(a),),
+                columns=(("t62_upper", "high"),),
                 pair=(BlochAlpha, BlochAlpha),
             ),
             Result(
                 "T6.3",
-                "Bloch-type norm lower bound 3/2 (alpha > 1)",
                 1e-3,
                 (1.0, math.inf),
                 claim=lambda a: (bloch_lower_bound(a), None),
                 witness=lambda a: constant_one_bloch_sup(a),
-                columns=("t63_lower",),
-                cells=lambda a: (bloch_lower_bound(a),),
+                columns=(("t63_lower", "low"),),
             ),
             Result(
                 "T7.1",
-                "sup-norm to Bloch-type bounds; unbounded below alpha = 1",
                 1e-3,
                 (0.0, math.inf),
                 claim=lambda a: hardy_to_bloch_bounds(a),
                 witness=lambda a: constant_one_bloch_sup(a),
-                columns=("t71_low", "t71_high"),
-                cells=lambda a: hardy_to_bloch_bounds(a) if a >= 1.0 else (None, None),
+                columns=(("t71_low", "low"), ("t71_high", "high")),
                 pair=(HardyInf, BlochAlpha),
             ),
         )

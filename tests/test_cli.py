@@ -10,7 +10,8 @@ from jsonschema import validate
 
 from cesaronorm import DomainError, cli, verify_theorem
 from cesaronorm.cli import UsageError, main, parse_grid
-from cesaronorm.theorems import constant_one_bloch_sup, profile_sup
+from cesaronorm.numerics import DivergenceFlag
+from cesaronorm.theorems import RESULTS, constant_one_bloch_sup, profile_sup
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -319,6 +320,45 @@ def test_table_csv_columns(capsys):
     ]
     assert len(rows) == 4
     assert rows[1][6] == ""  # no Bloch bound below alpha = 1
+
+
+# each id's table columns and the end each shows: "low" or "high" of the paper's claim, "sup" the witness value
+TABLE_ENDS = {
+    "T3.1": {"t31_exact": "low"},
+    "T4.1": {"t41_sup": "sup", "t41_lower_bound": "low"},
+    "T5.1": {"t51_sup": "sup", "t51_reciprocal_alpha": "low"},
+    "T6.2": {"t62_upper": "high"},
+    "T6.3": {"t63_lower": "low"},
+    "T7.1": {"t71_low": "low", "t71_high": "high"},
+}
+RADIAL_GRID = [round(0.05 * k, 2) for k in range(1, 20)]
+TABLE_GRIDS = {
+    "T3.1": RADIAL_GRID,
+    "T4.1": RADIAL_GRID,
+    "T5.1": RADIAL_GRID,
+    "T6.2": [1.0001, 1.5, 50.0, 500.0],
+    "T6.3": [1.0001, 1.5, 50.0, 500.0],
+    "T7.1": [0.5, math.nextafter(1.0, 0.0), 1.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(TABLE_ENDS))
+def test_table_cells_are_the_declared_ends_of_claim_and_witness(theorem_id):
+    """Every cell is bitwise its column's end; T3.1 is blank past 1/2 and T7.1 below 1."""
+    result = RESULTS[theorem_id]
+    assert dict(result.columns) == TABLE_ENDS[theorem_id]
+    blanks = []
+    for alpha in TABLE_GRIDS[theorem_id]:
+        row, claim = cli._table_row(alpha), result.claim(alpha)
+        if (theorem_id == "T3.1" and alpha > 0.5) or isinstance(claim, DivergenceFlag):
+            blanks.append(alpha)
+            assert all(row[name] is None for name in TABLE_ENDS[theorem_id]), alpha
+            continue
+        for name, end in TABLE_ENDS[theorem_id].items():
+            want = result.witness(alpha).value if end == "sup" else claim[("low", "high").index(end)]
+            assert want is not None and row[name] == want, (name, alpha)
+    # T3.1 is exact only up to 1/2, and T7.1 unbounded below 1
+    assert blanks == {"T3.1": RADIAL_GRID[10:], "T7.1": TABLE_GRIDS["T7.1"][:2]}.get(theorem_id, [])
 
 
 def test_table_bad_grids(capsys):

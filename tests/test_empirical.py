@@ -66,6 +66,19 @@ def test_samples_are_normalized_on_the_default_radius_grid(space):
         assert any(off_grid)
 
 
+def test_a_lower_second_peak_does_not_stall_the_angular_refinement():
+    """One of seed 6's draws has a second, lower peak that each finer angular level polishes anew.
+
+    A lower peak changes nothing about the sup, so it ends the refinement
+    instead of counting as a change of 2.7e-3 up to MAX_ANGLES.
+    """
+    space = KorenblumLog(0.5)
+    samples = sample_unit_ball(space, SampleConfig(seed=6, count=10))
+    assert len(samples) == 10
+    for f in samples:
+        assert space_norm(f, space).value == pytest.approx(1.0, rel=1e-12)
+
+
 def test_degree_zero_sample_is_unit_constant():
     (f,) = sample_unit_ball(HardyInf(), SampleConfig(seed=1, count=1, max_degree=0))
     coeffs = f.series.coeffs

@@ -105,7 +105,15 @@ def test_slice_values_check_alpha_once_per_call(monkeypatch, theorem_id):
 
     monkeypatch.setattr(theorems, "check_alpha", counted)
     slice_values(theorem_id, radius_grid(40), 0.3)
-    assert calls == ["integrand_F"]
+    assert calls == ["slice_values"]
+    with pytest.raises(DomainError, match="slice_values requires 0 < alpha < 1"):
+        slice_values(theorem_id, [0.5], 2.0)
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+def test_profile_sup_names_itself_when_alpha_is_out_of_range(theorem_id):
+    with pytest.raises(DomainError, match="profile_sup requires 0 < alpha < 1, got 0"):
+        profile_sup(theorem_id, 0.0)
 
 
 def test_diverged_grid_reports_the_first_radius_and_hides_later_errors():

@@ -44,7 +44,6 @@ from cesaronorm.theorems import (
     divergence_witness,
     hardy_to_bloch_bounds,
     integrand_F,
-    korenblum_norm_exact,
     korenblum_slice_integral,
     log_ratio,
     log_to_log_slice,
@@ -86,14 +85,6 @@ def test_slice_integrals_at_origin():
             1.0 / log_weight_constant(alpha), abs=1e-9
         )
         assert log_to_log_slice(0.0, alpha) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_korenblum_norm_exact_contract():
-    assert korenblum_norm_exact(0.5) == 2.0
-    assert korenblum_norm_exact(0.25) == 4.0
-    for bad in (0.6, 0.0, -1.0, 1.0):
-        with pytest.raises(DomainError):
-            korenblum_norm_exact(bad)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.5])
@@ -417,7 +408,6 @@ ALPHA_ENTRY_POINTS = {
     "integrand_F": lambda a: integrand_F(0.5, 1.0, a),
     "log_ratio": lambda a: log_ratio(0.5, 1.0, a),
     "log_to_plain_lower_bound": log_to_plain_lower_bound,
-    "korenblum_norm_exact": korenblum_norm_exact,
     "bloch_upper_bound": bloch_upper_bound,
     "bloch_lower_bound": bloch_lower_bound,
     "hardy_to_bloch_bounds": hardy_to_bloch_bounds,
