@@ -140,8 +140,9 @@ def _lockstep(g, n: int, a: float, b: float, tol: float):
     """n adaptive G7/K15 integrals over [a, b], advanced together; see the module docstring.
 
     All new panels of a round go through one call g(x, rows), rows giving
-    the integral of each node.  Table row i holds the ends, K15 values and
-    errors of one integral's panels in creation order, an error turning
+    the integral of each node.  An integral within tol on its first panel
+    stops there; each other one gets a table row, holding the ends, K15
+    values and errors of its panels in creation order, an error turning
     -inf once its panel is split.  When the columns run out, finished rows
     are summed and dropped and the others padded to twice the width.
     argmax along a row picks the worst panel, the first maximum being the
@@ -152,18 +153,18 @@ def _lockstep(g, n: int, a: float, b: float, tol: float):
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    # about 2048 cells to start with, at least 16 a row, so that small batches rarely double;
-    # c counts the panels of every unfinished integral
-    cap, c = max(16, 2048 // max(n, 1)), 1
-    vals, err = _panels(g, np.full(n, a), np.full(n, b), np.arange(n))
-    if not (err > tol).any():  # every integral stops on its first panel, as the loop would
-        return vals, err, np.ones(n, dtype=int)
-    err_t, lo_t, hi_t = np.full((n, cap), -np.inf), np.full((n, cap), a), np.full((n, cap), b)
-    val_t = np.zeros((n, cap) + vals.shape[1:], vals.dtype)
-    err_t[:, 0], val_t[:, 0] = err, vals
-    values, totals, counts = np.empty_like(vals), np.empty(n), np.empty(n, dtype=int)
-    # the integral of each table row, and the table rows of the unfinished integrals
-    ids, rows, floor = np.arange(n), np.arange(n), (b - a) * 1e-15
+    values, totals = _panels(g, np.full(n, a), np.full(n, b), np.arange(n))
+    counts, live = np.ones(n, dtype=int), totals > tol  # NaN stops
+    if not live.any():
+        return values, totals, counts
+    # the integral of each table row; about 2048 cells to start with, at least 16 a row, so that
+    # small batches rarely double; c counts the panels of every unfinished integral
+    ids, c = np.flatnonzero(live), 1
+    cap = max(16, 2048 // ids.size)
+    err_t, lo_t, hi_t = (np.full((ids.size, cap), f) for f in (-np.inf, a, b))
+    val_t = np.zeros(err_t.shape + values.shape[1:], values.dtype)
+    err_t[:, 0], val_t[:, 0] = totals[ids], values[ids]
+    rows, floor = np.arange(ids.size), (b - a) * 1e-15  # the table rows of the unfinished integrals
     while rows.size and c < MAX_PANELS:
         errs = err_t[rows, :c]
         col = errs.argmax(axis=1)
@@ -208,9 +209,9 @@ def _failure(total: float, count: int, tol: float) -> ConvergenceError:
 def integrate_rows(g: Callable, n: int, a: float, b: float, tol: float):
     """_lockstep(g, n, a, b, tol); ConvergenceError for the first error total not within tol."""
     values, totals, counts = _lockstep(g, n, a, b, tol)
-    failed = np.flatnonzero(~(totals <= tol))
-    if failed.size:
-        raise _failure(float(totals[failed[0]]), int(counts[failed[0]]), tol)
+    if not (totals <= tol).all():
+        first = int((totals <= tol).argmin())
+        raise _failure(float(totals[first]), int(counts[first]), tol)
     return values, totals, counts
 
 
@@ -241,36 +242,42 @@ _PANEL_DECAY = 4.0
 class ExpCumulative:
     """I(L) = int_0^L e^(-alpha (L - y)) k(y) dy at depths L >= 0, k vectorized.
 
-    The table of I at the panel ends grows as deeper L are asked for.
+    The table, arrays of its ends and of I there, grows only when deeper L are asked for.
     """
 
     def __init__(self, k: Callable, alpha: float):
         self.k, self.alpha = k, alpha
-        self.ends, self.at_ends = [0.0], [0.0]
+        self.ends, self.at_ends = np.zeros(1), np.zeros(1)
 
     def __call__(self, depths) -> np.ndarray:
         depths = np.asarray(depths, dtype=float)
         ends, alpha = self.ends, self.alpha
-        top = float(depths.max(initial=0.0))
-        if not top < math.inf:
-            raise DomainError(f"depth L must be finite, got {top!r}")
-        while ends[-1] <= top:
-            ends.append(ends[-1] + min(max(ends[-1], _FIRST_PANEL), _PANEL_DECAY / alpha))
-        y = np.array(ends)
-        last = np.searchsorted(y, depths, side="right") - 1  # the last table end <= L
-        new = np.arange(len(self.at_ends) - 1, int(last.max(initial=0)))
-        lo = np.concatenate([y[new], y[last]])
-        width = np.concatenate([y[new + 1] - y[new], depths - y[last]])
+        top, bottom = float(depths.max(initial=0.0)), float(depths.min(initial=0.0))
+        if not (top < math.inf and bottom >= 0.0):  # also rejects nan
+            raise DomainError(f"depth L must be finite and nonnegative, got {bottom if top < math.inf else top!r}")
+        if ends[-1] <= top:
+            grown = ends.tolist()
+            while grown[-1] <= top:
+                grown.append(grown[-1] + min(max(grown[-1], _FIRST_PANEL), _PANEL_DECAY / alpha))
+            self.ends = ends = np.array(grown)
+        last = np.searchsorted(ends, depths, side="right") - 1  # the last table end <= L
+        lo, known = ends[last], self.at_ends.size - 1
+        width, new = depths - lo, int(last.max(initial=0)) - known  # new panels [ends[i], ends[i + 1]]
+        if new > 0:
+            panels = ends[known : known + new + 1]
+            lo, width = np.concatenate([panels[:-1], lo]), np.concatenate([panels[1:] - panels[:-1], width])
 
         def g(s, rows):
             w = width[rows]
             return np.exp(-alpha * w * (1.0 - s)) * self.k(lo[rows] + w * s)
 
         pieces = width * integrate_rows(g, lo.size, 0.0, 1.0, PANEL_TOL)[0]
-        for w, piece in zip(width[: new.size].tolist(), pieces[: new.size].tolist()):
-            self.at_ends.append(math.exp(-alpha * w) * self.at_ends[-1] + piece)
-        tail = slice(new.size, None)
-        return np.exp(-alpha * width[tail]) * np.array(self.at_ends)[last] + pieces[tail]
+        if new > 0:
+            at_ends = self.at_ends.tolist()
+            for w, piece in zip(width[:new].tolist(), pieces[:new].tolist()):
+                at_ends.append(math.exp(-alpha * w) * at_ends[-1] + piece)
+            self.at_ends, width, pieces = np.array(at_ends), width[new:], pieces[new:]
+        return np.exp(-alpha * width) * self.at_ends[last] + pieces
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

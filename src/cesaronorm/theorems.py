@@ -171,35 +171,42 @@ def profile_integrand(theorem_id: str, r: float, t, alpha: float):
     return combine(f, column), column
 
 
-def _profile_table(theorem_id: str, alpha: float) -> ExpCumulative:
-    """An empty cumulative pass of the T3.1 kernel, over the log factor where the result's source is log-weighted."""
-    log_weighted = RESULTS[theorem_id].pair[0] is KorenblumLog
+def _profile_columns(theorem_id: str, alpha: float) -> Callable:
+    """sample(depths, r = 1 - e^-L): columns (L, r, P, P') of the T3.1, T4.1 or T5.1 profile, from one table call.
 
-    def k(y):
-        e = np.exp(-y)
-        k3 = (2.0 - e) ** -alpha
-        return k3 / (1.0 / alpha + y - np.log1p(-0.5 * e)) if log_weighted else k3
-
-    return ExpCumulative(k, alpha)
-
-
-def _profile_at(theorem_id: str, depths, r, alpha: float, table: ExpCumulative):
-    """The profile P and its slope P' = dP/dL at depths L = log(1/(1 - r)), given both.
-
+    The table is one ExpCumulative pass of k = (2 - e^-y)^-alpha, over
+    Lambda = 1/alpha + y - log(1 - e^-y / 2) for a log-weighted source.
     P' = c' I + c (k - alpha I) for P = c I, c = (1 + r)^alpha / r, dr/dL = e^-L;
     at r = 0, P = k(0) and P' = k(0) / 2, as k'(0) = -alpha k(0) for both
-    kernels.  A log-weighted target multiplies by Lambda, and Lambda' = 1 - e^-L / (2 - e^-L).
+    kernels.  A log-weighted target (T5.1) multiplies by Lambda at L, and
+    Lambda' = 1 - e^-L / (2 - e^-L).
     """
-    cumulative, k, e, safe_r = table(depths), table.k(depths), np.exp(-depths), np.where(r > 0.0, r, 1.0)
-    scale = (1.0 + r) ** alpha / safe_r
-    values = np.where(r > 0.0, scale * cumulative, k)
-    slopes = scale * (e * (alpha / (1.0 + r) - 1.0 / safe_r) * cumulative + k - alpha * cumulative)
-    slopes = np.where(r > 0.0, slopes, 0.5 * k)
-    if RESULTS[theorem_id].pair[1] is KorenblumLog:
-        log_factor = 1.0 / alpha + depths - np.log1p(-0.5 * e)
-        slopes = log_factor * slopes + (1.0 - e / (2.0 - e)) * values
-        values = log_factor * values
-    return values, slopes
+    source, target = RESULTS[theorem_id].pair
+
+    def kernel(y, e):  # k and Lambda (None for a plain source) at y, given e = e^-y
+        k3 = (2.0 - e) ** -alpha
+        if source is not KorenblumLog:
+            return k3, None
+        log_factor = 1.0 / alpha + y - np.log1p(-0.5 * e)
+        return k3 / log_factor, log_factor
+
+    table = ExpCumulative(lambda y: kernel(y, np.exp(-y))[0], alpha)
+
+    def sample(depths, r=None):
+        cumulative, minus = table(depths), -depths
+        e, r = np.exp(minus), -np.expm1(minus) if r is None else r
+        (k, log_factor), at_zero, one_plus_r = kernel(depths, e), not r.all(), 1.0 + r
+        safe_r = np.where(r > 0.0, r, 1.0) if at_zero else r
+        scale = one_plus_r**alpha / safe_r
+        values = scale * cumulative
+        slopes = scale * (e * (alpha / one_plus_r - 1.0 / safe_r) * cumulative + k - alpha * cumulative)
+        if at_zero:
+            values, slopes = np.where(r > 0.0, values, k), np.where(r > 0.0, slopes, 0.5 * k)
+        if target is KorenblumLog:
+            values, slopes = log_factor * values, log_factor * slopes + (1.0 - e / (2.0 - e)) * values
+        return np.array([depths, r, values, slopes])
+
+    return sample
 
 
 def slice_values(theorem_id: str, radii, alpha: float) -> list:
@@ -212,8 +219,7 @@ def slice_values(theorem_id: str, radii, alpha: float) -> list:
     """
     radii = np.asarray(radii, dtype=float)
     _check_alpha_and_radii(radii, alpha, "slice_values")
-    table = _profile_table(theorem_id, alpha)
-    return _profile_at(theorem_id, -np.log1p(-radii), radii, alpha, table)[0].tolist()
+    return _profile_columns(theorem_id, alpha)(-np.log1p(-radii), radii)[2].tolist()
 
 
 def korenblum_slice_integral(r: float, alpha: float) -> float:
@@ -235,6 +241,10 @@ def log_to_log_slice(r: float, alpha: float) -> float:
 _LIMIT_DEPTH = 40.0
 # depths sampled inside the bracket of a sup search
 _SUP_NODES = 32
+_EYE6 = np.eye(6, dtype=bool)
+# the radius grid r_k = 1 - 2^-k, k <= 40, its depths and its end depth
+_GRID_RADII = radius_grid()
+_GRID_DEPTHS, _GRID_END = -np.log1p(-_GRID_RADII), -math.log1p(-_GRID_RADII[-1])
 
 
 def _sup_search(sample, cols):
@@ -247,23 +257,23 @@ def _sup_search(sample, cols):
     converged means slope^2 / (2 |slope'|) <= 1e-9 max(1, |value|) there,
     slope' the secant.
     """
-    i = int(np.argmax(cols[2]))
+    i = int(cols[2].argmax())
     if i == cols.shape[1] - 1 and not cols[3, i] < 0.0:
         return cols[:, i], True
     lo = i if cols[3, i] >= 0.0 else i - 1  # a positive slope at the first column keeps lo >= 0
     inner = np.linspace(cols[0, lo], cols[0, lo + 1], _SUP_NODES + 2)[1:-1]
-    cols = np.insert(cols[:, lo : lo + 2], [1], sample(inner), axis=1)
-    j = int(np.argmax(cols[2]))
+    cols = np.concatenate([cols[:, lo : lo + 1], sample(inner), cols[:, lo + 1 : lo + 2]], axis=1)
+    j = int(cols[2].argmax())
     m = min(max(j - int(cols[3, j] < 0.0), 0), _SUP_NODES)
     (x0, x1), (d0, d1) = cols[0, m : m + 2], cols[3, m : m + 2]
     first = min(max(m - 2, 0), _SUP_NODES - 4)
     x, d = cols[0, first : first + 6], cols[3, first : first + 6]
     with np.errstate(all="ignore"):  # Lagrange weights at slope 0: [i, j] = d_j / (d_j - d_i), i != j
-        lagrange = np.where(np.eye(6, dtype=bool), 1.0, d / (d - d[:, None]))
+        lagrange = np.where(_EYE6, 1.0, d / (d - d[:, None]))
         root = float(lagrange.prod(axis=1) @ x)
-    cols = np.hstack([cols, sample(np.array([root if x0 <= root <= x1 else 0.5 * (x0 + x1)]))])
+    cols = np.concatenate([cols, sample(np.array([root if x0 <= root <= x1 else 0.5 * (x0 + x1)]))], axis=1)
     shortfall_bound = 2e-9 * abs(d1 - d0) * max(1.0, abs(cols[2, -1]))
-    return cols[:, int(np.argmax(cols[2]))], bool(cols[3, -1] ** 2 * (x1 - x0) <= shortfall_bound)
+    return cols[:, cols[2].argmax()], bool(cols[3, -1] ** 2 * (x1 - x0) <= shortfall_bound)
 
 
 def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
@@ -279,20 +289,13 @@ def profile_sup(theorem_id: str, alpha: float) -> SupEstimate:
     extrapolated_limit is the profile at L = 40/alpha less the result's
     limit_tail / alpha there: 0 for T3.1, c / alpha for T5.1.
     """
-    radii = radius_grid()
-    _check_alpha_and_radii(radii, alpha, "profile_sup")
-    table, end = _profile_table(theorem_id, alpha), -math.log1p(-radii[-1])
-
-    def sample(depths, r=None):
-        """Columns (L, r, P, P') at the depths, from one table call."""
-        r = -np.expm1(-depths) if r is None else r
-        return np.array([depths, r, *_profile_at(theorem_id, depths, r, alpha, table)])
-
+    check_alpha("profile_sup", alpha, 0.0, 1.0)
+    sample, end = _profile_columns(theorem_id, alpha), _GRID_END
     # steps of sqrt(2), as steps of 2 left P5's sup 7e-14 short; 2100 steps pass the float range
-    steps = np.arange(1.0, np.clip(np.ceil(2.0 * np.log2(4.0 / (alpha * end))), 0.0, 2100.0) + 1.0)
+    steps = np.arange(1.0, min(max(np.ceil(2.0 * np.log2(4.0 / (alpha * end))), 0.0), 2100.0) + 1.0)
     tail = RESULTS[theorem_id].limit_tail
     extra = np.concatenate([end * 2.0 ** (steps / 2.0), [] if tail is None else [_LIMIT_DEPTH / alpha]])
-    cols = sample(np.concatenate([-np.log1p(-radii), extra]), np.concatenate([radii, -np.expm1(-extra)]))
+    cols = sample(np.concatenate([_GRID_DEPTHS, extra]), np.concatenate([_GRID_RADII, -np.expm1(-extra)]))
     limit = None if tail is None else float(cols[2, -1] - tail / alpha)
     best, converged = _sup_search(sample, cols)
     depth, radius, value = (float(c) for c in best[:3])

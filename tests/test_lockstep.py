@@ -80,8 +80,8 @@ def test_shared_table_matches_a_fresh_pass_bitwise(theorem_id):
     radii = 1.0 - 2.0 ** -np.linspace(0.0, 40.0, 97)
     fresh = [slice_values(theorem_id, [r], 0.3)[0].hex() for r in radii]
     for first, second in ((radii[:50], radii[50:]), (radii[50:], radii[:50])):
-        table = theorems._profile_table(theorem_id, 0.3)
-        shared = [theorems._profile_at(theorem_id, -np.log1p(-part), part, 0.3, table)[0] for part in (first, second)]
+        sample = theorems._profile_columns(theorem_id, 0.3)
+        shared = [sample(-np.log1p(-part), part)[2] for part in (first, second)]
         order = list(first) + list(second)
         assert [v.hex() for v in np.concatenate(shared)] == [fresh[list(radii).index(r)] for r in order]
 
@@ -158,6 +158,8 @@ def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, expected
     alpha = 0.144 every profile takes steps of sqrt(2) in L from the grid
     end up to L = 4/alpha in that same call, then T3.1 and T5.1 the depth
     L = 40/alpha of their limit; T5.1 at 0.05 peaks among the steps, near L = 66.
+    The grid call fills the table past every later depth, so the bracket
+    and the root integrate 32 rows and 1.
     """
     calls, integrate = [], numerics.integrate_rows
 
@@ -167,8 +169,20 @@ def test_profile_sup_makes_at_most_three_table_calls(theorem_id, alpha, expected
 
     monkeypatch.setattr(numerics, "integrate_rows", counted)
     est = profile_sup(theorem_id, alpha)
-    assert len(calls) == expected
+    assert len(calls) == expected and calls[1:] == [32, 1][: expected - 1]
     assert est.converged
+
+
+def test_radial_results_do_not_depend_on_what_ran_before():
+    """verify_theorem and profile_sup on the radial-verdicts grid, in shuffled passes, equal a first pass bit for bit."""
+    cases = [(tid, round(0.05 * k, 2)) for tid in ("T3.1", "T4.1", "T5.1") for k in range(1, 20)]
+
+    def run(order):
+        return {case: (repr(verify_theorem(*case)), repr(profile_sup(*case))) for case in order}
+
+    first, rng = run(cases), np.random.default_rng(29)
+    for _ in range(2):
+        assert run([cases[i] for i in rng.permutation(len(cases))]) == first
 
 
 @pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])

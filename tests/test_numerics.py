@@ -118,6 +118,49 @@ def test_exp_cumulative_matches_closed_forms(alpha):
     )
 
 
+@pytest.mark.parametrize("depth", [-1.0, -math.inf, math.nan, math.inf])
+def test_exp_cumulative_rejects_bad_depths_before_integrating(depth, monkeypatch):
+    """A negative depth would index the table end at -1: it fails as +inf and nan do, before any quadrature."""
+    table, calls = ExpCumulative(np.ones_like, 0.5), []
+    monkeypatch.setattr(numerics, "integrate_rows", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match=f"depth L must be finite and nonnegative, got {depth!r}"):
+        table(np.array([1.0, depth]))
+    assert calls == []
+
+
+def _t31_kernel(alpha):
+    return lambda y: (2.0 - np.exp(-y)) ** -alpha
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95])
+def test_exp_cumulative_filled_piecewise_matches_fresh_tables_bitwise(alpha):
+    """Shallow depths, then 40/alpha, then depths inside: each value is bitwise what a fresh table gives."""
+    parts = (np.array([0.0, 0.1, 0.7, 3.0]), np.array([40.0 / alpha]), np.array([2.5, 17.0, 39.0 / alpha, 0.3]))
+    table = ExpCumulative(_t31_kernel(alpha), alpha)
+    piecewise = np.concatenate([table(part) for part in parts])
+    fresh = [ExpCumulative(_t31_kernel(alpha), alpha)(np.array([depth]))[0] for depth in np.concatenate(parts)]
+    assert piecewise.tobytes() == np.array(fresh).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_a_call_inside_the_table_integrates_only_its_tail_panels(alpha, monkeypatch):
+    """Once the table reaches 40/alpha, depths inside it take one quadrature row each and rebuild no table array."""
+    table = ExpCumulative(_t31_kernel(alpha), alpha)
+    table(np.array([40.0 / alpha]))
+    ends, at_ends = table.ends, table.at_ends
+    rows, integrate = [], numerics.integrate_rows
+
+    def counted(g, n, *args):
+        rows.append(n)
+        return integrate(g, n, *args)
+
+    monkeypatch.setattr(numerics, "integrate_rows", counted)
+    depths = np.linspace(0.0, 40.0 / alpha, 33)
+    table(depths)
+    assert rows == [depths.size]
+    assert table.ends is ends and table.at_ends is at_ends
+
+
 def test_golden_section_max_on_sine():
     x, fx, _, ok = golden_section_max(math.sin, 0.0, math.pi, xtol=1e-10)
     assert ok

@@ -16,8 +16,7 @@ from cesaronorm.numerics import radius_grid
 from cesaronorm.theorems import (
     RESULTS,
     _log_witness,
-    _profile_at,
-    _profile_table,
+    _profile_columns,
     constant_one_bloch_sup,
     profile_sup,
     slice_values,
@@ -82,7 +81,7 @@ def test_t51_tail_is_the_mpmath_constant():
 def test_t51_read_matches_the_mpmath_profile(row):
     """P5 at L = 40/alpha, the depth of the limit read, to 1e-14 relative."""
     alpha, depths = row["alpha"], np.array([row["L"]])
-    (value,), _ = _profile_at("T5.1", depths, -np.expm1(-depths), alpha, _profile_table("T5.1", alpha))
+    (value,) = _profile_columns("T5.1", alpha)(depths)[2]
     assert value == pytest.approx(float(row["P5"]), rel=1e-14, abs=0.0)
 
 
@@ -101,7 +100,7 @@ def test_t41_sup_matches_the_mpmath_root(row):
     assert est.value == pytest.approx(sup, rel=1e-10, abs=0.0)
     assert est.argmax_depth == pytest.approx(depth, rel=1e-6)
     assert est.converged
-    _, slope = _profile_at("T4.1", np.array([depth]), -np.expm1(-np.array([depth])), alpha, _profile_table("T4.1", alpha))
+    slope = _profile_columns("T4.1", alpha)(np.array([depth]))[3]
     assert abs(slope[0]) < 1e-12  # the reference root is a root of the package's P' too
     verdict = verify_theorem("T4.1", alpha)
     assert verdict.computed == est.value
@@ -198,7 +197,7 @@ def test_c1_witness_matches_the_mpmath_table(row):
 def test_slope_matches_a_central_difference_of_slice_values(theorem_id, alpha):
     """dP/dL from k(L) - alpha I(L) against (P(L + h) - P(L - h)) / 2h, h = 1e-4, to 1e-8 of P."""
     depths = np.array([0.3, 1.0, 3.0, 10.0, 20.0])
-    values, slopes = _profile_at(theorem_id, depths, -np.expm1(-depths), alpha, _profile_table(theorem_id, alpha))
+    _, _, values, slopes = _profile_columns(theorem_id, alpha)(depths)
     up, down = -np.expm1(-(depths + 1e-4)), -np.expm1(-(depths - 1e-4))
     step = np.log1p(-down) - np.log1p(-up)  # the depths of the rounded radii
     central = (np.array(slice_values(theorem_id, up, alpha)) - slice_values(theorem_id, down, alpha)) / step
