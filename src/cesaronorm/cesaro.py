@@ -37,9 +37,10 @@ is bitwise the same whatever batch its point arrives in.
 For the closed-form extremal families, S_t is evaluated through the
 factorization 1 - phi_t(z)^2 = (1 - z)(1 - (1 - 2 e^-t) z) / D^2: each
 factor stays in the right half-plane on the disk, so principal powers of
-the factors multiply to the principal power of the product, and the
-factored form avoids the catastrophic cancellation of forming
-1 - phi^2 directly when phi approaches 1.
+the factors multiply to the principal power of the product.  Each factor
+is formed from 1 - z plus a multiple of e^-t z, so none cancels as z
+approaches 1, and neither does 1 - phi^2, which formed directly would
+lose every digit once phi rounds to 1.
 """
 
 from __future__ import annotations
@@ -80,23 +81,16 @@ def cesaro_coeff(series: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def _st_factored_log(u, z):
-    """Principal log of 1 - phi_t(z)^2 via the cancellation-free factors."""
-    d_full = 1.0 - (1.0 - u) * z
-    return np.log(1.0 - z) + np.log(1.0 - (1.0 - 2.0 * u) * z) - 2.0 * np.log(d_full)
-
-
-def _st_eval(f: AnalyticFunction, t: float, z):
-    u = math.exp(-t)
+def _st_eval(f: AnalyticFunction, u, z):
+    """(S_t f)(z) at u = e^-t, a scalar or an array broadcasting against z, with D = (1 - z) + u z."""
     z = np.asarray(z, dtype=complex)
-    d_full = 1.0 - (1.0 - u) * z
-    if isinstance(f, KorenblumExtremal):
-        log_omps = _st_factored_log(u, z)
-        return (u / d_full) * np.exp(-f.alpha * log_omps)
-    if isinstance(f, LogKorenblumExtremal):
-        log_omps = _st_factored_log(u, z)
-        log_term = log_weight_constant(f.alpha) - log_omps
-        return (u / d_full) * np.exp(-f.alpha * log_omps) / log_term
+    one_minus_z = 1.0 - z
+    d_full = one_minus_z + u * z
+    if isinstance(f, (KorenblumExtremal, LogKorenblumExtremal)):
+        # principal log of 1 - phi_t(z)^2 from its factors, none of which cancels as z -> 1
+        log_omps = np.log(one_minus_z) + np.log(one_minus_z + 2.0 * u * z) - 2.0 * np.log(d_full)
+        out = (u / d_full) * np.exp(-f.alpha * log_omps)
+        return out if isinstance(f, KorenblumExtremal) else out / (log_weight_constant(f.alpha) - log_omps)
     return (u / d_full) * f.eval_at(u * z / d_full)
 
 
@@ -107,11 +101,11 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     u = math.exp(-t)
 
     def fn(z):
-        return _st_eval(f, t, np.asarray(z, dtype=complex))
+        return _st_eval(f, u, z)
 
     def dfn(z):
         z = np.asarray(z, dtype=complex)
-        d_full = 1.0 - (1.0 - u) * z
+        d_full = (1.0 - z) + u * z
         f_phi, df_phi = f.eval_with_derivative(u * z / d_full)
         # product rule: w' f(phi) + w phi' f'(phi)
         return (u * (1.0 - u) / d_full**2) * f_phi + (u**2 / d_full**3) * df_phi

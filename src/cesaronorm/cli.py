@@ -217,7 +217,7 @@ def _cmd_empirical(args) -> int:
     target = _SPACES[args.target](args.alpha)
     result = result_for_pair(source, target)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    est = operator_norm_lower_bound(source, target, cfg)
+    est, witness = operator_norm_lower_bound(source, target, cfg)
     slack = 1e-3
     params = {k: getattr(args, k) for k in ("source", "target", "alpha", "samples", "seed")}
     theoretical = None
@@ -230,7 +230,7 @@ def _cmd_empirical(args) -> int:
         passed = False
         notes = f"sampled image left the target space near r = {est.argmax_radius:.6g}"
     else:
-        low, high = theoretical = result.bounds(args.alpha)
+        low, high = theoretical = result.bounds(args.alpha, witness)
         sound = est.value <= high + slack
         passed = sound and est.value >= low - slack
         notes = (
@@ -266,12 +266,11 @@ def _cmd_dump(args) -> int:
             raise UsageError(f"radius {r:g} outside [0, 1)")
     ts = np.linspace(0.0, args.t_max, args.t_points)
 
-    header = ("r", "t", "value") + ((result.factor[0],) if result.factor else ())
+    header = ("r", "t", "value")
     numeric_rows: list[list[float]] = []
     for r in radii:
-        values, column = profile_integrand(args.theorem, r, ts, args.alpha)
-        cells = (ts, values) if column is None else (ts, values, column)
-        numeric_rows += [[r] + [float(c) for c in row] for row in zip(*cells)]
+        values = profile_integrand(args.theorem, r, ts, args.alpha)
+        numeric_rows += [[r, float(t), float(v)] for t, v in zip(ts, values)]
     rows = [[_format_cell(c) for c in row] for row in numeric_rows]
     report = RunReport(
         command="dump-integrand",

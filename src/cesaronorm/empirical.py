@@ -118,28 +118,29 @@ def _witness_estimate(result: Result, alpha: float) -> NormEstimate:
 
 
 def operator_norm_lower_bound(source: SpaceSpec, target: SpaceSpec, cfg: SampleConfig):
-    """Best observed norm ratio over the sample plus the result's witness.
+    """(bound, witness): the best norm ratio seen over the sample and the result's witness, and that witness.
 
     Every sampled image is measured on the radius grid r_k = 1 - 2^-k,
     k <= GRID_K_MAX (31 radii), at space_norm's default tol; the samples
-    are normalized on space_norm's default grid of 41 radii.  The witness
-    is its result's 1-D sup in L.  Returns a NormEstimate whose value is
-    a certified lower bound for the operator norm (up to quadrature
-    tolerance), the first sample of the largest value unless the witness
-    beats them all.  Where the witness is infinite, as for sup-norm ->
-    Bloch-type with alpha < 1, the pair is unbounded: no sample is drawn
-    and the result's bounds(alpha) is returned, a DivergenceFlag once the
-    witness fit confirms the blow-up, else a PreconditionError.
+    are normalized on space_norm's default grid of 41 radii.  The witness,
+    its result's 1-D sup in L, is returned for the result's bounds(alpha,
+    witness).  The bound is a NormEstimate whose value is a certified lower
+    bound for the operator norm (up to quadrature tolerance), the first
+    sample of the largest value unless the witness beats them all.  Where
+    the witness is infinite, as for sup-norm -> Bloch-type with alpha < 1,
+    the pair is unbounded: no sample is drawn and the bound is the result's
+    bounds, a DivergenceFlag once the witness fit confirms the blow-up, else
+    a PreconditionError.
     """
     result = result_for_pair(source, target)
     witness = _witness_estimate(result, target.alpha)
     if math.isinf(witness.value):
-        return result.bounds(target.alpha)
+        return result.bounds(target.alpha, witness), witness
     best = None
     for f in sample_unit_ball(source, cfg):
         est = space_norm(cesaro_transform(f), target, k_max=GRID_K_MAX)
         if est.diverged:
-            return est
+            return est, witness
         if best is None or est.value > best.value:
             best = est
-    return witness if witness.value > best.value else best
+    return witness if witness.value > best.value else best, witness

@@ -87,6 +87,14 @@ def check_alpha(who: str, alpha, lo: float = 0.0, hi: float = math.inf) -> float
     raise DomainError(f"{who} requires {lo:g} < alpha < {hi:g}, got {shown}")
 
 
+def check_radii(r) -> np.ndarray:
+    """r as a float ndarray; the package's one radius check, a DomainError unless all of r (no nan) lies in [0, 1)."""
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r < 1.0)):
+        raise DomainError("radius must lie in [0, 1)")
+    return r
+
+
 def _polyval(coeffs, z):
     """sum_n coeffs[n] z^n on the ndarray z, by Horner's rule."""
     out = np.full(z.shape, coeffs[-1], dtype=complex)

@@ -48,6 +48,7 @@ from .functions import (
     EVAL_RADIUS_LIMIT,
     AnalyticFunction,
     check_alpha,
+    check_radii,
     derivative,
     evaluate,
     evaluate_polar,
@@ -114,10 +115,7 @@ class NormEstimate:
 
 def weight_at(space: SpaceSpec, r):
     """Radial weight of the space at r (scalar or ndarray); DomainError unless 0 <= r < 1."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all((0.0 <= arr) & (arr < 1.0)):
-        raise DomainError("radius must lie in [0, 1)")
-    out = _weight(space, arr)
+    out = _weight(space, check_radii(r))
     return float(out) if np.ndim(r) == 0 else out
 
 

@@ -1,15 +1,18 @@
 """Verified quantities: norm identities, bounds, and their witnesses.
 
-The workhorse integrand, with delta = 1 - r and u = e^-t, is
+Each radial profile is int_0^inf F(r, t) dt, F = w_Y(r) |S_t f_X(r)| the
+target weight times the image of the source's norm-one extremal under the
+semigroup S_t of cesaro, which profile_integrand evaluates.  With
+delta = 1 - r and u = e^-t, the plain pair (T3.1) has
 
     F(r, t) = (1 + r)^alpha * u * (delta + u r)^(2 alpha - 1)
               / (delta + 2 u r)^alpha ,
 
-the weighted modulus of S_t applied to the norm-one extremal function on
-the radius.  Its integral over t >= 0 is the T3.1 profile, whose supremum
-and boundary limit 1/alpha give the norm on the plain weighted space for
-alpha <= 1/2.  T4.1 divides F by the log factor log(2 e^(1/alpha) / (1 - s^2))
-at s = phi_t(r); T5.1 also multiplies by the log factor at s = r.
+whose profile has supremum and boundary limit 1/alpha, the norm on the
+plain weighted space for alpha <= 1/2.  A log-weighted source (T4.1)
+divides F by the log factor log(2 e^(1/alpha) / (1 - s^2)) at
+s = phi_t(r); a log-weighted target (T5.1) also multiplies by the log
+factor at s = r.
 
 The profiles are computed in L = log(1/delta): y = log(1 + u r / delta)
 maps t >= 0 onto [0, L] and gives 1 - phi_t(r)^2 = e^-y (2 - e^-y), so
@@ -60,8 +63,17 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .cesaro import _st_eval
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .functions import _polyval, check_alpha, log_weight_constant, one_minus_sq
+from .functions import (
+    KorenblumExtremal,
+    LogKorenblumExtremal,
+    _polyval,
+    check_alpha,
+    check_radii,
+    log_weight_constant,
+    one_minus_sq,
+)
 from .numerics import (
     DivergenceFlag,
     ExpCumulative,
@@ -69,7 +81,7 @@ from .numerics import (
     integrate_finite,
     radius_grid,
 )
-from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog
+from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog, weight_at
 
 Interval = tuple[float, Optional[float]]
 
@@ -102,73 +114,22 @@ class TheoremVerdict:
         }
 
 
-def _check_alpha_and_radii(r, alpha: float, who: str) -> None:
-    check_alpha(who, alpha, 0.0, 1.0)
-    if not np.all((0.0 <= r) & (r < 1.0)):  # also rejects nan
-        raise DomainError("radius must lie in [0, 1)")
+def profile_integrand(theorem_id: str, r: float, t, alpha: float):
+    """F = w_Y(r) |S_t f_X(r)|, the integrand over t >= 0 of the T3.1, T4.1 or T5.1 profile.
 
-
-def _checked_t(r, t, alpha: float, who: str = "integrand_F") -> np.ndarray:
-    """t as a float array, after DomainError for a bad alpha, radius or t.
-
-    t may be +inf, where every profile integrand vanishes, but not
-    negative or nan.
+    f_X is the source's norm-one extremal and w_Y the target's weight, both
+    read from the result's pair; S_t is cesaro's, and weight_at checks r.
+    Vectorized over t, which may be +inf, where F vanishes, but not
+    negative or nan.  For T3.1, F(0, t) = e^-t, and for fixed t the
+    boundary limit is e^(-alpha t).
     """
-    _check_alpha_and_radii(r, alpha, who)
+    check_alpha("profile_integrand", alpha, 0.0, 1.0)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("t must be nonnegative")
-    return t
-
-
-def integrand_F(r, t, alpha: float):
-    """Weighted modulus of the extremal image under S_t, on the radius.
-
-    Vectorized over t, and over r when r is an array broadcasting against
-    t.  F(0, t) = e^-t and F(r, 0) = 1; for fixed t the boundary limit is
-    e^(-alpha t), which integrates to 1/alpha.
-    """
-    u = np.exp(-_checked_t(r, t, alpha))
-    delta = 1.0 - r
-    return (1.0 + r) ** alpha * u * (delta + u * r) ** (2.0 * alpha - 1.0) / (delta + 2.0 * u * r) ** alpha
-
-
-def _log_factor_at_image(r: float, u, alpha: float):
-    """Same log factor at phi_t(r), computed from 1 - phi^2 in factored form."""
-    delta = 1.0 - r
-    one_minus_phi_sq = delta * (delta + 2.0 * u * r) / (delta + u * r) ** 2
-    return log_weight_constant(alpha) - np.log(one_minus_phi_sq)
-
-
-def _log_ratio(r, u, alpha: float):
-    """log(2 e^(1/alpha) / (1 - r^2)) over the same log factor at phi_t(r)."""
-    delta = 1.0 - r
-    at_radius = log_weight_constant(alpha) - np.log(delta * (2.0 - delta))
-    return at_radius / _log_factor_at_image(r, u, alpha)
-
-
-def log_ratio(r: float, t, alpha: float):
-    """Ratio of the log factor at r to the log factor at phi_t(r).
-
-    Equals 1 at t = 0 and tends to 1 as r -> 1 for each fixed t; the
-    deviation scales like t / log(1/(1-r)), so the approach is slow.
-    """
-    return _log_ratio(r, np.exp(-_checked_t(r, t, alpha, "log_ratio")), alpha)
-
-
-def profile_integrand(theorem_id: str, r: float, t, alpha: float):
-    """Integrand of the T3.1, T4.1 or T5.1 radial profile, and its log-factor column.
-
-    F(r, t) itself for T3.1 (column None); F divided by the log factor at
-    phi_t(r) for T4.1; F times the ratio of log factors for T5.1.
-    """
-    f = integrand_F(r, t, alpha)
-    factor = RESULTS[theorem_id].factor
-    if factor is None:
-        return f, None
-    _, column_fn, combine = factor
-    column = column_fn(r, np.exp(-np.asarray(t, dtype=float)), alpha)
-    return combine(f, column), column
+    source, target = RESULTS[theorem_id].pair
+    extremal = (LogKorenblumExtremal if source is KorenblumLog else KorenblumExtremal)(alpha)
+    return weight_at(target(alpha), r) * np.abs(_st_eval(extremal, np.exp(-t), r))
 
 
 def _profile_columns(theorem_id: str, alpha: float) -> Callable:
@@ -217,8 +178,8 @@ def slice_values(theorem_id: str, radii, alpha: float) -> list:
     the table before (profile_sup calls one table up to three times).
     alpha and the radii are checked once, before any integration.
     """
-    radii = np.asarray(radii, dtype=float)
-    _check_alpha_and_radii(radii, alpha, "slice_values")
+    check_alpha("slice_values", alpha, 0.0, 1.0)
+    radii = check_radii(radii)
     return _profile_columns(theorem_id, alpha)(-np.log1p(-radii), radii)[2].tolist()
 
 
@@ -415,10 +376,7 @@ def bloch_witness_profile(r, alpha: float):
     the boundary.  A float for a scalar r, an ndarray for an array.
     """
     alpha = check_alpha("bloch_witness_profile", alpha)
-    r = np.asarray(r, dtype=float)
-    if not np.all((0.0 <= r) & (r < 1.0)):  # also rejects nan
-        raise DomainError("radius must lie in [0, 1)")
-    out = np.exp(_log_witness(-np.log1p(-r), alpha)[0])
+    out = np.exp(_log_witness(-np.log1p(-check_radii(r)), alpha)[0])
     return float(out) if out.ndim == 0 else out
 
 
@@ -488,9 +446,7 @@ def h_closed_form(r):
     singularity at the origin.  A float for a scalar r, an ndarray for
     an array.
     """
-    r = np.asarray(r, dtype=float)
-    if not np.all((0.0 <= r) & (r < 1.0)):
-        raise DomainError("radius must lie in [0, 1)")
+    r = check_radii(r)
     small = r < _H_SMALL
     safe = np.where(small, 0.5, r)
     bracket = 1.5 * safe / (1.0 - safe) - 0.25 * (np.log1p(safe) - 5.0 * np.log1p(-safe))
@@ -565,10 +521,9 @@ class Result:
     pair is unbounded; _verdict reads its boundary limit less limit_tail /
     alpha where limit_tail is set.  columns are its (name, end) in the
     norm table: end "low" or "high" of claim(alpha), or "sup", the witness
-    value.  factor is (column name, log factor at (r, u = e^-t, alpha), how
-    it combines with F) for the log-weighted profiles.  pair is the
-    (source, target) space types of its empirical bound, checked against
-    bounds(alpha); dump-integrand writes the profile where both weight |f|.
+    value.  pair is the (source, target) space types of its empirical
+    bound, checked against bounds(alpha, witness); where both weight |f|,
+    profile_integrand reads its extremal and weight from them.
     """
 
     theorem_id: str
@@ -579,7 +534,6 @@ class Result:
     columns: tuple[tuple[str, str], ...]
     exact_max: Optional[float] = None
     limit_tail: Optional[float] = None
-    factor: Optional[tuple[str, Callable, Callable]] = None
     pair: Optional[tuple[type, type]] = None
 
     def paper_ends(self, alpha: float) -> Union[Interval, DivergenceFlag]:
@@ -589,12 +543,12 @@ class Result:
             return claim
         return claim[0], None
 
-    def bounds(self, alpha: float) -> Union[Interval, DivergenceFlag]:
-        """paper_ends(alpha), with the witness sup as high where none is claimed; a DivergenceFlag as it is."""
+    def bounds(self, alpha: float, witness) -> Union[Interval, DivergenceFlag]:
+        """paper_ends(alpha), with the value of witness, the caller's witness(alpha), as high where none is claimed."""
         ends = self.paper_ends(alpha)
         if isinstance(ends, DivergenceFlag) or ends[1] is not None:
             return ends
-        return ends[0], self.witness(alpha).value
+        return ends[0], witness.value
 
     def cells(self, alpha: float) -> tuple:
         """Its norm-table cells: each column's end of claim(alpha), or the witness value; None for a DivergenceFlag."""
@@ -646,7 +600,6 @@ RESULTS = MappingProxyType(
                 claim=lambda a: (log_to_plain_lower_bound(a), None),
                 witness=lambda a: log_to_plain_norm(a),
                 columns=(("t41_sup", "sup"), ("t41_lower_bound", "low")),
-                factor=("log_denominator", _log_factor_at_image, np.divide),
                 pair=(KorenblumLog, Korenblum),
             ),
             Result(
@@ -658,7 +611,6 @@ RESULTS = MappingProxyType(
                 columns=(("t51_sup", "sup"), ("t51_reciprocal_alpha", "low")),
                 # c = 41 e^-41 (Ei(41) - Ei(1)) - 1 (mpmath), alpha Q - 1 at alpha M = 41
                 limit_tail=0.025676781133384993,
-                factor=("log_ratio", _log_ratio, np.multiply),
                 pair=(KorenblumLog, KorenblumLog),
             ),
             Result(

@@ -138,7 +138,7 @@ def test_06_log_space_boundary_limit():
 
 def test_07_bloch_bounds_and_empirical():
     exact_branch = bloch_upper_bound(2.0) == 4.0
-    est = operator_norm_lower_bound(
+    est, _ = operator_norm_lower_bound(
         BlochAlpha(1.5), BlochAlpha(1.5), SampleConfig(seed=0, count=200)
     )
     hi = bloch_upper_bound(1.5)
@@ -150,7 +150,7 @@ def test_07_bloch_bounds_and_empirical():
 def test_08_bloch_norm_of_constant_image_and_divergence():
     norm = constant_one_bloch_norm(1.0)
     witness = bloch_witness_profile(1.0 - 1e-6, 0.5)
-    flag = operator_norm_lower_bound(HardyInf(), BlochAlpha(0.5), SampleConfig(count=1))
+    flag, _ = operator_norm_lower_bound(HardyInf(), BlochAlpha(0.5), SampleConfig(count=1))
     ok = abs(norm - 3.0) <= 1e-3 and witness > 100.0 and isinstance(flag, DivergenceFlag)
     _line(8, "image of 1 has Bloch norm 3; alpha = 1/2 witness diverges",
           ok, f"norm {norm:.6f}, witness {witness:.1f}")
@@ -199,7 +199,7 @@ def test_11_empirical_soundness():
     for seed in range(1, 6):
         cfg = SampleConfig(seed=seed, count=2, max_degree=10)
         for source, target, bound in pairs:
-            est = operator_norm_lower_bound(source, target, cfg)
+            est, _ = operator_norm_lower_bound(source, target, cfg)
             worst = max(worst, est.value - bound)
     ok = worst <= 1e-3
     _line(11, "no sampled ratio beats its theoretical bound",

@@ -135,6 +135,27 @@ def test_semigroup_transform_examples():
         semigroup_transform(f, -1.0)
 
 
+@pytest.mark.parametrize("k", [1, 20, 40, 53])
+def test_semigroup_transform_of_the_extremals_near_the_boundary_matches_mpmath(k):
+    """S_t f at r = 1 - 2^-k to 2e-14 relative: neither D = (1 - r) + u r nor (1 - r) + 2u r cancels as r -> 1."""
+    import mpmath as mp
+
+    r = 1.0 - 2.0**-k
+    with mp.workdps(50):
+        x = mp.mpf(r)
+        for alpha in (0.1, 0.5, 0.9):
+            for t in (0.0, 1e-3, 0.5, 5.0, 40.0):
+                u = mp.mpf(math.exp(-t))
+                d = (1 - x) + u * x
+                one_minus_phi_sq = (1 - x) * ((1 - x) + 2 * u * x) / d**2
+                plain = u / d * one_minus_phi_sq ** -mp.mpf(alpha)
+                logged = plain / (1 / mp.mpf(alpha) + mp.log(2) - mp.log(one_minus_phi_sq))
+                for f, want in ((KorenblumExtremal(alpha), plain), (LogKorenblumExtremal(alpha), logged)):
+                    got = complex(semigroup_transform(f, t).eval_at(r))
+                    assert got.imag == 0.0
+                    assert got.real == pytest.approx(float(want), rel=2e-14, abs=0.0), (f, t)
+
+
 def test_st_weighted_ratio_tends_to_exponential():
     """Along r -> 1-, the weighted norm ratio of S_t f_alpha approaches e^(-alpha t)."""
     alpha, t = 0.3, 1.0

@@ -8,7 +8,7 @@ import math
 import pytest
 from jsonschema import validate
 
-from cesaronorm import DomainError, cli, verify_theorem
+from cesaronorm import DomainError, cli, theorems, verify_theorem
 from cesaronorm.cli import UsageError, main, parse_grid
 from cesaronorm.numerics import DivergenceFlag
 from cesaronorm.theorems import RESULTS, constant_one_bloch_sup, profile_sup
@@ -629,52 +629,34 @@ def test_dump_integrand_values(capsys):
             assert value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dump_integrand_log_ratio_column(capsys):
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+def test_dump_integrand_prints_r_t_value_for_every_radial_id(capsys, theorem_id):
+    """Three columns for every id; at r = 0 the value is e^-t over the log factor c there (T4.1) or e^-t."""
     code, out, _ = run_cli(
         capsys,
         "dump-integrand",
         "--theorem",
-        "T5.1",
+        theorem_id,
         "--alpha",
         "0.5",
         "--radii",
-        "0",
+        "0,0.5",
         "--t-points",
         "4",
         "--t-max",
         "3",
-        "--no-timestamp",
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["columns"] == ["r", "t", "value", "log_ratio"]
-    assert all(row[3] == 1.0 for row in report["rows"])
-
-
-def test_dump_integrand_log_denominator_column(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "dump-integrand",
-        "--theorem",
-        "T4.1",
-        "--alpha",
-        "0.5",
-        "--radii",
-        "0",
-        "--t-points",
-        "3",
-        "--t-max",
-        "1",
         "--format",
         "csv",
         "--no-timestamp",
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["r", "t", "value", "log_denominator"]
-    want = 2.0 + math.log(2.0)
-    for row in rows[1:]:
-        assert float(row[3]) == pytest.approx(want, abs=1e-12)
+    assert rows[0] == ["r", "t", "value"]
+    assert len(rows) == 9 and all(len(row) == 3 for row in rows)
+    scale = 1.0 / (2.0 + math.log(2.0)) if theorem_id == "T4.1" else 1.0
+    for r, t, value in (map(float, row) for row in rows[1:]):
+        if r == 0.0:
+            assert value == pytest.approx(scale * math.exp(-t), rel=1e-15)
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf"])
@@ -786,3 +768,16 @@ def test_empirical_argmax_near_the_circle_prints_one_minus_r(
     assert code == 0, err
     notes = json.loads(out)["verdicts"][0]["notes"]
     assert f" at 1 - r = {one_minus_r}, theta = " in notes, notes
+
+
+@pytest.mark.parametrize("target", ["korenblum", "korenblum-log"])
+def test_empirical_takes_the_radial_witness_once(capsys, monkeypatch, target):
+    """The sup behind both the witness and the high end of bounds is searched once per call."""
+    calls = []
+    search = theorems.profile_sup
+    monkeypatch.setattr(theorems, "profile_sup", lambda *args: calls.append(args) or search(*args))
+    argv = ("--source", "korenblum-log", "--target", target, "--alpha", "0.5", "--samples", "1")
+    code, out, err = run_cli(capsys, "empirical", *argv, "--no-timestamp")
+    assert code == 0, err
+    assert calls == [("T5.1" if target == "korenblum-log" else "T4.1", 0.5)]
+    assert json.loads(out)["verdicts"][0]["theoretical"][1] == search(*calls[0]).value

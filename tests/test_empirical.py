@@ -116,7 +116,7 @@ def test_plain_pair_reaches_near_exact_norm():
     """Witness inclusion pushes the bound within 5 percent of 1/alpha."""
     cfg = SampleConfig(seed=2, count=5, max_degree=16)
     for alpha in (0.25, 0.5):
-        est = operator_norm_lower_bound(Korenblum(alpha), Korenblum(alpha), cfg)
+        est, _ = operator_norm_lower_bound(Korenblum(alpha), Korenblum(alpha), cfg)
         exact = 1.0 / alpha
         assert est.value <= exact + 1e-3
         assert est.value >= 0.95 * exact
@@ -124,7 +124,7 @@ def test_plain_pair_reaches_near_exact_norm():
 
 def test_hardy_to_bloch_witness():
     """At alpha = 1 the C(1) witness is the exact norm 3 of C(1), the lower end of T7.1's bounds."""
-    est = operator_norm_lower_bound(HardyInf(), BlochAlpha(1.0), SampleConfig(seed=1, count=2))
+    est, _ = operator_norm_lower_bound(HardyInf(), BlochAlpha(1.0), SampleConfig(seed=1, count=2))
     assert est.value == 3.0
 
 
@@ -143,7 +143,7 @@ def test_hardy_to_bloch_witness():
 def test_a_winning_witness_is_its_results_sup_in_l(source, target):
     """The witness is RESULTS[id].witness(alpha), bitwise, with its argmax on the positive real axis."""
     result = result_for_pair(source, target)
-    est = operator_norm_lower_bound(source, target, SampleConfig(seed=0, count=2, max_degree=8))
+    est, taken = operator_norm_lower_bound(source, target, SampleConfig(seed=0, count=2, max_degree=8))
     witness = RESULTS[result.theorem_id].witness(target.alpha)
     assert (est.value, est.argmax_radius, est.argmax_depth) == (
         witness.value,
@@ -151,11 +151,13 @@ def test_a_winning_witness_is_its_results_sup_in_l(source, target):
         witness.argmax_depth,
     )
     assert (est.argmax_angle, est.angular_points) == (0.0, 1)
+    # the second value returned is that same witness, taken once
+    assert taken is est
 
 
 def test_unbounded_pair_flags_divergence():
     for alpha in (0.5, 0.9):
-        flag = operator_norm_lower_bound(HardyInf(), BlochAlpha(alpha), SampleConfig(count=1))
+        flag, _ = operator_norm_lower_bound(HardyInf(), BlochAlpha(alpha), SampleConfig(count=1))
         assert isinstance(flag, DivergenceFlag)
         assert flag.at_depth == 700.0
         # the witness 2^alpha (1 - r)^(alpha - 1) at the fit's deepest depth, 1 - r = e^-700
@@ -167,17 +169,17 @@ def test_unbounded_pair_flags_divergence():
 def test_log_pairs_stay_sound():
     cfg = SampleConfig(seed=4, count=3, max_degree=10)
     alpha = 0.5
-    est = operator_norm_lower_bound(KorenblumLog(alpha), Korenblum(alpha), cfg)
+    est, _ = operator_norm_lower_bound(KorenblumLog(alpha), Korenblum(alpha), cfg)
     # soundness against the computed sup plus attainment of the closed-form bound
     assert est.value >= 1.0 / (1.0 / alpha + math.log(2.0)) - 1e-3
     assert est.value <= 0.480733 + 1e-3
-    est = operator_norm_lower_bound(KorenblumLog(alpha), KorenblumLog(alpha), cfg)
+    est, _ = operator_norm_lower_bound(KorenblumLog(alpha), KorenblumLog(alpha), cfg)
     assert est.value <= 2.62902 + 1e-3
     assert est.value >= 1.0  # the origin slice alone already gives 1
 
 
 def test_bloch_pair_respects_upper_bound():
     cfg = SampleConfig(seed=5, count=3, max_degree=10)
-    est = operator_norm_lower_bound(BlochAlpha(1.5), BlochAlpha(1.5), cfg)
+    est, _ = operator_norm_lower_bound(BlochAlpha(1.5), BlochAlpha(1.5), cfg)
     assert est.value <= bloch_upper_bound(1.5) + 1e-3
     assert est.value >= 1.5 - 1e-3

@@ -21,6 +21,7 @@ from cesaronorm import (
 from cesaronorm import functions
 from cesaronorm.functions import (
     EVAL_RADIUS_LIMIT,
+    check_radii,
     derivative,
     evaluate,
     evaluate_polar,
@@ -110,6 +111,17 @@ def test_evaluate_polar_guard():
         with pytest.raises(DomainError):
             evaluate_polar(f, np.array([-1.0]), angles)
         evaluate_polar(f, np.array([EVAL_RADIUS_LIMIT]), angles)
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.1, math.nan, math.inf, [0.5, math.nan]], ids=repr)
+def test_check_radii_rejects_radii_outside_the_unit_interval(bad):
+    with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\)"):
+        check_radii(bad)
+
+
+def test_check_radii_returns_a_float_array():
+    out = check_radii([0, 0.5])
+    assert out.dtype == float and out.tolist() == [0.0, 0.5]
 
 
 def test_extremal_alpha_ranges():

@@ -10,9 +10,18 @@ import pathlib
 import numpy as np
 import pytest
 
-from cesaronorm import constant_one_bloch_norm, log_to_log_norm, verify_theorem
+from cesaronorm import (
+    KorenblumExtremal,
+    KorenblumLog,
+    LogKorenblumExtremal,
+    cesaro_integral,
+    constant_one_bloch_norm,
+    log_to_log_norm,
+    verify_theorem,
+)
 from cesaronorm.errors import DomainError
 from cesaronorm.numerics import radius_grid
+from cesaronorm.spaces import weight_at
 from cesaronorm.theorems import (
     RESULTS,
     _log_witness,
@@ -37,6 +46,23 @@ def test_profiles_match_the_mpmath_table(row):
     for theorem_id, name in PROFILES:
         (value,) = slice_values(theorem_id, [r], row["alpha"])
         assert value == pytest.approx(float(row[name]), rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("theorem_id", ["T3.1", "T4.1", "T5.1"])
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_profile_is_the_weighted_operator_image_of_the_extremal(theorem_id, alpha):
+    """The L-form profile is w_Y(r) |C f_X(r)| at r = 1 - 2^-k, k <= 20, to 1e-12 relative.
+
+    f_X is the source's norm-one extremal and w_Y the target's weight; C f_X
+    is the finite-integral form, to 1e-13 of the profile's value.
+    """
+    source, target = RESULTS[theorem_id].pair
+    extremal = (LogKorenblumExtremal if source is KorenblumLog else KorenblumExtremal)(alpha)
+    radii = 1.0 - 2.0 ** -np.arange(21.0)
+    for r, value in zip(radii, slice_values(theorem_id, radii, alpha)):
+        weight = weight_at(target(alpha), r)
+        image = weight * abs(cesaro_integral(extremal, r, tol=1e-13 * value / weight))
+        assert image == pytest.approx(value, rel=1e-12, abs=0.0), r
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95])

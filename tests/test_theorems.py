@@ -43,9 +43,7 @@ from cesaronorm.theorems import (
     bloch_lower_bound_integral,
     divergence_witness,
     hardy_to_bloch_bounds,
-    integrand_F,
     korenblum_slice_integral,
-    log_ratio,
     log_to_log_slice,
     log_to_plain_lower_bound,
     log_to_plain_slice,
@@ -54,10 +52,11 @@ from cesaronorm.theorems import (
 
 
 def test_integrand_examples():
+    """F(0, t) = e^-t bitwise; F(r, 0) = 1 within 4.5e-16, as cesaro's S_t forms 1 - phi^2 from logs."""
     for alpha in (0.1, 0.5, 0.9):
-        assert float(integrand_F(0.5, 0.0, alpha)) == 1.0
+        assert float(profile_integrand("T3.1", 0.5, 0.0, alpha)) == pytest.approx(1.0, abs=4.5e-16)
         ts = np.linspace(0.0, 8.0, 33)
-        np.testing.assert_array_equal(integrand_F(0.0, ts, alpha), np.exp(-ts))
+        np.testing.assert_array_equal(profile_integrand("T3.1", 0.0, ts, alpha), np.exp(-ts))
 
 
 def test_integrand_boundary_limit():
@@ -66,16 +65,22 @@ def test_integrand_boundary_limit():
     for alpha in (0.25, 0.5, 0.75):
         for t in (0.0, 0.5, 1.0, 2.0, 5.0):
             want = math.exp(-alpha * t)
-            assert float(integrand_F(r, t, alpha)) == pytest.approx(want, rel=1e-5)
+            assert float(profile_integrand("T3.1", r, t, alpha)) == pytest.approx(want, rel=1e-5)
 
 
 def test_integrand_domain():
-    with pytest.raises(DomainError):
-        integrand_F(1.0, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        integrand_F(0.5, -0.1, 0.5)
-    with pytest.raises(DomainError):
-        integrand_F(0.5, 1.0, 1.2)
+    for theorem_id in ("T3.1", "T4.1", "T5.1"):
+        with pytest.raises(DomainError, match="radius"):
+            profile_integrand(theorem_id, 1.0, 0.0, 0.5)
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            profile_integrand(theorem_id, 0.5, -0.1, 0.5)
+        with pytest.raises(DomainError, match="alpha"):
+            profile_integrand(theorem_id, 0.5, 1.0, 1.2)
+
+
+def log_ratio(r, t, alpha):
+    """The log factor at r over the log factor at phi_t(r): the T5.1 integrand over the T3.1 one."""
+    return profile_integrand("T5.1", r, t, alpha) / profile_integrand("T3.1", r, t, alpha)
 
 
 def test_slice_integrals_at_origin():
@@ -123,23 +128,18 @@ def test_log_to_log_norm_boundary(alpha, sup_value):
 
 @pytest.mark.parametrize("t", [math.nan, -1.0, np.array([0.5, math.nan])], ids=repr)
 def test_profile_integrands_reject_negative_and_nan_t(t):
-    with pytest.raises(DomainError, match="t must be nonnegative"):
-        integrand_F(0.5, t, 0.3)
-    with pytest.raises(DomainError, match="t must be nonnegative"):
-        log_ratio(0.5, t, 0.3)
     for theorem_id in ("T3.1", "T4.1", "T5.1"):
         with pytest.raises(DomainError, match="t must be nonnegative"):
             profile_integrand(theorem_id, 0.5, t, 0.3)
 
 
 def test_profile_integrands_vanish_at_infinite_t():
-    assert float(integrand_F(0.5, math.inf, 0.3)) == 0.0
-    # phi_t(r) -> 0, where the log factor is log(2 e^(1/alpha))
-    want = (log_weight_constant(0.3) - math.log(0.75)) / log_weight_constant(0.3)
-    assert float(log_ratio(0.5, math.inf, 0.3)) == pytest.approx(want, rel=1e-15)
     for theorem_id in ("T3.1", "T4.1", "T5.1"):
-        value, _ = profile_integrand(theorem_id, 0.5, np.array([0.0, math.inf]), 0.3)
+        value = profile_integrand(theorem_id, 0.5, np.array([0.0, math.inf]), 0.3)
         assert value[1] == 0.0
+    # phi_t(r) -> 0, where the log factor is log(2 e^(1/alpha)); e^-700 is still a normal float
+    want = (log_weight_constant(0.3) - math.log(0.75)) / log_weight_constant(0.3)
+    assert float(log_ratio(0.5, 700.0, 0.3)) == pytest.approx(want, rel=1e-14)
 
 
 def test_log_ratio_is_one_at_zero_time():
@@ -335,7 +335,7 @@ def test_t71_slope_fit_confirms_blow_up(alpha):
     """The fit sees the slope 1 - alpha at L = 40..700, down to 1.1e-16 at the last float below 1."""
     (depth, value), slope, misfit, confirmed = divergence_witness(alpha)
     assert confirmed and verify_theorem("T7.1", alpha).passed
-    assert isinstance(RESULTS["T7.1"].bounds(alpha), DivergenceFlag)
+    assert isinstance(RESULTS["T7.1"].bounds(alpha, RESULTS["T7.1"].witness(alpha)), DivergenceFlag)
     assert abs(slope - (1.0 - alpha)) <= 1e-15
     assert misfit <= 1e-12
     # log W = alpha log 2 + (1 - alpha) L to rounding where r rounds to 1
@@ -405,8 +405,10 @@ def test_verify_rejects_bool_alpha():
 
 # every entry point that takes alpha, called with an otherwise valid input
 ALPHA_ENTRY_POINTS = {
-    "integrand_F": lambda a: integrand_F(0.5, 1.0, a),
+    # F, the T3.1 profile integrand, and the T5.1 integrand over it
+    "integrand_F": lambda a: profile_integrand("T3.1", 0.5, 1.0, a),
     "log_ratio": lambda a: log_ratio(0.5, 1.0, a),
+    "profile_integrand-T4.1": lambda a: profile_integrand("T4.1", 0.5, 1.0, a),
     "log_to_plain_lower_bound": log_to_plain_lower_bound,
     "bloch_upper_bound": bloch_upper_bound,
     "bloch_lower_bound": bloch_lower_bound,
