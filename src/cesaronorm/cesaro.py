@@ -10,37 +10,25 @@ representations give pointwise access for closed forms:
     C(f)(z) = int_0^1 f(tz) / (1 - tz) dt
             = int_0^inf (S_t f)(z) dt,
 
-where S_t is the weighted composition semigroup
+where S_t is the weighted composition semigroup, written once in _st_eval:
 
-    (S_t f)(z) = w_t(z) f(phi_t(z)),
-    w_t(z)   = e^-t / (1 - (1 - e^-t) z),
-    phi_t(z) = e^-t z / (1 - (1 - e^-t) z).
+    (S_t f)(z) = (u/D) f(phi),   u = e^-t,  D = (1 - z) + u z,  phi = u z/D,
+    (S_t f)'(z) = u (1 - u)/D^2 f(phi) + u^2/D^3 f'(phi).
 
-The half-line integral is always evaluated through the u = e^-t
-substitution, under which it becomes
-
-    int_0^1 f( u z / (1 - (1-u) z) ) / (1 - (1-u) z) du,
-
-a smooth finite integral (the kernel factor e^-t cancels against dt).
-Differentiating under the integral gives the derivative representation
-
-    C(f)'(z) = int_0^inf [ e^-t (1 - e^-t) / D^2 * f(phi_t)
-                         + e^-2t / D^3 * f'(phi_t) ] dt,
-    D = 1 - (1 - e^-t) z,
-
-used for Bloch-type norms of operator images.
+Substituting u = e^-t, the semigroup form and its derivative, used for
+Bloch-type norms of operator images, are the smooth finite integrals
+int_0^1 (S_t f)(z)/u du and int_0^1 (S_t f)'(z)/u du.
 
 The quadrature forms integrate each point on its own adaptive partition,
 to its own absolute tolerance, all points in one lockstep pass; a value
 is bitwise the same whatever batch its point arrives in.
 
-For the closed-form extremal families, S_t is evaluated through the
-factorization 1 - phi_t(z)^2 = (1 - z)(1 - (1 - 2 e^-t) z) / D^2: each
-factor stays in the right half-plane on the disk, so principal powers of
-the factors multiply to the principal power of the product.  Each factor
-is formed from 1 - z plus a multiple of e^-t z, so none cancels as z
-approaches 1, and neither does 1 - phi^2, which formed directly would
-lose every digit once phi rounds to 1.
+For the closed-form extremal families, _st_eval takes the principal log
+of 1 - phi^2 = (1 - z) E / D^2, E = (1 - z) + 2u z, as the sum of the
+factors' logs: each factor stays in the right half-plane on the disk.
+None of them cancels as z approaches 1, as 1 - phi^2 formed from a
+rounded phi would, and the slope is the value times the derivative of
+its log, with no second transcendental call.
 """
 
 from __future__ import annotations
@@ -63,6 +51,7 @@ from .functions import (
     _polyval_polar,
     log_weight_constant,
     polar_tables,
+    principal_log,
 )
 from .numerics import DEFAULT_QUAD_TOL, integrate_rows
 
@@ -81,17 +70,37 @@ def cesaro_coeff(series: PowerSeries) -> PowerSeries:
     return PowerSeries(out)
 
 
-def _st_eval(f: AnalyticFunction, u, z):
-    """(S_t f)(z) at u = e^-t, a scalar or an array broadcasting against z, with D = (1 - z) + u z."""
+def _st_eval(f: AnalyticFunction, u, z, derivative: bool = False):
+    """(S_t f)(z) at u = e^-t, a scalar or an array broadcasting against z.
+
+    With derivative, the pair ((S_t f)(z), (S_t f)'(z)).
+    """
     z = np.asarray(z, dtype=complex)
     one_minus_z = 1.0 - z
     d_full = one_minus_z + u * z
+    weight = u / d_full
     if isinstance(f, (KorenblumExtremal, LogKorenblumExtremal)):
-        # principal log of 1 - phi_t(z)^2 from its factors, none of which cancels as z -> 1
-        log_omps = np.log(one_minus_z) + np.log(one_minus_z + 2.0 * u * z) - 2.0 * np.log(d_full)
-        out = (u / d_full) * np.exp(-f.alpha * log_omps)
-        return out if isinstance(f, KorenblumExtremal) else out / (log_weight_constant(f.alpha) - log_omps)
-    return (u / d_full) * f.eval_at(u * z / d_full)
+        # principal log of 1 - phi_t(z)^2 = (1 - z) E / D^2 from its factors, none of which cancels as z -> 1
+        e_full = one_minus_z + 2.0 * u * z
+        log_omps = principal_log(one_minus_z) + principal_log(e_full) - 2.0 * principal_log(d_full)
+        value = weight * np.exp(-f.alpha * log_omps)
+        if isinstance(f, LogKorenblumExtremal):
+            log_term = log_weight_constant(f.alpha) - log_omps
+            value = value / log_term
+        if not derivative:
+            return value
+        # d/dz log(1 - phi^2), then d/dz log of the value
+        dlog_omps = (2.0 * u - 1.0) / e_full - 1.0 / one_minus_z + 2.0 * (1.0 - u) / d_full
+        dlog = (1.0 - u) / d_full - f.alpha * dlog_omps
+        if isinstance(f, LogKorenblumExtremal):
+            dlog = dlog + dlog_omps / log_term
+        return value, value * dlog
+    phi = u * z / d_full
+    if not derivative:
+        return weight * f.eval_at(phi)
+    f_phi, df_phi = f.eval_with_derivative(phi)
+    inv_d = 1.0 / d_full
+    return weight * f_phi, (weight * (1.0 - u) * inv_d) * f_phi + (weight * weight * inv_d) * df_phi
 
 
 def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
@@ -99,18 +108,7 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError("semigroup time must be finite and nonnegative")
     u = math.exp(-t)
-
-    def fn(z):
-        return _st_eval(f, u, z)
-
-    def dfn(z):
-        z = np.asarray(z, dtype=complex)
-        d_full = (1.0 - z) + u * z
-        f_phi, df_phi = f.eval_with_derivative(u * z / d_full)
-        # product rule: w' f(phi) + w phi' f'(phi)
-        return (u * (1.0 - u) / d_full**2) * f_phi + (u**2 / d_full**3) * df_phi
-
-    return ClosedForm(fn, dfn, label=f"S_{t:g}")
+    return ClosedForm(lambda z: _st_eval(f, u, z), lambda z: _st_eval(f, u, z, True)[1], label=f"S_{t:g}")
 
 
 def _unit_interval_integral(integrand, z, tol: float):
@@ -139,23 +137,12 @@ def cesaro_integral(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
 
 def cesaro_semigroup(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
     """Semigroup form int_0^inf (S_t f)(z) dt through the u = e^-t pullback."""
-
-    def g(u, z):
-        d_full = 1.0 - (1.0 - u) * z
-        return f.eval_at(u * z / d_full) / d_full
-
-    return _unit_interval_integral(g, z, tol)
+    return _unit_interval_integral(lambda u, z: _st_eval(f, u, z) / u, z, tol)
 
 
 def cesaro_derivative(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
-    """Derivative form of the operator image, C(f)'(z), via one quadrature."""
-
-    def g(u, z):
-        d_full = 1.0 - (1.0 - u) * z
-        f_phi, df_phi = f.eval_with_derivative(u * z / d_full)
-        return (1.0 - u) / d_full**2 * f_phi + u / d_full**3 * df_phi
-
-    return _unit_interval_integral(g, z, tol)
+    """Derivative form of the operator image, C(f)'(z) = int_0^inf (S_t f)'(z) dt, via one quadrature."""
+    return _unit_interval_integral(lambda u, z: _st_eval(f, u, z, True)[1] / u, z, tol)
 
 
 # switchover radius and tail length for the polynomial-image series branch;

@@ -322,8 +322,8 @@ def test_cesaro_of_one_and_its_derivative_match_mpmath():
             assert abs(slope - want_slope) <= 4e-15 * abs(want_slope), w
 
 
-def _log_extremal_derivative_image(alpha, z):
-    """C(f)'(z) = (f(z)/(1 - z) - C(f)(z)) / z for the log extremal f, in mpmath."""
+def _extremal_image(family, alpha, z, slope):
+    """C(f)(z), or C(f)'(z) = (f(z)/(1 - z) - C(f)(z)) / z, for the extremal f of family, in mpmath."""
     import mpmath as mp
 
     with mp.workdps(30):
@@ -331,20 +331,54 @@ def _log_extremal_derivative_image(alpha, z):
         c0 = 1 / a + mp.log(2)
 
         def f(x):
-            return (1 - x * x) ** (-a) / (c0 - mp.log(1 - x * x))
+            plain = (1 - x * x) ** (-a)
+            return plain if family is KorenblumExtremal else plain / (c0 - mp.log(1 - x * x))
 
         image = mp.quad(lambda t: f(t * w) / (1 - t * w), [0, 0.5, 0.9, 0.99, 1])
-        return complex((f(w) / (1 - w) - image) / w)
+        return complex((f(w) / (1 - w) - image) / w if slope else image)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-def test_log_extremal_derivative_is_within_tol_at_each_point(alpha):
+@pytest.mark.parametrize("form", [cesaro_semigroup, cesaro_derivative], ids=lambda form: form.__name__)
+@pytest.mark.parametrize("family", [KorenblumExtremal, LogKorenblumExtremal], ids=lambda family: family.__name__)
+def test_extremal_forms_are_within_tol_at_each_point(family, form, alpha):
     """Every point of a batch meets the absolute tolerance on its own, near the singular points."""
     tol = 1e-12
     z = 0.95 * np.exp(1j * np.array([0.0, 0.05, np.pi / 3, np.pi / 2, 3.0]))
-    got = cesaro_derivative(LogKorenblumExtremal(alpha), z, tol)
+    got = form(family(alpha), z, tol)
     for value, w in zip(got, z):
-        assert abs(value - _log_extremal_derivative_image(alpha, w)) <= tol
+        assert abs(value - _extremal_image(family, alpha, w, form is cesaro_derivative)) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 20, 40, 53])
+def test_semigroup_transform_derivative_of_the_extremals_near_the_boundary_matches_mpmath(k):
+    """(S_t f)' at r e^(i theta), r = 1 - 2^-k, to 1e-14 relative of mpmath.diff of the exact S_t f.
+
+    The slope comes from the factored 1 - phi^2 of the value: f' at the
+    rounded phi, formed as 1 - phi^2, loses every digit at k = 53.
+    """
+    import mpmath as mp
+
+    r = 1.0 - 2.0**-k
+    with mp.workdps(50):
+        for z in (complex(r), complex(r * np.exp(1e-3j))):
+            for alpha in (0.1, 0.5, 0.9):
+                a = mp.mpf(alpha)
+                for t in (0.01, 0.5, 5.0):
+                    u = mp.mpf(math.exp(-t))
+                    for f in (KorenblumExtremal(alpha), LogKorenblumExtremal(alpha)):
+
+                        def exact(x):
+                            d = (1 - x) + u * x
+                            one_minus_phi_sq = (1 - x) * ((1 - x) + 2 * u * x) / d**2
+                            plain = u / d * one_minus_phi_sq**-a
+                            if isinstance(f, KorenblumExtremal):
+                                return plain
+                            return plain / (1 / a + mp.log(2) - mp.log(one_minus_phi_sq))
+
+                        want = mp.diff(exact, mp.mpc(z))
+                        got = complex(semigroup_transform(f, t).derivative().eval_at(z))
+                        assert abs(got - want) <= 1e-14 * abs(want), (f, t, z)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 7, 64])
@@ -379,18 +413,27 @@ def test_poly_image_second_derivative_falls_back_to_contour():
     ids=repr,
 )
 def test_derivative_form_is_bitwise_the_two_call_integrand(f):
-    """One eval_with_derivative per node gives the same integral as f and f' evaluated apart."""
+    """One eval_with_derivative per node gives the same integral as f and f' evaluated apart.
+
+    The extremals take S_t's factored slope instead, which agrees within
+    2 tol with the generic path on their values and derivatives.
+    """
     from cesaronorm.cesaro import _unit_interval_integral
 
     df = derivative(f)
 
     def two_calls(u, z):
-        d_full = 1.0 - (1.0 - u) * z
+        d_full = (1.0 - z) + u * z
+        weight, inv_d = u / d_full, 1.0 / d_full
         phi = u * z / d_full
-        return (1.0 - u) / d_full**2 * f.eval_at(phi) + u / d_full**3 * df.eval_at(phi)
+        slope = (weight * (1.0 - u) * inv_d) * f.eval_at(phi) + (weight * weight * inv_d) * df.eval_at(phi)
+        return slope / u
 
     z = _golden_points(48)
     for tol in (1e-8, 1e-12):
         got = cesaro_derivative(f, z, tol)
-        want = _unit_interval_integral(two_calls, z, tol)
-        assert got.tobytes() == want.tobytes()
+        if isinstance(f, (KorenblumExtremal, LogKorenblumExtremal)):
+            generic = cesaro_derivative(ClosedForm(f.eval_at, df.eval_at), z, tol)
+            assert np.max(np.abs(got - generic)) <= 2.0 * tol
+        else:
+            assert got.tobytes() == _unit_interval_integral(two_calls, z, tol).tobytes()
