@@ -338,16 +338,32 @@ def _extremal_image(family, alpha, z, slope):
         return complex((f(w) / (1 - w) - image) / w if slope else image)
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("form", [cesaro_semigroup, cesaro_derivative], ids=lambda form: form.__name__)
-@pytest.mark.parametrize("family", [KorenblumExtremal, LogKorenblumExtremal], ids=lambda family: family.__name__)
-def test_extremal_forms_are_within_tol_at_each_point(family, form, alpha):
+def _assert_within_tol_at_each_point(family, form, alpha):
     """Every point of a batch meets the absolute tolerance on its own, near the singular points."""
     tol = 1e-12
     z = 0.95 * np.exp(1j * np.array([0.0, 0.05, np.pi / 3, np.pi / 2, 3.0]))
     got = form(family(alpha), z, tol)
     for value, w in zip(got, z):
         assert abs(value - _extremal_image(family, alpha, w, form is cesaro_derivative)) <= tol
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_log_extremal_derivative_is_within_tol_at_each_point(alpha):
+    _assert_within_tol_at_each_point(LogKorenblumExtremal, cesaro_derivative, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize(
+    "family, form",
+    [
+        (KorenblumExtremal, cesaro_semigroup),
+        (KorenblumExtremal, cesaro_derivative),
+        (LogKorenblumExtremal, cesaro_semigroup),
+    ],
+    ids=lambda arg: arg.__name__,
+)
+def test_extremal_forms_are_within_tol_at_each_point(family, form, alpha):
+    _assert_within_tol_at_each_point(family, form, alpha)
 
 
 @pytest.mark.parametrize("k", [1, 20, 40, 53])
