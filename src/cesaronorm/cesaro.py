@@ -73,7 +73,7 @@ def cesaro_coeff(series: PowerSeries) -> PowerSeries:
 def _st_eval(f: AnalyticFunction, u, z, derivative: bool = False):
     """(S_t f)(z) at u = e^-t, a scalar or an array broadcasting against z.
 
-    With derivative, the pair ((S_t f)(z), (S_t f)'(z)).
+    With derivative, (S_t f)'(z) instead.
     """
     z = np.asarray(z, dtype=complex)
     one_minus_z = 1.0 - z
@@ -94,13 +94,13 @@ def _st_eval(f: AnalyticFunction, u, z, derivative: bool = False):
         dlog = (1.0 - u) / d_full - f.alpha * dlog_omps
         if isinstance(f, LogKorenblumExtremal):
             dlog = dlog + dlog_omps / log_term
-        return value, value * dlog
+        return value * dlog
     phi = u * z / d_full
     if not derivative:
         return weight * f.eval_at(phi)
     f_phi, df_phi = f.eval_with_derivative(phi)
     inv_d = 1.0 / d_full
-    return weight * f_phi, (weight * (1.0 - u) * inv_d) * f_phi + (weight * weight * inv_d) * df_phi
+    return (weight * (1.0 - u) * inv_d) * f_phi + (weight * weight * inv_d) * df_phi
 
 
 def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
@@ -108,7 +108,7 @@ def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError("semigroup time must be finite and nonnegative")
     u = math.exp(-t)
-    return ClosedForm(lambda z: _st_eval(f, u, z), lambda z: _st_eval(f, u, z, True)[1], label=f"S_{t:g}")
+    return ClosedForm(lambda z: _st_eval(f, u, z), lambda z: _st_eval(f, u, z, True), label=f"S_{t:g}")
 
 
 def _unit_interval_integral(integrand, z, tol: float):
@@ -142,7 +142,7 @@ def cesaro_semigroup(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
 
 def cesaro_derivative(f: AnalyticFunction, z, tol: float = DEFAULT_QUAD_TOL):
     """Derivative form of the operator image, C(f)'(z) = int_0^inf (S_t f)'(z) dt, via one quadrature."""
-    return _unit_interval_integral(lambda u, z: _st_eval(f, u, z, True)[1] / u, z, tol)
+    return _unit_interval_integral(lambda u, z: _st_eval(f, u, z, True) / u, z, tol)
 
 
 # switchover radius and tail length for the polynomial-image series branch;

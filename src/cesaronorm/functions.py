@@ -15,15 +15,16 @@ Both families use principal branches.  That is legitimate on the whole
 disk because Re(1 - z^2) = 1 - x^2 + y^2 > 0 whenever |z| < 1, so
 1 - z^2 never meets the branch cut of the principal logarithm.  Each
 family takes one principal log, log_w = log(1 - z^2), per point and forms
-every power as exp(c * log_w).  principal_log takes log|w| + i atan2(Im w,
-Re w), 24 ns per point against np.log's 170 ns (Xeon, numpy 2.4), within
-2.5e-16 max(1, |log w|) of mpmath on 1 - z^2 and 1 - z out to
-|z| = 1 - 1e-12 (np.log: 1.5e-16); the values and derivatives are no
-farther from mpmath than those of the np.power formulas, or than 2^-53.
+every power as exp(c * log_w).  principal_log takes log(x^2 + y^2)/2
++ i atan2(y, x) for w = x + iy, 16 ns per point against np.log's 87 ns
+(20 000 points, Xeon, numpy 2.4), within 2.6e-16 max(1, |log w|) of
+mpmath on 1 - z^2 and 1 - z out to |z| = 1 - 1e-12 (np.log: 2.4e-16).
+On 861 points in the disk and next to the circle the values and
+derivatives are no farther from mpmath than those of the np.power formulas.
 
-eval_with_derivative(z) returns (f(z), f'(z)) at the same points.  The
-base class calls eval_at and derivative().eval_at; the extremal families
-share log_w between the two, and their derivative() takes f' from it.
+eval_with_derivative(z) returns (f(z), f'(z)) at the same points, as
+eval_at and derivative().eval_at unless a subclass shares work between
+the two.  The extremals' derivative() takes f' from one log_w.
 
 Evaluators accept scalars or numpy arrays of points.  Evaluation is
 guarded at |z| <= 1 - 1e-12; the families above blow up at the boundary
@@ -69,10 +70,17 @@ _SHARED_ANGLES = 256
 
 
 def principal_log(w):
-    """Principal log of the complex ndarray w, as log|w| + i atan2(Im w, Re w)."""
+    """Principal log of the complex ndarray w, as log(x^2 + y^2)/2 + i atan2(y, x), w = x + iy.
+
+    Accurate to about eps max(1, |log w|) absolute, for 1e-150 < |w| < 1e150
+    (x^2 + y^2 over- or underflows outside).  Near |w| = 1 the error of
+    the real part is absolute, not relative: a caller that needs a small
+    log to relative accuracy must not use it.
+    """
+    x, y = w.real, w.imag
     out = np.empty_like(w)
-    out.real = np.log(np.abs(w))
-    out.imag = np.arctan2(w.imag, w.real)
+    out.real = 0.5 * np.log(x * x + y * y)
+    out.imag = np.arctan2(y, x)
     return out
 
 
@@ -247,7 +255,7 @@ class AnalyticFunction:
         raise NotImplementedError
 
     def eval_with_derivative(self, z):
-        """(f(z), f'(z)) at the same points; overridden where the two share work."""
+        """(f(z), f'(z)) at the same points; a subclass may override it where the two share work."""
         return self.eval_at(z), self.derivative().eval_at(z)
 
     def eval_polar(self, r, angles):
@@ -341,16 +349,14 @@ class KorenblumExtremal(AnalyticFunction):
     def eval_at(self, z):
         return np.exp(-self.alpha * principal_log(one_minus_sq(np.asarray(z, dtype=complex))))
 
-    def eval_with_derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        a = self.alpha
-        log_w = principal_log(one_minus_sq(z))
-        return np.exp(-a * log_w), 2.0 * a * z * np.exp((-a - 1.0) * log_w)
-
     def derivative(self) -> ClosedForm:
-        return ClosedForm(
-            lambda z: self.eval_with_derivative(z)[1], label=f"d/dz (1-z^2)^(-{self.alpha})"
-        )
+        a = self.alpha
+
+        def slope(z):
+            z = np.asarray(z, dtype=complex)
+            return 2.0 * a * z * np.exp((-a - 1.0) * principal_log(one_minus_sq(z)))
+
+        return ClosedForm(slope, label=f"d/dz (1-z^2)^(-{a})")
 
     def __repr__(self):
         return f"KorenblumExtremal(alpha={self.alpha})"
@@ -373,20 +379,18 @@ class LogKorenblumExtremal(AnalyticFunction):
         log_w = principal_log(one_minus_sq(np.asarray(z, dtype=complex)))
         return np.exp(-self.alpha * log_w) / (log_weight_constant(self.alpha) - log_w)
 
-    def eval_with_derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        a = self.alpha
-        w = one_minus_sq(z)
-        log_w = principal_log(w)
-        log_term = log_weight_constant(a) - log_w
-        f = np.exp(-a * log_w) / log_term
-        # d/dz log f = 2 a z/(1-z^2) - (2 z/(1-z^2)) / log_term
-        return f, f * (2.0 * z / w) * (a - 1.0 / log_term)
-
     def derivative(self) -> ClosedForm:
-        return ClosedForm(
-            lambda z: self.eval_with_derivative(z)[1], label=f"d/dz log-extremal({self.alpha})"
-        )
+        a = self.alpha
+
+        def slope(z):
+            z = np.asarray(z, dtype=complex)
+            w = one_minus_sq(z)
+            log_w = principal_log(w)
+            log_term = log_weight_constant(a) - log_w
+            # d/dz log f = 2 a z/(1-z^2) - (2 z/(1-z^2)) / log_term
+            return np.exp(-a * log_w) / log_term * (2.0 * z / w) * (a - 1.0 / log_term)
+
+        return ClosedForm(slope, label=f"d/dz log-extremal({a})")
 
     def __repr__(self):
         return f"LogKorenblumExtremal(alpha={self.alpha})"

@@ -287,7 +287,7 @@ def test_extremals_from_one_log_match_the_power_formula(alpha):
     On the 361 boundary points of _disk_samples and 500 of its disk
     points, per family, the worst value error relative to |f| and the
     worst derivative error relative to |f| |2z/(1 - z^2)| are no larger
-    than those of np.power with np.log at the same points, or than 2^-53.
+    than those of np.power with np.log at the same points.
     """
     import mpmath as mp
 
@@ -328,8 +328,7 @@ def test_extremals_from_one_log_match_the_power_formula(alpha):
             return np.max(value_err), np.max(slope_err)
 
         got_worst, ref_worst = worst(value, slope), worst(ref_value, ref_slope)
-        # below half an ulp of the scale the two differ only in the rounding of the last operations
-        assert np.all(np.asarray(got_worst) <= np.maximum(ref_worst, 2.0**-53)), (family, got_worst, ref_worst)
+        assert np.all(np.asarray(got_worst) <= np.asarray(ref_worst)), (family, got_worst, ref_worst)
         assert np.all(slope[~inside] == 0.0)
 
 
