@@ -163,8 +163,10 @@ class PolyImage(AnalyticFunction):
     coefficients plus the geometric log tail) covers small |z| where the
     closed form cancels.  On a polar grid the branch is chosen per radius
     and every polynomial part is a separable product sharing one matrix
-    of angular powers; those and log(1 - z) come from polar_tables,
-    shared across a disk sup's functions and bitwise as built afresh.
+    of angular powers; those, z, 1 - z and log(1 - z) (principal_log's,
+    whose absolute error serves where |z| >= _POLY_SMALL) come from
+    polar_tables, bitwise as built afresh.  A grid with no row below
+    _POLY_SMALL, as a zoom patch off the centre, is the closed form alone.
     """
 
     __slots__ = ("degree", "total", "q", "dq", "head", "dhead")
@@ -186,8 +188,8 @@ class PolyImage(AnalyticFunction):
         d = self.degree
         return self.head, d + 1, 1.0 / (d + 2.0 + _POLY_TAIL_J)
 
-    def _closed(self, z, log_one_minus, polyval):
-        """The closed form at z, given log(1 - z) and polyval(p) = p at the same points."""
+    def _closed(self, z, one_minus_z, log_one_minus, polyval):
+        """The closed form at z, given 1 - z, its log and polyval(p) = p at the same points."""
         return (-self.total * log_one_minus - polyval(self.q)) / z
 
     def eval_at(self, z):
@@ -197,20 +199,23 @@ class PolyImage(AnalyticFunction):
         zs, zc = z[small], z[~small]
         head, shift, tail = self._series()
         out[small] = _polyval(head, zs) + self.total * zs**shift * _polyval(tail, zs)
-        out[~small] = self._closed(zc, np.log(1.0 - zc), lambda p: _polyval(p, zc))
+        one_minus_z = 1.0 - zc
+        out[~small] = self._closed(zc, one_minus_z, principal_log(one_minus_z), lambda p: _polyval(p, zc))
         return out
 
     def eval_polar(self, r, angles):
         small = r < _POLY_SMALL
-        rs, rc = r[small], r[~small]
+        tc = polar_tables(r[~small], angles)
+        closed = self._closed(*tc.points(), tc.log_one_minus(), lambda p: _polyval_polar(p, tc))
+        if not small.any():
+            return closed
+        rs = r[small]
         head, shift, tail = self._series()
+        ts = polar_tables(rs, angles)
+        zs_shift = rs[:, None] ** shift * ts.angular_powers(shift + 1)[shift]
         out = np.empty((r.size, angles.size), dtype=complex)
-        if rs.size:
-            ts = polar_tables(rs, angles)
-            zs_shift = rs[:, None] ** shift * ts.angular_powers(shift + 1)[shift]
-            out[small] = _polyval_polar(head, ts) + self.total * zs_shift * _polyval_polar(tail, ts)
-        tc = polar_tables(rc, angles)
-        out[~small] = self._closed(rc[:, None] * tc.unit, tc.log_one_minus(), lambda p: _polyval_polar(p, tc))
+        out[small] = _polyval_polar(head, ts) + self.total * zs_shift * _polyval_polar(tail, ts)
+        out[~small] = closed
         return out
 
     def derivative(self) -> "PolyImage":
@@ -233,9 +238,9 @@ class _PolyImageDerivative(PolyImage):
         d = self.degree
         return self.dhead, d, (d + 1.0 + _POLY_TAIL_J) / (d + 2.0 + _POLY_TAIL_J)
 
-    def _closed(self, z, log_one_minus, polyval):
+    def _closed(self, z, one_minus_z, log_one_minus, polyval):
         n_val = -self.total * log_one_minus - polyval(self.q)
-        n_der = self.total / (1.0 - z) - polyval(self.dq)
+        n_der = self.total / one_minus_z - polyval(self.dq)
         return (n_der * z - n_val) / z**2
 
     def derivative(self) -> ClosedForm:

@@ -35,12 +35,12 @@ functions evaluate there as a separable product: the rows
 coeffs[n] r^n times the angular powers W[n, j] = exp(1j n angles[j]),
 one matrix product where Horner's rule would make one pass over every
 grid point per degree.  Every other function forms the grid and goes
-through eval_at.  The radial powers r^n, W and log(1 - z) do not depend
-on the function: a grid of at least 256 angles, as a disk sup's levels
-and row patches are, takes them from a bounded LRU cache keyed by the
-bytes of (r, angles).  Every table is read-only and a fresh build of
-its size, so values are bitwise those of per-call tables whatever the
-cache holds.
+through eval_at.  The radial powers r^n, W, the points z and 1 - z and
+log(1 - z), taken by principal_log, do not depend on the function: a
+grid of at least 256 angles, as a disk sup's levels and row patches
+are, takes them from a bounded LRU cache keyed by the bytes of
+(r, angles).  Every table is read-only and a fresh build of its size,
+so values are bitwise those of per-call tables whatever the cache holds.
 
 Taylor coefficients of a closed form are recovered through the discrete
 Cauchy integral: sample on a circle |z| = rho, take an FFT, and divide
@@ -133,21 +133,21 @@ class _PolarTables:
 
     unit = exp(1j angles) and the angular powers belong to the level, the
     tables of the angles alone, which all grids with those angles share;
-    the radial powers and log(1 - z) to the grid.  Each is built on first
-    use, and a power table too short for n is rebuilt whole: every prefix
-    of a fresh build is bitwise the build of that many powers, whereas
-    extending a cumulative product by one row takes numpy's other complex
-    multiply and moves entries by an ulp.
+    the radial powers, the points z = r unit, 1 - z and log(1 - z) to the
+    grid.  Each is built on first use, and a power table too short for n
+    is rebuilt whole: every prefix of a fresh build is bitwise the build
+    of that many powers, whereas extending a cumulative product by one
+    row takes numpy's other complex multiply and moves entries by an ulp.
     """
 
-    __slots__ = ("r", "unit", "level", "_w", "_rpow", "_log")
+    __slots__ = ("r", "unit", "level", "_w", "_rpow", "_points", "_log")
 
     def __init__(self, r, angles, level=None):
         # no level: the grid is its own, not through self.level, which would make
         # a cycle that keeps a zoom patch's tables until the cycle collector runs
         self.r, self.level = r, level
         self.unit = _frozen(np.exp(1j * angles)) if level is None else level.unit
-        self._w = self._rpow = self._log = None
+        self._w = self._rpow = self._points = self._log = None
 
     def angular_powers(self, n):
         """W[k, j] = unit[j]^k for k < n, by cumulative products down the rows."""
@@ -164,9 +164,16 @@ class _PolarTables:
             self._rpow = _frozen(self.r[:, None] ** np.arange(n))
         return self._rpow[:, :n]
 
+    def points(self):
+        """(z, 1 - z) on the grid, z = r[:, None] * unit."""
+        if self._points is None:
+            z = _frozen(self.r[:, None] * self.unit)
+            self._points = z, _frozen(1.0 - z)
+        return self._points
+
     def log_one_minus(self):
         if self._log is None:
-            self._log = _frozen(np.log(1.0 - self.r[:, None] * self.unit))
+            self._log = _frozen(principal_log(self.points()[1]))
         return self._log
 
 

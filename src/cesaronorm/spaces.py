@@ -179,12 +179,12 @@ def _disk_sup(f, space, tol, k_max):
 
     def best(vals, s, angles):
         """The best node of vals on s x angles: row, column, s, angle and value."""
-        a, b = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        a, b = divmod(int(np.argmax(vals)), vals.shape[1])
         return a, b, float(s[a]), float(angles[b]), float(vals[a, b])
 
     def patch(s, angles):
         """s clipped to the grid, the weighted modulus on s x angles, and its best node."""
-        s = np.clip(s, 0.0, s_top)
+        s = np.minimum(np.maximum(s, 0.0), s_top)
         vals = weighted(s, angles)
         return s, vals, best(vals, s, angles)
 

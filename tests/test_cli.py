@@ -247,6 +247,25 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def test_one_parser_per_process_answers_as_a_fresh_one(capsys, monkeypatch):
+    """Interleaved calls through the process's parser match calls each given a new build_parser()."""
+    calls = [
+        ("verify", "--theorem", "T3.1", "--alpha", "0.25", "--no-timestamp"),
+        ("empirical", "--source", "korenblum", "--target", "korenblum", "--alpha", "0.25", "--samples", "1",
+         "--no-timestamp"),
+        ("verify", "--alpha", "0.25"),
+        ("table", "--alpha-grid", "0.1:0.2:0.1", "--no-timestamp"),
+    ]
+    calls += calls[::-1]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2, 0, 0]
+    assert all(out or err for _, out, err in shared)
+    assert shared == fresh
+
+
 def test_output_file_lists_itself(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(

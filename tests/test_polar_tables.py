@@ -19,7 +19,7 @@ from cesaronorm import (
 )
 from cesaronorm import functions, spaces
 from cesaronorm.cesaro import _POLY_SMALL
-from cesaronorm.functions import evaluate_polar, polar_tables
+from cesaronorm.functions import evaluate_polar, polar_tables, principal_log
 
 
 def _clear():
@@ -46,7 +46,7 @@ def _ref_poly(f, r, angles):
 
 
 def _ref_image(f, r, angles):
-    """PolyImage.eval_polar (and its derivative's) with fresh W, radial powers and log(1 - z)."""
+    """PolyImage.eval_polar (and its derivative's) with fresh W, radial powers, z, 1 - z and log(1 - z)."""
     small = r < _POLY_SMALL
     rs, rc = r[small], r[~small]
     head, shift, tail = f._series()
@@ -57,7 +57,7 @@ def _ref_image(f, r, angles):
         zs_shift = rs[:, None] ** shift * w[shift]
         out[small] = _ref_polyval_polar(head, rs, w) + f.total * zs_shift * _ref_polyval_polar(tail, rs, w)
     z = rc[:, None] * unit
-    out[~small] = f._closed(z, np.log(1.0 - z), lambda p: _ref_polyval_polar(p, rc, w))
+    out[~small] = f._closed(z, 1.0 - z, principal_log(1.0 - z), lambda p: _ref_polyval_polar(p, rc, w))
     return out
 
 
@@ -110,7 +110,10 @@ def test_table_prefixes_are_bitwise_fresh_builds():
     for n in (3, 4, 1, 70, 71, 151, 40):
         np.testing.assert_array_equal(tables.angular_powers(n), _ref_angular_powers(unit, n))
         np.testing.assert_array_equal(tables.radial_powers(n), r[:, None] ** np.arange(n))
-    np.testing.assert_array_equal(tables.log_one_minus(), np.log(1.0 - r[:, None] * unit))
+    z, one_minus_z = tables.points()
+    np.testing.assert_array_equal(z, r[:, None] * unit)
+    np.testing.assert_array_equal(one_minus_z, 1.0 - r[:, None] * unit)
+    np.testing.assert_array_equal(tables.log_one_minus(), principal_log(1.0 - r[:, None] * unit))
     assert polar_tables(r.copy(), angles.copy()) is tables
 
 
@@ -137,7 +140,8 @@ def test_cached_arrays_are_read_only():
     _clear()
     r, angles = _grids()[0]
     tables = polar_tables(r, angles)
-    for arr in (tables.unit, tables.angular_powers(4), tables.radial_powers(4), tables.log_one_minus()):
+    arrays = (tables.unit, tables.angular_powers(4), tables.radial_powers(4), *tables.points(), tables.log_one_minus())
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[...] = 0.0
 
