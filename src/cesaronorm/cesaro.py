@@ -98,7 +98,7 @@ def _st_eval(f: AnalyticFunction, u, z, derivative: bool = False):
     phi = u * z / d_full
     if not derivative:
         return weight * f.eval_at(phi)
-    f_phi, df_phi = f.eval_with_derivative(phi)
+    f_phi, df_phi = f.eval_at(phi), f.derivative().eval_at(phi)
     inv_d = 1.0 / d_full
     return (weight * (1.0 - u) * inv_d) * f_phi + (weight * weight * inv_d) * df_phi
 
@@ -253,24 +253,17 @@ class _PolyImageDerivative(PolyImage):
 def cesaro_transform(f: AnalyticFunction) -> AnalyticFunction:
     """C(f) as an analytic function.
 
-    Polynomials and constants map to PolyImage, the closed form built
-    from the exact monomial images (the log tail is what cesaro_coeff
-    necessarily truncates); the image of a constant c is c C(1), with
-    C(1)(z) = -log(1 - z)/z.  Other closed forms are wrapped as
-    quadrature evaluators (value and derivative) at DEFAULT_QUAD_TOL.
+    Polynomials, constants among them, map to PolyImage, the closed form
+    built from the exact monomial images (the log tail is what
+    cesaro_coeff necessarily truncates); the image of a constant c is
+    c C(1), with C(1)(z) = -log(1 - z)/z.  Other closed forms are wrapped
+    as quadrature evaluators (value and derivative) at DEFAULT_QUAD_TOL.
     """
     if isinstance(f, Poly):
         return PolyImage(f.series)
-    if isinstance(f, Constant):
-        return PolyImage(PowerSeries([f.value]))
-
-    def fn(z):
-        return cesaro_integral(f, np.asarray(z, dtype=complex))
-
-    def dfn(z):
-        return cesaro_derivative(f, np.asarray(z, dtype=complex))
-
-    return ClosedForm(fn, dfn, label=f"cesaro({f!r})")
+    return ClosedForm(
+        lambda z: cesaro_integral(f, z), lambda z: cesaro_derivative(f, z), label=f"cesaro({f!r})"
+    )
 
 
 def cesaro_of_one() -> PolyImage:

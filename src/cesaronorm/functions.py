@@ -22,9 +22,8 @@ mpmath on 1 - z^2 and 1 - z out to |z| = 1 - 1e-12 (np.log: 2.4e-16).
 On 861 points in the disk and next to the circle the values and
 derivatives are no farther from mpmath than those of the np.power formulas.
 
-eval_with_derivative(z) returns (f(z), f'(z)) at the same points, as
-eval_at and derivative().eval_at unless a subclass shares work between
-the two.  The extremals' derivative() takes f' from one log_w.
+A function's derivative is f.derivative(), itself an AnalyticFunction;
+the extremals' takes f' from one log_w.  Constant is the degree-0 Poly.
 
 Evaluators accept scalars or numpy arrays of points.  Evaluation is
 guarded at |z| <= 1 - 1e-12; the families above blow up at the boundary
@@ -204,7 +203,8 @@ def _polyval_polar(coeffs, tables):
 def _check_radius(moduli) -> None:
     """DomainError when some modulus lies beyond |z| <= 1 - 1e-12."""
     # the 1e-15 relative slack absorbs the ulp noise of r * e^(i theta)
-    if moduli.size and float(np.max(moduli)) > EVAL_RADIUS_LIMIT * (1.0 + 1e-15):
+    # written as not <= so that a nan modulus fails too
+    if moduli.size and not float(np.max(moduli)) <= EVAL_RADIUS_LIMIT * (1.0 + 1e-15):
         raise DomainError("evaluation point outside |z| <= 1 - 1e-12")
 
 
@@ -261,10 +261,6 @@ class AnalyticFunction:
     def eval_at(self, z):
         raise NotImplementedError
 
-    def eval_with_derivative(self, z):
-        """(f(z), f'(z)) at the same points; a subclass may override it where the two share work."""
-        return self.eval_at(z), self.derivative().eval_at(z)
-
     def eval_polar(self, r, angles):
         """Values on the grid r[:, None] * exp(1j * angles)[None, :]; r and angles 1-D."""
         return self.eval_at(r[:, None] * np.exp(1j * angles)[None, :])
@@ -296,21 +292,17 @@ class Poly(AnalyticFunction):
         return f"Poly(degree={self.series.degree})"
 
 
-class Constant(AnalyticFunction):
+class Constant(Poly):
+    """The constant function value: the degree-0 Poly, evaluated and differentiated as one."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
         value = complex(value)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise DomainError("constant must be finite")
+        super().__init__([value])
         self.value = value
-
-    def eval_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.full(z.shape, self.value, dtype=complex)
-
-    def derivative(self) -> "Constant":
-        return Constant(0.0)
 
     def __repr__(self):
         return f"Constant({self.value})"
@@ -445,11 +437,6 @@ def evaluate_polar(f: AnalyticFunction, r, angles) -> np.ndarray:
     return f.eval_polar(r, np.asarray(angles, dtype=float))
 
 
-def derivative(f: AnalyticFunction) -> AnalyticFunction:
-    """Analytic derivative of f, exact for series and closed forms alike."""
-    return f.derivative()
-
-
 def taylor_truncate(
     f: AnalyticFunction,
     n: int,
@@ -458,7 +445,7 @@ def taylor_truncate(
 ) -> PowerSeries:
     """First n + 1 Taylor coefficients of f at the origin.
 
-    Exact for Poly and Constant.  Closed forms go through the circle-FFT
+    Exact for Poly, Constant included.  Closed forms go through the circle-FFT
     extraction described in the module docstring; the doubling test keeps
     aliasing below tol but cannot beat the rho^(-n) roundoff floor, so
     callers wanting n beyond roughly 30 should pass a larger radius.
@@ -467,10 +454,6 @@ def taylor_truncate(
         raise DomainError("truncation degree must be nonnegative")
     if isinstance(f, Poly):
         return f.series.truncate(n)
-    if isinstance(f, Constant):
-        out = np.zeros(n + 1, dtype=complex)
-        out[0] = f.value
-        return PowerSeries(out)
     if not 0.0 < radius <= EVAL_RADIUS_LIMIT:
         raise DomainError("extraction radius must lie in (0, 1)")
 

@@ -151,7 +151,7 @@ def _lockstep(g, n: int, a: float, b: float, tol: float):
     the value in order of lo, as Python's sum adds them.  Returns values,
     exact error totals and panel counts, one entry per integral.
     """
-    if tol <= 0:
+    if isinstance(tol, bool) or not tol > 0:  # not > also rejects nan
         raise DomainError("tolerance must be positive")
     values, totals = _panels(g, np.full(n, a), np.full(n, b), np.arange(n))
     counts, live = np.ones(n, dtype=int), totals > tol  # NaN stops

@@ -49,7 +49,6 @@ from .functions import (
     AnalyticFunction,
     check_alpha,
     check_radii,
-    derivative,
     evaluate,
     evaluate_polar,
     log_weight_constant,
@@ -307,7 +306,7 @@ def space_norm(
         raise DomainError(f"space_norm requires tol > 0, got {tol!r}")
     if isinstance(space, BlochAlpha):
         base = abs(evaluate(f, 0j))
-        est = _disk_sup(derivative(f), space, tol, k_max)
+        est = _disk_sup(f.derivative(), space, tol, k_max)
         if est.diverged:
             return est
         return replace(est, value=base + est.value)

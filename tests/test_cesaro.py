@@ -1,6 +1,7 @@
 """The averaging operator: coefficient, integral, and semigroup forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cesaronorm import (
     semigroup_transform,
     space_norm,
 )
-from cesaronorm.functions import EVAL_RADIUS_LIMIT, derivative, evaluate, evaluate_polar
+from cesaronorm.functions import EVAL_RADIUS_LIMIT, evaluate, evaluate_polar
 from cesaronorm import numerics
 
 
@@ -186,7 +187,7 @@ def test_derivative_form_examples():
     # derivative of -log(1 - z)/z at 0.5: 1/(z(1-z)) - log(1/(1-z))/z^2
     want = 4.0 - 4.0 * math.log(2.0)
     assert cesaro_derivative(Constant(1.0), 0.5) == pytest.approx(want, abs=1e-9)
-    assert evaluate(derivative(cesaro_of_one()), 0.5) == pytest.approx(want, abs=1e-12)
+    assert evaluate(cesaro_of_one().derivative(), 0.5) == pytest.approx(want, abs=1e-12)
 
 
 def test_derivative_form_matches_coefficient_form():
@@ -211,7 +212,7 @@ def test_transform_of_polynomial_keeps_the_log_tail():
 
 def test_transform_derivative_matches_difference_quotient():
     g = cesaro_transform(Poly([0.5, 1.5, -2.0, 0.75]))
-    dg = derivative(g)
+    dg = g.derivative()
     h = 1e-6
     for z in (0.1, 0.45, 0.8, 0.3 + 0.5j):
         fd = (evaluate(g, z + h) - evaluate(g, z - h)) / (2.0 * h)
@@ -300,6 +301,55 @@ def test_forms_raise_where_the_integrand_is_not_finite(form):
         form(f, np.array([0.1, 0.9, 0.2j]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: evaluate(f, math.nan),
+        lambda f: evaluate_polar(f, np.array([0.5, math.nan]), np.array([0.0, 1.0])),
+        lambda f: cesaro_integral(f, np.array([0.3, complex(math.nan, 0.2)])),
+        lambda f: cesaro_semigroup(f, math.nan),
+        lambda f: cesaro_derivative(f, complex(0.1, math.nan)),
+    ],
+    ids=["evaluate", "evaluate_polar", "cesaro_integral", "cesaro_semigroup", "cesaro_derivative"],
+)
+def test_nan_points_fail_the_evaluation_guard(call):
+    """A nan point is outside |z| <= 1 - 1e-12: the guard raises before any arithmetic warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"evaluation point outside \|z\| <= 1 - 1e-12"):
+            call(Poly([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, True, 0.0, -1.0], ids=repr)
+def test_quadrature_rejects_tolerances_that_are_not_positive_numbers(tol):
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        numerics.integrate_finite(lambda x: x, 0.0, 1.0, tol)
+    for form in FORMS:
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            form(Poly([1.0, 2.0]), 0.5, tol)
+
+
+def test_quadrature_integrates_at_an_infinite_tolerance():
+    """tol = inf stops every integral on its first panel."""
+    result = numerics.integrate_finite(lambda x: x, 0.0, 1.0, math.inf)
+    assert result.value == pytest.approx(0.5, abs=1e-12) and result.subdivisions == 1
+    for form in FORMS:
+        assert math.isfinite(abs(form(Poly([1.0, 2.0]), 0.5, math.inf)))
+
+
+@pytest.mark.parametrize("f", [KorenblumExtremal(0.3), LogKorenblumExtremal(0.6)], ids=repr)
+def test_transform_of_a_closed_form_is_its_quadrature_forms(f):
+    """cesaro_transform of a non-polynomial evaluates bitwise as cesaro_integral, its derivative as cesaro_derivative."""
+    image = cesaro_transform(f)
+    for z in (0.4 - 0.3j, _golden_points(12)):
+        assert np.asarray(image.eval_at(z)).tobytes() == np.asarray(cesaro_integral(f, z)).tobytes()
+        assert np.asarray(image.derivative().eval_at(z)).tobytes() == np.asarray(cesaro_derivative(f, z)).tobytes()
+    outside = np.array([0.5, 1.0 - 1e-13])
+    for g in (image, image.derivative()):
+        with pytest.raises(DomainError):
+            g.eval_at(outside)
+
+
 def test_cesaro_of_one_and_its_derivative_match_mpmath():
     """C(1) = -log(1 - z)/z and C(1)' to 4e-15 relative, |z| = 1e-6..1 - 1e-6 on random angles.
 
@@ -312,7 +362,7 @@ def test_cesaro_of_one_and_its_derivative_match_mpmath():
     moduli = np.concatenate([np.geomspace(1e-6, 0.5, 60), 1.0 - np.geomspace(0.5, 1e-6, 60)])
     z = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, moduli.size))
     image = cesaro_of_one()
-    got_value, got_slope = evaluate(image, z), evaluate(derivative(image), z)
+    got_value, got_slope = evaluate(image, z), evaluate(image.derivative(), z)
     with mp.workdps(30):
         for w, value, slope in zip(z, got_value, got_slope):
             x = mp.mpc(w)
@@ -406,7 +456,7 @@ def test_poly_image_polar_matches_pointwise(degree):
     r = np.array([0.0, 1e-5, 0.2, 0.34999999, 0.35, 0.35000001, 0.5, 0.9, 0.999999, EVAL_RADIUS_LIMIT])
     angles = 2.0 * np.pi * np.arange(64) / 64 + 0.01
     z = r[:, None] * np.exp(1j * angles)[None, :]
-    for f in (image, derivative(image)):
+    for f in (image, image.derivative()):
         got = evaluate_polar(f, r, angles)
         ref = evaluate(f, z)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
@@ -457,7 +507,7 @@ def test_poly_image_fast_log_matches_mpmath_nearly_as_well_as_np_log():
             coeffs /= np.arange(degree + 1) + 1.0
             image = cesaro_transform(Poly(coeffs))
             want = [_poly_image_mpmath(coeffs, w) for w in z.ravel()]
-            for i, f in enumerate((image, derivative(image))):
+            for i, f in enumerate((image, image.derivative())):
                 fast = evaluate_polar(f, r, angles).ravel()
                 slow = f._closed(z, one_minus_z, log_np, lambda p: _polyval_polar(p, tables)).ravel()
                 for j, got in enumerate((fast, slow)):
@@ -470,9 +520,9 @@ def test_poly_image_second_derivative_falls_back_to_contour():
     image = cesaro_transform(Poly([1.0, 2.0, -1.0]))
     z = np.array([0.1, 0.5 + 0.2j])
     h = 1e-5
-    d1 = derivative(image)
+    d1 = image.derivative()
     quotient = (evaluate(d1, z + h) - evaluate(d1, z - h)) / (2 * h)
-    np.testing.assert_allclose(evaluate(derivative(d1), z), quotient, rtol=1e-7)
+    np.testing.assert_allclose(evaluate(d1.derivative(), z), quotient, rtol=1e-7)
 
 
 @pytest.mark.parametrize(
@@ -481,14 +531,14 @@ def test_poly_image_second_derivative_falls_back_to_contour():
     ids=repr,
 )
 def test_derivative_form_is_bitwise_the_two_call_integrand(f):
-    """One eval_with_derivative per node gives the same integral as f and f' evaluated apart.
+    """The generic slope of _st_eval gives the same integral as f and f' evaluated apart.
 
     The extremals take S_t's factored slope instead, which agrees within
     2 tol with the generic path on their values and derivatives.
     """
     from cesaronorm.cesaro import _unit_interval_integral
 
-    df = derivative(f)
+    df = f.derivative()
 
     def two_calls(u, z):
         d_full = (1.0 - z) + u * z

@@ -22,7 +22,6 @@ from cesaronorm import functions
 from cesaronorm.functions import (
     EVAL_RADIUS_LIMIT,
     check_radii,
-    derivative,
     evaluate,
     evaluate_polar,
     one_minus_sq,
@@ -133,18 +132,18 @@ def test_extremal_alpha_ranges():
 
 
 def test_derivative_examples():
-    d = derivative(Poly([1, 1, 1]))
+    d = Poly([1, 1, 1]).derivative()
     np.testing.assert_allclose(d.series.coeffs, [1, 2])
-    assert evaluate(derivative(Constant(3.0 + 1j)), 0.2) == 0.0
+    assert evaluate(Constant(3.0 + 1j).derivative(), 0.2) == 0.0
     # even functions have vanishing derivative at the origin
-    assert abs(evaluate(derivative(KorenblumExtremal(0.4)), 0.0)) < 1e-14
-    assert abs(evaluate(derivative(LogKorenblumExtremal(0.4)), 0.0)) < 1e-12
+    assert abs(evaluate(KorenblumExtremal(0.4).derivative(), 0.0)) < 1e-14
+    assert abs(evaluate(LogKorenblumExtremal(0.4).derivative(), 0.0)) < 1e-12
 
 
 def test_derivative_closed_forms_match_finite_differences():
     h = 1e-6
     for f in (KorenblumExtremal(0.3), LogKorenblumExtremal(0.3)):
-        df = derivative(f)
+        df = f.derivative()
         for z in (0.2, 0.5 + 0.3j, -0.6j):
             fd = (evaluate(f, z + h) - evaluate(f, z - h)) / (2 * h)
             assert evaluate(df, z) == pytest.approx(fd, rel=1e-7)
@@ -164,6 +163,30 @@ def test_taylor_truncate_validates_inputs():
         taylor_truncate(Constant(1.0), -1)
     with pytest.raises(DomainError):
         taylor_truncate(KorenblumExtremal(0.3), 2, radius=1.5)
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, 1.5 - 0.5j, -0.0 - 3j])
+def test_constant_is_the_degree_zero_poly(c):
+    """Constant(c) is a Poly with the constant's own values, image, truncation, message and repr."""
+    from cesaronorm.cesaro import PolyImage, cesaro_transform
+
+    f = Constant(c)
+    assert isinstance(f, Poly) and f.value == complex(c)
+    z = np.array([0.0, 0.5, -0.3 + 0.6j, 1.0 - 1e-12])
+    assert _same_bits(evaluate(f, z), np.full(z.shape, complex(c), dtype=complex))
+    assert evaluate(f, 0.5) == complex(c)
+    image, want = cesaro_transform(f), PolyImage(PowerSeries([c]))
+    assert _same_bits(image.eval_at(z), want.eval_at(z))
+    assert _same_bits(image.derivative().eval_at(z), want.derivative().eval_at(z))
+    truncated = np.zeros(4, dtype=complex)
+    truncated[0] = c
+    assert _same_bits(taylor_truncate(f, 3).coeffs, truncated)
+    assert repr(f) == f"Constant({complex(c)})"
+    assert np.all(evaluate(f.derivative(), z) == 0.0)
+    with pytest.raises(DomainError, match="constant must be finite"):
+        Constant(complex(math.nan, 1.0))
+    with pytest.raises(DomainError, match="constant must be finite"):
+        Constant(math.inf)
 
 
 coeff_st = st.complex_numbers(
@@ -219,7 +242,7 @@ def test_derivative_commutes_with_truncation(family):
     """Coefficients of f' match the shifted coefficients of f at alpha = 0.3."""
     f = family(0.3)
     n = 12
-    from_deriv = taylor_truncate(derivative(f), n - 1).coeffs
+    from_deriv = taylor_truncate(f.derivative(), n - 1).coeffs
     shifted = taylor_truncate(f, n).coeffs
     from_series = np.arange(1, n + 1) * shifted[1:]
     assert float(np.max(np.abs(from_deriv - from_series))) <= 1e-10
@@ -244,33 +267,6 @@ def _disk_samples(n=4000, seed=11):
     s = 1.0 - np.logspace(-12, -1, 120)
     angles = 2.0 * np.pi * rng.uniform(0.0, 1.0, s.size)
     return np.concatenate([z, s * np.exp(1j * angles), s, -s, [0j]])
-
-
-def _joint_cases():
-    from cesaronorm import ClosedForm, cesaro_of_one, cesaro_transform
-
-    p = Poly([0.5, -1.0 + 2.0j, 0.25, 1.5j, -0.75])
-    return [
-        p,
-        Constant(1.5 - 0.5j),
-        cesaro_of_one(),
-        ClosedForm(np.exp, label="exp"),
-        KorenblumExtremal(0.05),
-        KorenblumExtremal(0.9),
-        LogKorenblumExtremal(0.05),
-        LogKorenblumExtremal(0.9),
-        cesaro_transform(p),
-    ]
-
-
-@pytest.mark.parametrize("f", _joint_cases(), ids=repr)
-def test_eval_with_derivative_is_bitwise_the_two_calls(f):
-    z = _disk_samples()
-    if isinstance(f, functions.ClosedForm) and f.deriv_fn is None:
-        z = z[np.abs(z) < 0.999]  # the contour fallback needs room for its circle
-    value, deriv = f.eval_with_derivative(z)
-    assert _same_bits(value, f.eval_at(z))
-    assert _same_bits(deriv, f.derivative().eval_at(z))
 
 
 def _double_double(values):
@@ -318,8 +314,7 @@ def test_extremals_from_one_log_match_the_power_formula(alpha):
     for family, (want, want_slope) in exact.items():
         (hi, lo), (slope_hi, slope_lo) = _double_double(want), _double_double(want_slope)
         f = family(alpha)
-        value, slope = f.eval_with_derivative(z)
-        assert _same_bits(f.eval_at(z), value)
+        value, slope = f.eval_at(z), f.derivative().eval_at(z)
         ref_value, ref_slope = power_formulas[family]
 
         def worst(got, got_slope):

@@ -24,7 +24,7 @@ from cesaronorm import (
     log_weight_constant,
     space_norm,
 )
-from cesaronorm.functions import derivative, evaluate
+from cesaronorm.functions import evaluate
 from cesaronorm import spaces
 from cesaronorm.spaces import weight_at
 
@@ -207,7 +207,7 @@ def test_polished_norm_of_random_images(space, monkeypatch):
         z = r[:, None] * np.exp(1j * (est.argmax_angle + offsets))[None, :]
         if isinstance(space, BlochAlpha):
             dense = abs(evaluate(image, 0j)) + weight_at(space, r)[:, None] * np.abs(
-                evaluate(derivative(image), z)
+                evaluate(image.derivative(), z)
             )
         else:
             dense = weight_at(space, r)[:, None] * np.abs(evaluate(image, z))
@@ -216,7 +216,7 @@ def test_polished_norm_of_random_images(space, monkeypatch):
 
 def _pointwise(image):
     """The same image behind the generic path, which forms every grid point and calls eval_at."""
-    return ClosedForm(image.eval_at, derivative(image).eval_at, label="pointwise")
+    return ClosedForm(image.eval_at, image.derivative().eval_at, label="pointwise")
 
 
 def _sampled_image(seed):
@@ -357,7 +357,7 @@ def test_a_grid_winner_on_the_origin_row_is_in_the_polished_peaks_basin():
     est = space_norm(f, BlochAlpha(50.0))
     assert est.angular_points == 512
     r, angles = np.linspace(0.0, 0.05, 501)[:, None], 2.0 * np.pi * np.arange(4096) / 4096
-    weighted = (1.0 - r * r) ** 50 * np.abs(evaluate(derivative(f), r * np.exp(1j * angles)))
+    weighted = (1.0 - r * r) ** 50 * np.abs(evaluate(f.derivative(), r * np.exp(1j * angles)))
     dense = abs(f.series.coeffs[0]) + weighted.max()
     assert 0.0 <= est.value - dense <= 1e-7
 
