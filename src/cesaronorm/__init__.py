@@ -32,7 +32,6 @@ from .functions import (
     KorenblumExtremal,
     LogKorenblumExtremal,
     Poly,
-    PowerSeries,
     log_weight_constant,
     taylor_truncate,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "LogKorenblumExtremal",
     "NormEstimate",
     "Poly",
-    "PowerSeries",
     "PreconditionError",
     "SampleConfig",
     "SupEstimate",

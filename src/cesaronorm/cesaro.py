@@ -4,8 +4,9 @@ On Taylor coefficients the operator averages partial sums:
 
     C(f)(z) = sum_n ( (1/(n+1)) sum_{k<=n} a_k ) z^n,
 
-a lower-triangular, exactly computable map on polynomials.  Two integral
-representations give pointwise access for closed forms:
+a lower-triangular, exactly computable map on polynomials, cesaro_coeff,
+whose output is also the series head of the exact image PolyImage.  Two
+integral representations give pointwise access for closed forms:
 
     C(f)(z) = int_0^1 f(tz) / (1 - tz) dt
             = int_0^inf (S_t f)(z) dt,
@@ -45,7 +46,6 @@ from .functions import (
     KorenblumExtremal,
     LogKorenblumExtremal,
     Poly,
-    PowerSeries,
     _check_point,
     _polyval,
     _polyval_polar,
@@ -56,18 +56,13 @@ from .functions import (
 from .numerics import DEFAULT_QUAD_TOL, integrate_rows
 
 
-def cesaro_coeff(series: PowerSeries) -> PowerSeries:
-    """Coefficient form: running means of the coefficient prefix sums."""
-    if not isinstance(series, PowerSeries):
-        series = PowerSeries(series)
-    n = np.arange(1, series.coeffs.size + 1, dtype=float)
-    sums = np.cumsum(series.coeffs)
-    # divide componentwise: the complex-division kernel can lose an ulp
-    # even on exact integer ratios, breaking the fixed-point identity
-    out = np.empty_like(sums)
-    out.real = sums.real / n
-    out.imag = sums.imag / n
-    return PowerSeries(out)
+def cesaro_coeff(p) -> Poly:
+    """Coefficient form: running means of the coefficient prefix sums of p, a Poly or a coefficient vector."""
+    c = (p if isinstance(p, Poly) else Poly(p)).coeffs
+    n = np.arange(1, c.size + 1, dtype=float)[:, None]
+    # divide the real and imaginary parts apart: the complex-division kernel
+    # can lose an ulp even on exact integer ratios, breaking the fixed-point identity
+    return Poly((np.cumsum(c).view(float).reshape(-1, 2) / n).view(complex).ravel())
 
 
 def _st_eval(f: AnalyticFunction, u, z, derivative: bool = False):
@@ -105,7 +100,7 @@ def _st_eval(f: AnalyticFunction, u, z, derivative: bool = False):
 
 def semigroup_transform(f: AnalyticFunction, t: float) -> ClosedForm:
     """S_t f as an analytic function, evaluated directly (no truncation)."""
-    if not (math.isfinite(t) and t >= 0.0):
+    if isinstance(t, bool) or not (math.isfinite(t) and t >= 0.0):
         raise DomainError("semigroup time must be finite and nonnegative")
     u = math.exp(-t)
     return ClosedForm(lambda z: _st_eval(f, u, z), lambda z: _st_eval(f, u, z, True), label=f"S_{t:g}")
@@ -159,29 +154,28 @@ class PolyImage(AnalyticFunction):
         C(f)(z) = ( -S log(1-z) - Q(z) ) / z,
         S = sum_k a_k,  Q(z) = sum_m (z^m/m) sum_{k>=m} a_k,
 
-    an entire-on-the-disk closed form; a series branch (exact leading
-    coefficients plus the geometric log tail) covers small |z| where the
-    closed form cancels.  On a polar grid the branch is chosen per radius
-    and every polynomial part is a separable product sharing one matrix
-    of angular powers; those, z, 1 - z and log(1 - z) (principal_log's,
-    whose absolute error serves where |z| >= _POLY_SMALL) come from
-    polar_tables, bitwise as built afresh.  A grid with no row below
-    _POLY_SMALL, as a zoom patch off the centre, is the closed form alone.
+    an entire-on-the-disk closed form; a series branch covers small |z|
+    where the closed form cancels: the exact leading coefficients, which
+    are cesaro_coeff(p), plus the geometric log tail.  On a polar grid the
+    branch is chosen per radius and every polynomial part is a separable
+    product sharing one matrix of angular powers; those, z, 1 - z and
+    log(1 - z) (principal_log's, whose absolute error serves where
+    |z| >= _POLY_SMALL) come from polar_tables, bitwise as built afresh.
+    A grid with no row below _POLY_SMALL, as a zoom patch off the centre,
+    is the closed form alone.
     """
 
     __slots__ = ("degree", "total", "q", "dq", "head", "dhead")
 
-    def __init__(self, series: PowerSeries):
-        c = series.coeffs
-        d = self.degree = series.degree
+    def __init__(self, p: Poly):
+        c = p.coeffs
+        d = self.degree = p.degree
         self.total = complex(c.sum())
         suffix = np.cumsum(c[::-1])[::-1]
-        self.q = np.zeros(d + 1, dtype=complex)
-        if d >= 1:
-            self.q[1:] = suffix[1:] / np.arange(1, d + 1)
+        self.q = np.concatenate([[0.0], suffix[1:] / np.arange(1, d + 1)])
         self.dq = suffix[1:] if d >= 1 else np.zeros(1, dtype=complex)
-        self.head = np.cumsum(c) / np.arange(1, d + 2)
-        self.dhead = self.head[1:] * np.arange(1, d + 1) if d >= 1 else np.zeros(1, dtype=complex)
+        head = cesaro_coeff(p)
+        self.head, self.dhead = head.coeffs, head.derivative().coeffs
 
     def _series(self):
         """(head, shift, tail) of the series branch head(z) + S z^shift tail(z)."""
@@ -260,7 +254,7 @@ def cesaro_transform(f: AnalyticFunction) -> AnalyticFunction:
     as quadrature evaluators (value and derivative) at DEFAULT_QUAD_TOL.
     """
     if isinstance(f, Poly):
-        return PolyImage(f.series)
+        return PolyImage(f)
     return ClosedForm(
         lambda z: cesaro_integral(f, z), lambda z: cesaro_derivative(f, z), label=f"cesaro({f!r})"
     )

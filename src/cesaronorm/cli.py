@@ -34,7 +34,7 @@ from .empirical import SampleConfig, operator_norm_lower_bound, result_for_pair
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .numerics import DivergenceFlag
 from .spaces import BlochAlpha, HardyInf, Korenblum, KorenblumLog
-from .theorems import RESULTS, THEOREM_IDS, TheoremVerdict, argmax_note, profile_integrand, verify_theorem
+from .theorems import RADIAL_IDS, RESULTS, THEOREM_IDS, TheoremVerdict, argmax_note, profile_integrand, verify_theorem
 
 _SPACES = {
     "hardy": lambda alpha: HardyInf(),
@@ -249,10 +249,8 @@ def _cmd_empirical(args) -> int:
 
 def _cmd_dump(args) -> int:
     started = time.monotonic()
-    # the radial profiles: both spaces of the pair weight |f|, not |f'|
-    dump_ids = tuple(tid for tid, r in RESULTS.items() if r.pair and BlochAlpha not in r.pair)
-    if args.theorem not in dump_ids:
-        raise UsageError(f"dump-integrand supports {dump_ids}")
+    if args.theorem not in RADIAL_IDS:
+        raise UsageError(f"dump-integrand supports {RADIAL_IDS}")
     result = RESULTS[args.theorem]
     result.check_alpha(args.alpha)
     if args.t_points < 2:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cesaro import cesaro_transform
 from .errors import DomainError, PreconditionError
-from .functions import AnalyticFunction, Poly, PowerSeries
+from .functions import AnalyticFunction, Poly
 from .spaces import NormEstimate, SpaceSpec, space_norm
 from .theorems import RESULTS, Result
 
@@ -70,12 +70,12 @@ def sample_unit_ball(space: SpaceSpec, cfg: SampleConfig) -> list[AnalyticFuncti
         deg = int(rng.integers(0, cfg.max_degree + 1))
         raw = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         raw *= (np.arange(deg + 1) + 1.0) ** -1.0
-        f = Poly(PowerSeries(raw))
+        f = Poly(raw)
         norm = space_norm(f, space)
         if norm.diverged or norm.value == 0.0:
             # all-zero draw is impossible; divergence cannot happen for polys
             raise PreconditionError("sampled polynomial has unusable norm")
-        out.append(Poly(PowerSeries(raw / norm.value)))
+        out.append(Poly(raw / norm.value))
     return out
 
 

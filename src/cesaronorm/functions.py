@@ -1,8 +1,8 @@
 """Analytic functions on the open unit disk.
 
-The package works with two representations side by side: finite power
-series (exact coefficient arithmetic) and closed-form evaluators for the
-extremal families
+A polynomial is a Poly, which holds its finite Taylor coefficient vector
+(exact coefficient arithmetic); Constant is its degree-0 case.  The other
+functions here are closed-form evaluators, among them the extremal families
 
     (1 - z^2)^(-alpha)                          unit vector of the weighted
                                                 sup-norm space with weight
@@ -23,7 +23,7 @@ On 861 points in the disk and next to the circle the values and
 derivatives are no farther from mpmath than those of the np.power formulas.
 
 A function's derivative is f.derivative(), itself an AnalyticFunction;
-the extremals' takes f' from one log_w.  Constant is the degree-0 Poly.
+the extremals' takes f' from one log_w.
 
 Evaluators accept scalars or numpy arrays of points.  Evaluation is
 guarded at |z| <= 1 - 1e-12; the families above blow up at the boundary
@@ -215,44 +215,11 @@ def _check_point(z):
     return arr
 
 
-class PowerSeries:
-    """Immutable finite Taylor coefficient vector; coeffs[n] multiplies z**n."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("coefficient vector must be one dimensional and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coefficients must be finite")
-        arr.setflags(write=False)
-        self.coeffs = arr
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def eval_at(self, z):
-        """Horner evaluation; z may be a scalar or an ndarray."""
-        return _polyval(self.coeffs, np.asarray(z, dtype=complex))
-
-    def differentiate(self) -> "PowerSeries":
-        if self.degree == 0:
-            return PowerSeries([0.0])
-        n = np.arange(1, self.coeffs.size)
-        return PowerSeries(n * self.coeffs[1:])
-
-    def truncate(self, n: int) -> "PowerSeries":
-        if n < 0:
-            raise DomainError("truncation degree must be nonnegative")
-        out = np.zeros(n + 1, dtype=complex)
-        keep = min(n + 1, self.coeffs.size)
-        out[:keep] = self.coeffs[:keep]
-        return PowerSeries(out)
-
-    def __repr__(self):
-        return f"PowerSeries(degree={self.degree})"
+def _check_degree(n) -> int:
+    """n as an int; the truncation-degree check, a DomainError for a bool, a non-integer or n < 0."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0:
+        return int(n)
+    raise DomainError(f"truncation degree must be a nonnegative integer, got {n!r}")
 
 
 class AnalyticFunction:
@@ -270,26 +237,39 @@ class AnalyticFunction:
 
 
 class Poly(AnalyticFunction):
-    """Polynomial backed by a PowerSeries."""
+    """Polynomial sum_n coeffs[n] z^n; coeffs is an immutable finite complex vector."""
 
-    __slots__ = ("series",)
+    __slots__ = ("coeffs",)
 
-    def __init__(self, series):
-        if not isinstance(series, PowerSeries):
-            series = PowerSeries(series)
-        self.series = series
+    def __init__(self, coeffs):
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
+        if arr.ndim != 1 or arr.size == 0:
+            raise DomainError("coefficient vector must be one dimensional and nonempty")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("coefficients must be finite")
+        self.coeffs = _frozen(arr)
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.size - 1
 
     def eval_at(self, z):
-        return self.series.eval_at(z)
+        """Horner evaluation; z may be a scalar or an ndarray."""
+        return _polyval(self.coeffs, np.asarray(z, dtype=complex))
 
     def eval_polar(self, r, angles):
-        return _polyval_polar(self.series.coeffs, polar_tables(r, angles))
+        return _polyval_polar(self.coeffs, polar_tables(r, angles))
 
     def derivative(self) -> "Poly":
-        return Poly(self.series.differentiate())
+        return Poly(np.arange(1, self.coeffs.size) * self.coeffs[1:] if self.degree else [0.0])
+
+    def truncate(self, n: int) -> "Poly":
+        """The coefficients of degree <= n, zero-padded past the degree."""
+        n = _check_degree(n)
+        return Poly(np.pad(self.coeffs[: n + 1], (0, max(n + 1 - self.coeffs.size, 0))))
 
     def __repr__(self):
-        return f"Poly(degree={self.series.degree})"
+        return f"Poly(degree={self.degree})"
 
 
 class Constant(Poly):
@@ -442,20 +422,22 @@ def taylor_truncate(
     n: int,
     radius: float = DEFAULT_EXTRACTION_RADIUS,
     tol: float = DEFAULT_COEFF_TOL,
-) -> PowerSeries:
-    """First n + 1 Taylor coefficients of f at the origin.
+) -> Poly:
+    """First n + 1 Taylor coefficients of f at the origin, as a Poly.
 
-    Exact for Poly, Constant included.  Closed forms go through the circle-FFT
-    extraction described in the module docstring; the doubling test keeps
-    aliasing below tol but cannot beat the rho^(-n) roundoff floor, so
-    callers wanting n beyond roughly 30 should pass a larger radius.
+    Exact for Poly, Constant included: f.truncate(n).  Closed forms go
+    through the circle-FFT extraction described in the module docstring;
+    the doubling test keeps aliasing below tol but cannot beat the
+    rho^(-n) roundoff floor, so callers wanting n beyond roughly 30 should
+    pass a larger radius.  n, radius and tol are checked whatever f is.
     """
-    if n < 0:
-        raise DomainError("truncation degree must be nonnegative")
-    if isinstance(f, Poly):
-        return f.series.truncate(n)
+    n = _check_degree(n)
     if not 0.0 < radius <= EVAL_RADIUS_LIMIT:
         raise DomainError("extraction radius must lie in (0, 1)")
+    if isinstance(tol, bool) or not tol > 0:  # not > also rejects nan
+        raise DomainError("tolerance must be positive")
+    if isinstance(f, Poly):
+        return f.truncate(n)
 
     m = 1
     while m < 4 * (n + 1):
@@ -465,7 +447,7 @@ def taylor_truncate(
         m *= 2
         cur = _circle_coefficients(f, n, radius, m)
         if float(np.max(np.abs(cur - prev))) <= tol:
-            return PowerSeries(cur)
+            return Poly(cur)
         prev = cur
     raise ConvergenceError(
         f"coefficient extraction did not stabilize below {tol:g} "

@@ -127,9 +127,16 @@ def profile_integrand(theorem_id: str, r: float, t, alpha: float):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0.0):
         raise DomainError("t must be nonnegative")
-    source, target = RESULTS[theorem_id].pair
+    source, target = _radial_pair(theorem_id)
     extremal = (LogKorenblumExtremal if source is KorenblumLog else KorenblumExtremal)(alpha)
     return weight_at(target(alpha), r) * np.abs(_st_eval(extremal, np.exp(-t), r))
+
+
+def _radial_pair(theorem_id: str) -> tuple[type, type]:
+    """The (source, target) space types of a radial profile; DomainError for an id outside RADIAL_IDS."""
+    if theorem_id not in RADIAL_IDS:
+        raise DomainError(f"no radial profile for {theorem_id!r}; choose from {RADIAL_IDS}")
+    return RESULTS[theorem_id].pair
 
 
 def _profile_columns(theorem_id: str, alpha: float) -> Callable:
@@ -142,7 +149,7 @@ def _profile_columns(theorem_id: str, alpha: float) -> Callable:
     kernels.  A log-weighted target (T5.1) multiplies by Lambda at L, and
     Lambda' = 1 - e^-L / (2 - e^-L).
     """
-    source, target = RESULTS[theorem_id].pair
+    source, target = _radial_pair(theorem_id)
 
     def kernel(y, e):  # k and Lambda (None for a plain source) at y, given e = e^-y
         k3 = (2.0 - e) ** -alpha
@@ -341,7 +348,7 @@ def hardy_to_bloch_bounds(alpha: float):
 def boundary_envelope(r, alpha: float):
     """(1 + r)^alpha (1 - r)^(alpha - 1); peaks at r = 1/(2 alpha - 1) for alpha > 1."""
     check_alpha("boundary_envelope", alpha)
-    r = np.asarray(r, dtype=float)
+    r = check_radii(r)
     return (1.0 + r) ** alpha * (1.0 - r) ** (alpha - 1.0)
 
 
@@ -523,7 +530,8 @@ class Result:
     norm table: end "low" or "high" of claim(alpha), or "sup", the witness
     value.  pair is the (source, target) space types of its empirical
     bound, checked against bounds(alpha, witness); where both weight |f|,
-    profile_integrand reads its extremal and weight from them.
+    its id is in RADIAL_IDS, and profile_integrand reads its extremal and
+    weight from them.
     """
 
     theorem_id: str
@@ -644,6 +652,8 @@ RESULTS = MappingProxyType(
 )
 
 THEOREM_IDS = tuple(RESULTS)
+# the ids with a radial profile: both spaces of the pair weight |f|, not |f'|
+RADIAL_IDS = tuple(tid for tid, r in RESULTS.items() if r.pair and BlochAlpha not in r.pair)
 
 
 def verify_theorem(theorem_id: str, alpha: float, tol: Optional[float] = None) -> TheoremVerdict:

@@ -17,7 +17,6 @@ from cesaronorm import (
     KorenblumExtremal,
     LogKorenblumExtremal,
     Poly,
-    PowerSeries,
     cesaro_coeff,
     cesaro_derivative,
     cesaro_integral,
@@ -33,16 +32,30 @@ from cesaronorm import numerics
 
 def test_coeff_examples():
     np.testing.assert_allclose(
-        cesaro_coeff(PowerSeries([1, 0, 0, 0])).coeffs, [1, 1 / 2, 1 / 3, 1 / 4]
+        cesaro_coeff(Poly([1, 0, 0, 0])).coeffs, [1, 1 / 2, 1 / 3, 1 / 4]
     )
     np.testing.assert_allclose(
-        cesaro_coeff(PowerSeries([0, 1, 0, 0])).coeffs, [0, 1 / 2, 1 / 3, 1 / 4]
+        cesaro_coeff(Poly([0, 1, 0, 0])).coeffs, [0, 1 / 2, 1 / 3, 1 / 4]
     )
 
 
 def test_geometric_series_is_fixed():
-    ones = PowerSeries(np.ones(40))
+    ones = Poly(np.ones(40))
     np.testing.assert_array_equal(cesaro_coeff(ones).coeffs, ones.coeffs)
+
+
+def test_poly_image_series_head_is_the_coefficient_form():
+    """PolyImage's series head is cesaro_coeff's vector bitwise, degrees 0..64 and a Constant: one averaging formula."""
+    from cesaronorm.cesaro import PolyImage
+
+    rng = np.random.default_rng(11)
+    fs = [Constant(1.5 - 0.5j)]
+    fs += [Poly(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) for d in range(65)]
+    for f in fs:
+        want = cesaro_coeff(f)
+        for image in (PolyImage(f), cesaro_transform(f)):
+            assert image.head.dtype == want.coeffs.dtype and image.head.tobytes() == want.coeffs.tobytes()
+            assert image.dhead.tobytes() == want.derivative().coeffs.tobytes()
 
 
 coeff_st = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
@@ -57,9 +70,9 @@ coeff_st = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity
 @settings(max_examples=150, deadline=None)
 def test_coeff_linearity(p, q, a, b):
     n = max(len(p), len(q))
-    ps = PowerSeries(p).truncate(n - 1)
-    qs = PowerSeries(q).truncate(n - 1)
-    combo = cesaro_coeff(PowerSeries(a * ps.coeffs + b * qs.coeffs)).coeffs
+    ps = Poly(p).truncate(n - 1)
+    qs = Poly(q).truncate(n - 1)
+    combo = cesaro_coeff(Poly(a * ps.coeffs + b * qs.coeffs)).coeffs
     parts = a * cesaro_coeff(ps).coeffs + b * cesaro_coeff(qs).coeffs
     assert float(np.max(np.abs(combo - parts))) <= 1e-12 * max(1.0, abs(a) + abs(b))
 
@@ -68,7 +81,7 @@ def test_coeff_linearity(p, q, a, b):
 @settings(max_examples=150, deadline=None)
 def test_coeff_truncation_commutes(coeffs, n):
     """Lower triangularity: output[0..n] depends only on input[0..n]."""
-    p = PowerSeries(coeffs)
+    p = Poly(coeffs)
     n = min(n, p.degree)
     direct = cesaro_coeff(p.truncate(n)).coeffs
     full = cesaro_coeff(p).coeffs[: n + 1]
@@ -90,7 +103,7 @@ def test_constant_image_closed_form():
 def test_integral_matches_coefficient_form():
     p = Poly([0.3, -1.0, 2.5, 0.0, 1.0 - 0.5j])
     z = 0.3 + 0.4j
-    series = cesaro_coeff(p.series.truncate(256))
+    series = cesaro_coeff(p.truncate(256))
     want = complex(series.eval_at(z))
     assert cesaro_integral(p, z) == pytest.approx(want, abs=1e-8)
 
@@ -134,6 +147,13 @@ def test_semigroup_transform_examples():
         )
     with pytest.raises(DomainError):
         semigroup_transform(f, -1.0)
+
+
+@pytest.mark.parametrize("t", [True, False])
+def test_semigroup_transform_rejects_a_bool_time(t):
+    """True is not the time 1: S_t takes a finite nonnegative number, not a bool."""
+    with pytest.raises(DomainError, match="semigroup time"):
+        semigroup_transform(Constant(1.0), t)
 
 
 @pytest.mark.parametrize("k", [1, 20, 40, 53])
@@ -193,7 +213,7 @@ def test_derivative_form_examples():
 def test_derivative_form_matches_coefficient_form():
     p = Poly([1.0, -0.5, 0.25, 2.0])
     z = 0.2 + 0.3j
-    series = cesaro_coeff(p.series.truncate(256)).differentiate()
+    series = cesaro_coeff(p.truncate(256)).derivative()
     want = complex(series.eval_at(z))
     assert cesaro_derivative(p, z) == pytest.approx(want, abs=1e-8)
 
@@ -205,7 +225,7 @@ def test_transform_of_polynomial_keeps_the_log_tail():
     want = -math.log(1.0 - z) / z - 1.0
     assert evaluate(g, z) == pytest.approx(want, abs=1e-12)
     # well inside the disk the image agrees with a long coefficient expansion
-    series = cesaro_coeff(PowerSeries([0.0, 1.0]).truncate(512))
+    series = cesaro_coeff(Poly([0.0, 1.0]).truncate(512))
     z = 0.25
     assert evaluate(g, z) == pytest.approx(complex(series.eval_at(z)), abs=1e-13)
 
@@ -226,7 +246,7 @@ def test_representation_equivalence_small_batch():
         deg = int(rng.integers(0, 17))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         f = Poly(coeffs)
-        series = cesaro_coeff(f.series.truncate(512))
+        series = cesaro_coeff(f.truncate(512))
         for w in z:
             via_coeff = complex(series.eval_at(w))
             via_int = cesaro_integral(f, w)

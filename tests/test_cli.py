@@ -688,6 +688,13 @@ def test_dump_integrand_rejects_non_finite_t_max(capsys, t_max):
     assert err.startswith("error: ") and "--t-max" in err
 
 
+@pytest.mark.parametrize("theorem_id", ["T6.2", "T6.3", "T7.1"])
+def test_dump_integrand_names_the_radial_ids(capsys, theorem_id):
+    """The rejection lists theorems.RADIAL_IDS, in the text it always had."""
+    code, out, err = run_cli(capsys, "dump-integrand", "--theorem", theorem_id, "--alpha", "1.5")
+    assert (code, out, err) == (2, "", "error: dump-integrand supports ('T3.1', 'T4.1', 'T5.1')\n")
+
+
 def test_dump_integrand_rejects_bad_parameters(capsys):
     base = ["dump-integrand", "--alpha", "0.5", "--theorem"]
     assert run_cli(capsys, *base, "T6.2")[0] == 2

@@ -14,7 +14,6 @@ from cesaronorm import (
     KorenblumExtremal,
     LogKorenblumExtremal,
     Poly,
-    PowerSeries,
     log_weight_constant,
     taylor_truncate,
 )
@@ -30,21 +29,21 @@ from cesaronorm.functions import (
 
 def test_power_series_rejects_bad_coeffs():
     with pytest.raises(DomainError):
-        PowerSeries([])
+        Poly([])
     with pytest.raises(DomainError):
-        PowerSeries([1.0, float("nan")])
+        Poly([1.0, float("nan")])
     with pytest.raises(DomainError):
-        PowerSeries([float("inf")])
+        Poly([float("inf")])
 
 
 def test_power_series_eval_at_zero_is_exact():
     c0 = 0.123456789 + 0.987654321j
-    p = PowerSeries([c0, 3.0, -2.0j, 17.0])
+    p = Poly([c0, 3.0, -2.0j, 17.0])
     assert complex(p.eval_at(0.0 + 0.0j)) == c0
 
 
 def test_power_series_degree_and_truncate():
-    p = PowerSeries([1, 2, 3])
+    p = Poly([1, 2, 3])
     assert p.degree == 2
     q = p.truncate(4)
     assert q.degree == 4
@@ -133,7 +132,7 @@ def test_extremal_alpha_ranges():
 
 def test_derivative_examples():
     d = Poly([1, 1, 1]).derivative()
-    np.testing.assert_allclose(d.series.coeffs, [1, 2])
+    np.testing.assert_allclose(d.coeffs, [1, 2])
     assert evaluate(Constant(3.0 + 1j).derivative(), 0.2) == 0.0
     # even functions have vanishing derivative at the origin
     assert abs(evaluate(KorenblumExtremal(0.4).derivative(), 0.0)) < 1e-14
@@ -165,6 +164,39 @@ def test_taylor_truncate_validates_inputs():
         taylor_truncate(KorenblumExtremal(0.3), 2, radius=1.5)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, -1, "3", None], ids=repr)
+def test_truncation_degree_must_be_a_nonnegative_integer(n):
+    """Poly.truncate and taylor_truncate share one degree check, made before any extraction."""
+    p = Poly([1.0, 2.0])
+    for call in (
+        lambda: p.truncate(n),
+        lambda: taylor_truncate(p, n),
+        lambda: taylor_truncate(KorenblumExtremal(0.3), n),
+    ):
+        with pytest.raises(DomainError, match="truncation degree must be a nonnegative integer"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, True, False], ids=repr)
+def test_taylor_truncate_rejects_bool_nan_and_nonpositive_tol(tol):
+    """The quadrature's tolerance rule, for a Poly and before any FFT of a closed form."""
+    for f in (Poly([1.0, 2.0]), KorenblumExtremal(0.3)):
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            taylor_truncate(f, 3, tol=tol)
+
+
+def test_truncations_of_a_poly_are_its_prefix_or_zero_padding():
+    """truncate and taylor_truncate of a Poly return a Poly holding the prefix or the zero-padded vector, bitwise."""
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    p = Poly(c)
+    for n in (0, 3, 8, 12, np.int64(5)):
+        want = np.concatenate([c[: n + 1], np.zeros(max(n + 1 - c.size, 0), dtype=complex)])
+        for got in (p.truncate(n), taylor_truncate(p, n)):
+            assert type(got) is Poly and _same_bits(got.coeffs, want)
+    assert type(taylor_truncate(KorenblumExtremal(0.3), 2)) is Poly
+
+
 @pytest.mark.parametrize("c", [1.0, -2.5, 1.5 - 0.5j, -0.0 - 3j])
 def test_constant_is_the_degree_zero_poly(c):
     """Constant(c) is a Poly with the constant's own values, image, truncation, message and repr."""
@@ -175,7 +207,7 @@ def test_constant_is_the_degree_zero_poly(c):
     z = np.array([0.0, 0.5, -0.3 + 0.6j, 1.0 - 1e-12])
     assert _same_bits(evaluate(f, z), np.full(z.shape, complex(c), dtype=complex))
     assert evaluate(f, 0.5) == complex(c)
-    image, want = cesaro_transform(f), PolyImage(PowerSeries([c]))
+    image, want = cesaro_transform(f), PolyImage(Poly([c]))
     assert _same_bits(image.eval_at(z), want.eval_at(z))
     assert _same_bits(image.derivative().eval_at(z), want.derivative().eval_at(z))
     truncated = np.zeros(4, dtype=complex)
@@ -200,7 +232,7 @@ def test_round_trip_poly_coefficients(coeffs):
     """taylor_truncate recovers polynomial coefficients to 1e-12."""
     p = Poly(coeffs)
     got = taylor_truncate(p, len(coeffs) - 1).coeffs
-    assert float(np.max(np.abs(got - p.series.coeffs))) <= 1e-12
+    assert float(np.max(np.abs(got - p.coeffs))) <= 1e-12
 
 
 @given(st.lists(coeff_st, min_size=1, max_size=20), st.integers(0, 25))
@@ -208,7 +240,7 @@ def test_round_trip_poly_coefficients(coeffs):
 def test_round_trip_with_padding(coeffs, n):
     p = Poly(coeffs)
     got = taylor_truncate(p, n).coeffs
-    want = p.series.truncate(n).coeffs
+    want = p.truncate(n).coeffs
     assert float(np.max(np.abs(got - want))) <= 1e-12
 
 

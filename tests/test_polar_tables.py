@@ -41,7 +41,7 @@ def _ref_polyval_polar(coeffs, r, w):
 
 
 def _ref_poly(f, r, angles):
-    c = f.series.coeffs
+    c = f.coeffs
     return _ref_polyval_polar(c, r, _ref_angular_powers(np.exp(1j * angles), c.size))
 
 

@@ -358,7 +358,7 @@ def test_a_grid_winner_on_the_origin_row_is_in_the_polished_peaks_basin():
     assert est.angular_points == 512
     r, angles = np.linspace(0.0, 0.05, 501)[:, None], 2.0 * np.pi * np.arange(4096) / 4096
     weighted = (1.0 - r * r) ** 50 * np.abs(evaluate(f.derivative(), r * np.exp(1j * angles)))
-    dense = abs(f.series.coeffs[0]) + weighted.max()
+    dense = abs(f.coeffs[0]) + weighted.max()
     assert 0.0 <= est.value - dense <= 1e-7
 
 

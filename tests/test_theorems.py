@@ -78,6 +78,19 @@ def test_integrand_domain():
             profile_integrand(theorem_id, 0.5, 1.0, 1.2)
 
 
+@pytest.mark.parametrize("theorem_id", ["T6.2", "T6.3", "T7.1", "T9.9"])
+def test_radial_entry_points_reject_ids_without_a_radial_profile(theorem_id):
+    """Only RADIAL_IDS have a profile: another id is a DomainError, not T3.1's profile, a TypeError or a KeyError."""
+    assert theorems.RADIAL_IDS == ("T3.1", "T4.1", "T5.1")
+    for call in (
+        lambda: theorems.slice_values(theorem_id, [0.5], 0.3),
+        lambda: theorems.profile_sup(theorem_id, 0.3),
+        lambda: profile_integrand(theorem_id, 0.5, 1.0, 0.3),
+    ):
+        with pytest.raises(DomainError, match="no radial profile"):
+            call()
+
+
 def log_ratio(r, t, alpha):
     """The log factor at r over the log factor at phi_t(r): the T5.1 integrand over the T3.1 one."""
     return profile_integrand("T5.1", r, t, alpha) / profile_integrand("T3.1", r, t, alpha)
@@ -230,6 +243,13 @@ def test_boundary_envelope_value_example():
     assert float(boundary_envelope(1.0 / 3.0, 2.0)) == pytest.approx(32.0 / 27.0, abs=1e-12)
     with pytest.raises(DomainError):
         boundary_envelope(0.5, 0.0)
+
+
+@pytest.mark.parametrize("r,alpha", [(2.0, 0.5), (1.0, 1.5), (-0.1, 1.5), (math.nan, 2.0), ([0.5, 1.5], 2.0)], ids=repr)
+def test_boundary_envelope_rejects_radii_outside_the_disk(r, alpha):
+    """r goes through check_radii, as in h_closed_form: no nan with a RuntimeWarning, no 0.0 at r = 1."""
+    with pytest.raises(DomainError, match=r"radius must lie in \[0, 1\)"):
+        boundary_envelope(r, alpha)
 
 
 def test_witness_profile_and_probe():
